@@ -202,9 +202,7 @@ def _spectrum_doc(t, spec: Spectrum) -> dict:
     try:
         approx, dist = best_rank_one(t, spec=spec)
         doc["best_rank_one"] = {
-            "tensor": tensor_to_json_dict(
-                approx if isinstance(approx, (BinaryTensor, MuTensor)) else approx
-            ),
+            "tensor": tensor_to_json_dict(approx),
             "distance": dist,
         }
     except SolverFailureError as exc:

@@ -74,8 +74,6 @@ class UniPoly:
         if not self.coeffs:
             return self
         lead = self.coeffs[-1]
-        if isinstance(lead, Fraction):
-            return UniPoly(tuple(c / lead for c in self.coeffs), self.var)
         return UniPoly(tuple(c / lead for c in self.coeffs), self.var)
 
     def scale(self, factor: Scalar) -> "UniPoly":

@@ -4,14 +4,19 @@ The solvers find every solution of the critical equations
 
     y_j = sigma * x_j,   q(x_j) = 1,
 
-where y_j contracts the tensor against all vectors but the j-th.  Strategy:
-a seeded random rotation puts the tensor in general position (the squared
-singular values are rotation invariants), the dehomogenized equations are
-eliminated exactly over the rationals with Sylvester resultants, the final
-univariate polynomial is root-found in double precision, and every
-back-substituted tuple is Newton-polished on the original, unrotated tensor.
-Extraneous elimination roots are removed by residual filtering, never by
-symbolic division.
+where y_j contracts the tensor against all vectors but the j-th.  Full
+2x2x2 tensors, (2,1)-symmetric tensors and 2x2 matrices share one driver,
+``_solve_by_elimination``: a seeded random rotation puts the tensor in
+general position (the squared singular values are rotation invariants), the
+dehomogenized equations are eliminated exactly over the rationals with
+Sylvester resultants, the univariate eliminant is root-found in double
+precision, and every back-substituted tuple is Newton-polished and
+residual-filtered on the rotated tensor, then polished again and certified on
+the original one.  Extraneous elimination roots are removed by residual
+filtering, never by symbolic division.  Each shape supplies only its RNG
+salt, its equation builder, its elimination chain with its back-substitution
+(z3 then z2; w; z2) and an optional rank-one closed form; the expected count
+and the least eliminant degree are both ed_degree(mu).
 
 Supported: full 2x2x2 tensors (six tuples), (2,1)-symmetric tensors (four),
 2x2 matrices (two), and fully symmetric tensors of any order (d tuples, via
@@ -24,26 +29,26 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .combinatorics import Partition, _as_partition, ed_degree
-from .invariants import extreme_coeffs_222, invariants_222
+from .invariants import extreme_coeffs_222, invariants_222, isotropic_factor_symmetric
 from .polys import (
     MultiPoly,
     RootFindingError,
     UniPoly,
     all_roots,
+    discriminant_binary_form,
     reflect_edpoly,
     sylvester_resultant,
 )
-from .polys import discriminant_binary_form
-from .invariants import isotropic_factor_symmetric
 from .tensor import (
     BinaryTensor,
     MuTensor,
     bombieri_norm_sq,
+    compress,
     expand,
     rank_one_tensor,
     rotate_cs,
@@ -336,8 +341,52 @@ def _common_root_of_quadratics(p: Sequence[complex], q: Sequence[complex]) -> li
     return cands
 
 
-def _pair_key(vecs: Sequence[tuple[complex, complex]], sigma_sq: complex) -> tuple:
-    return (sigma_sq, tuple(vecs))
+def _eliminate_222(gs: tuple[MultiPoly, ...]) -> tuple[MultiPoly, Callable]:
+    """z3 from (g1, g2) and from (g1, g3), then z2; z1 lifts through both quadratics in z2."""
+    g1, g2, g3 = gs
+    r12 = sylvester_resultant(g1, g2, "z3")
+    r13 = sylvester_resultant(g1, g3, "z3")
+    if r12.is_zero or r13.is_zero:
+        raise ValueError("intermediate resultant vanished")
+
+    def lift(roots: list[complex]) -> list[tuple[complex, complex]]:
+        r12z = _to_float_coeff_polys(r12, "z1", "z2")
+        r13z = _to_float_coeff_polys(r13, "z1", "z2")
+        return [
+            (z1, z2)
+            for z1 in roots
+            for z2 in _common_root_of_quadratics(
+                [_eval_poly(cz, z1) for cz in r12z], [_eval_poly(cz, z1) for cz in r13z]
+            )
+        ]
+
+    return sylvester_resultant(r12, r13, "z2"), lift
+
+
+def _eliminate_pair(gs: tuple[MultiPoly, ...]) -> tuple[MultiPoly, Callable]:
+    """The last of two variables, by one resultant; the lift keeps each root as it is."""
+    g1, g2 = gs
+    return sylvester_resultant(g1, g2, g1.vars[-1]), lambda roots: [(z,) for z in roots]
+
+
+def _solve_linear_last(coeffs: list[list[MultiPoly]], point: dict[str, complex]) -> list[complex]:
+    """Values of the last variable from equations linear in it, at ``point``.
+
+    ``coeffs`` holds each equation's ``coefficients_in`` the last variable.
+    An equation whose linear coefficient nearly vanishes gives no value, and
+    a value within 1e-8 of an earlier one is dropped.
+    """
+    out: list[complex] = []
+    for cs in coeffs:
+        if len(cs) < 2:
+            continue
+        a = complex(cs[1](**point))
+        b = complex(cs[0](**point))
+        if abs(a) > 1e-10 * (1.0 + abs(b)):
+            z = -b / a
+            if not any(abs(z - w) <= 1e-8 * (1.0 + abs(z)) for w in out):
+                out.append(z)
+    return out
 
 
 def _keys_close(k1: tuple, k2: tuple) -> bool:
@@ -373,7 +422,7 @@ def _finalize_spectrum(
         sigma = _pairing(arr, mu, vecs)
         res = tuple_residual(arr, mu, vecs, sigma)
         imag_scale = max(max(abs(x[0].imag), abs(x[1].imag)) for x in vecs)
-        is_real = imag_scale <= 1e-8 and abs(sigma.imag) <= 1e-8 * (1.0 + abs(sigma))
+        is_real = bool(imag_scale <= 1e-8 and abs(sigma.imag) <= 1e-8 * (1.0 + abs(sigma)))
         if is_real and sigma.real < 0 and odd_groups:
             k = odd_groups[0]
             vecs[k] = (-vecs[k][0], -vecs[k][1])
@@ -437,66 +486,150 @@ def _try_rank_one_factors(dense: BinaryTensor) -> list[tuple[float, float]] | No
     return fibers
 
 
-def _rank_one_spectrum_222(t: BinaryTensor, note: str) -> Spectrum:
-    fibers = _try_rank_one_factors(t)
-    if fibers is None:
-        raise SolverFailureError(
-            "elimination degenerated and the tensor is not rank one", {"note": note}
-        )
-    mu = Partition((1, 1, 1))
-    try:
-        hats = [q_normalize((complex(f[0]), complex(f[1]))) for f in fibers]
-    except IsotropicVectorError as exc:
-        raise SolverFailureError(f"isotropic rank-one tensor: {exc}") from exc
-    perps = [_perp(h) for h in hats]
-    a, b, c = hats
-    ap, bp, cp = perps
-    mix = q_normalize((c[0] + cp[0], c[1] + cp[1]))
-    raw = [([a, b, c], None), ([ap, bp, c], 0j), ([ap, b, cp], 0j), ([a, bp, cp], 0j),
-           ([ap, bp, cp], 0j), ([ap, bp, mix], 0j)]
-    fixed = []
-    for vecs, sig in raw:
-        if sig is None:
-            arr = t.as_array().astype(complex)
-            sig = _pairing(arr, mu, vecs)
-        fixed.append((list(vecs), sig))
-    return _finalize_spectrum(
-        t, mu, fixed, chart_note="rank-one fast path",
-        notes=("rank-one input; zero-value critical set is positive-dimensional", "det zero"),
-        degenerate=True,
-    )
+def _rank_one_spectrum(t: BinaryTensor | MuTensor, note: str, table: Callable) -> Spectrum:
+    """Closed-form spectrum of a rank-one tensor, flagged degenerate.
 
-
-def _rank_one_spectrum_21(c: MuTensor, note: str) -> Spectrum:
-    dense = expand(c)
+    ``table`` maps the q-normalized fiber of each group to the critical
+    tuples: first the rank-one tuple itself, then the zero-value ones.
+    """
+    dense = expand(t) if isinstance(t, MuTensor) else t
     fibers = _try_rank_one_factors(dense)
     if fibers is None:
         raise SolverFailureError(
             "elimination degenerated and the tensor is not rank one", {"note": note}
         )
-    mu = c.mu
+    mu = t.mu if isinstance(t, MuTensor) else Partition((1,) * t.d)
     try:
-        x = q_normalize((complex(fibers[0][0]), complex(fibers[0][1])))
-        w = q_normalize((complex(fibers[2][0]), complex(fibers[2][1])))
+        hats = [q_normalize((complex(f[0]), complex(f[1]))) for f in fibers]
     except IsotropicVectorError as exc:
         raise SolverFailureError(f"isotropic rank-one tensor: {exc}") from exc
-    xp, wp = _perp(x), _perp(w)
-    mix = q_normalize((w[0] + wp[0], w[1] + wp[1]))
-    raw = [([x, w], None), ([xp, w], 0j), ([xp, wp], 0j), ([xp, mix], 0j)]
+    top, *zeros = table(*(hats[sum(mu.parts[:k])] for k in range(mu.s)))
     arr = dense.as_array().astype(complex)
-    fixed = []
-    for vecs, sig in raw:
-        if sig is None:
-            sig = _pairing(arr, mu, vecs)
-        fixed.append((list(vecs), sig))
+    raw = [(top, _pairing(arr, mu, top))] + [(vecs, 0j) for vecs in zeros]
     return _finalize_spectrum(
-        c, mu, fixed, chart_note="rank-one fast path",
+        t, mu, raw, chart_note="rank-one fast path",
         notes=("rank-one input; zero-value critical set is positive-dimensional", "det zero"),
         degenerate=True,
     )
 
 
-# --- the three elimination solvers ----------------------------------------------
+def _rank_one_spectrum_222(t: BinaryTensor, note: str) -> Spectrum:
+    def table(a, b, c):
+        ap, bp, cp = _perp(a), _perp(b), _perp(c)
+        mix = q_normalize((c[0] + cp[0], c[1] + cp[1]))
+        return [[a, b, c], [ap, bp, c], [ap, b, cp], [a, bp, cp], [ap, bp, cp], [ap, bp, mix]]
+
+    return _rank_one_spectrum(t, note, table)
+
+
+def _rank_one_spectrum_21(c: MuTensor, note: str) -> Spectrum:
+    def table(x, w):
+        xp, wp = _perp(x), _perp(w)
+        mix = q_normalize((w[0] + wp[0], w[1] + wp[1]))
+        return [[x, w], [xp, w], [xp, wp], [xp, mix]]
+
+    return _rank_one_spectrum(c, note, table)
+
+
+# --- the elimination-chart driver and its three shapes ----------------------------
+
+
+def _flag_zero_singular_value(spec: Spectrum, norm: float) -> None:
+    if any(abs(d.sigma_sq) <= 1e-8 * norm * norm for d in spec.data):
+        spec.notes = spec.notes + ("zero singular value",)
+
+
+def _solve_by_elimination(
+    t: BinaryTensor | MuTensor,
+    mu: Partition,
+    seed: int,
+    salt: int,
+    equations: Callable,
+    eliminate: Callable,
+    rank_one: Callable | None,
+) -> Spectrum:
+    """All ed_degree(mu) singular tuples of ``t``, from a rotated elimination chart.
+
+    Each attempt rotates ``t`` by mu.s seeded angles and builds the
+    dehomogenized critical equations with ``equations``, in one variable z_k
+    per group (x_k = (1, z_k)).  ``eliminate`` reduces them exactly to an
+    eliminant in the first variable, and returns it with a lift from its
+    roots to values of every variable but the last.  The equations are linear
+    in the last variable, which is solved from them.  Candidates are polished,
+    residual-filtered and deduplicated on the rotated tensor, unrotated, and
+    certified on the original.  When every attempt fails, ``rank_one`` takes
+    the tensor and the failure reasons; only the matrix shape has none.
+    """
+    dense = expand(t) if isinstance(t, MuTensor) else t
+    norm = dense.norm()
+    if norm == 0.0:
+        raise ValueError("zero tensor")
+    expected = ed_degree(mu)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, salt)))
+    failures: list[str] = []
+    for attempt in range(MAX_ROTATION_ATTEMPTS):
+        cs = _rotation_pairs(rng, mu.s)
+        t_rot = rotate_cs(t, cs)
+        dense_rot = expand(t_rot) if isinstance(t_rot, MuTensor) else t_rot
+        gs = equations([Fraction(float(v)) for v in dense_rot.entries])
+        try:
+            e_poly, lift = eliminate(gs)
+        except ValueError as exc:
+            failures.append(f"attempt {attempt}: {exc}")
+            continue
+        if e_poly.is_zero:
+            failures.append(f"attempt {attempt}: eliminant vanished identically")
+            continue
+        e_uni = e_poly.to_unipoly(gs[0].vars[0])
+        if e_uni.degree < expected:
+            failures.append(f"attempt {attempt}: eliminant degree {e_uni.degree} < {expected}")
+            continue
+        try:
+            roots = all_roots(e_uni)
+        except RootFindingError as exc:
+            failures.append(f"attempt {attempt}: {exc}")
+            continue
+
+        arr_rot = dense_rot.as_array().astype(complex)
+        linear = [g.coefficients_in(g.vars[-1]) for g in gs]
+        found: list[tuple[list[tuple[complex, complex]], complex]] = []
+        keys: list[tuple] = []
+        for head in lift([z for z, _mult in roots]):
+            for z_last in _solve_linear_last(linear, dict(zip(gs[0].vars, head))):
+                try:
+                    vecs = [q_normalize((1.0 + 0j, z)) for z in (*head, z_last)]
+                except IsotropicVectorError:
+                    continue
+                sigma = _pairing(arr_rot, mu, vecs)
+                vecs, sigma = _newton_polish_tuple(arr_rot, mu, vecs, sigma, steps=40)
+                try:
+                    vecs = [q_normalize(v) for v in vecs]
+                except IsotropicVectorError:
+                    continue
+                sigma = _pairing(arr_rot, mu, vecs)
+                if tuple_residual(arr_rot, mu, vecs, sigma) > CHART_FILTER_TOL * norm:
+                    continue
+                key = (sigma * sigma, tuple(vecs))
+                if any(_keys_close(key, k) for k in keys):
+                    continue
+                keys.append(key)
+                found.append((vecs, sigma))
+        if len(found) != expected:
+            failures.append(f"attempt {attempt}: {len(found)} survivors (expected {expected})")
+            continue
+        unrot = [([_unrotate(x, cs[l]) for l, x in enumerate(vecs)], sigma) for vecs, sigma in found]
+        try:
+            spec = _finalize_spectrum(
+                t, mu, unrot, chart_note=f"elimination chart, seed={seed}, attempt={attempt}"
+            )
+        except SolverFailureError as exc:
+            failures.append(f"attempt {attempt}: {exc}")
+            continue
+        _flag_zero_singular_value(spec, norm)
+        return spec
+    if rank_one is None:
+        raise SolverFailureError("matrix solve failed after rotations", {"failures": failures})
+    return rank_one(t, "; ".join(failures))
 
 
 def solve_222(t: BinaryTensor, seed: int = 0) -> Spectrum:
@@ -509,108 +642,11 @@ def solve_222(t: BinaryTensor, seed: int = 0) -> Spectrum:
     """
     if t.d != 3:
         raise ValueError("solve_222 needs an order-3 tensor")
-    mu = Partition((1, 1, 1))
-    norm = t.norm()
-    if norm == 0.0:
-        raise ValueError("zero tensor")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x222)))
-    failures: list[str] = []
-    for attempt in range(MAX_ROTATION_ATTEMPTS):
-        cs = _rotation_pairs(rng, 3)
-        t_rot = rotate_cs(t, cs)
-        assert isinstance(t_rot, BinaryTensor)
-        fr = [Fraction(float(v)) for v in t_rot.entries]
-        g1, g2, g3 = (_g_poly_222(fr, j) for j in (1, 2, 3))
-        try:
-            r12 = sylvester_resultant(g1, g2, "z3")
-            r13 = sylvester_resultant(g1, g3, "z3")
-            if r12.is_zero or r13.is_zero:
-                failures.append(f"attempt {attempt}: intermediate resultant vanished")
-                continue
-            e_poly = sylvester_resultant(r12, r13, "z2")
-        except ValueError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
-        if e_poly.is_zero:
-            failures.append(f"attempt {attempt}: eliminant vanished identically")
-            continue
-        e_uni = e_poly.to_unipoly("z1")
-        if e_uni.degree < 6:
-            failures.append(f"attempt {attempt}: eliminant degree {e_uni.degree} < 6")
-            continue
-        try:
-            roots = all_roots(e_uni)
-        except RootFindingError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
-
-        arr_rot = t_rot.as_array().astype(complex)
-        r12z = _to_float_coeff_polys(r12, "z1", "z2")
-        r13z = _to_float_coeff_polys(r13, "z1", "z2")
-        found: list[tuple[list[tuple[complex, complex]], complex]] = []
-        keys: list[tuple] = []
-        for z1, _mult in roots:
-            p2 = [_eval_poly(cz, z1) for cz in r12z]
-            q2 = [_eval_poly(cz, z1) for cz in r13z]
-            for z2 in _common_root_of_quadratics(p2, q2):
-                for z3 in _z3_candidates(g1, g2, g3, z1, z2):
-                    try:
-                        vecs = [q_normalize((1.0 + 0j, z)) for z in (z1, z2, z3)]
-                    except IsotropicVectorError:
-                        continue
-                    sigma = _pairing(arr_rot, mu, vecs)
-                    vecs, sigma = _newton_polish_tuple(arr_rot, mu, vecs, sigma, steps=40)
-                    try:
-                        vecs = [q_normalize(v) for v in vecs]
-                    except IsotropicVectorError:
-                        continue
-                    sigma = _pairing(arr_rot, mu, vecs)
-                    if tuple_residual(arr_rot, mu, vecs, sigma) > CHART_FILTER_TOL * norm:
-                        continue
-                    key = _pair_key(vecs, sigma * sigma)
-                    if any(_keys_close(key, k) for k in keys):
-                        continue
-                    keys.append(key)
-                    found.append((vecs, sigma))
-        if len(found) != 6:
-            failures.append(f"attempt {attempt}: {len(found)} survivors (expected 6)")
-            continue
-        unrot = [([_unrotate(x, cs[l]) for l, x in enumerate(vecs)], sigma) for vecs, sigma in found]
-        try:
-            spec = _finalize_spectrum(
-                t, mu, unrot, chart_note=f"elimination chart, seed={seed}, attempt={attempt}"
-            )
-        except SolverFailureError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
-        _flag_zero_and_isotropic(spec, norm)
-        return spec
-    return _rank_one_spectrum_222(t, "; ".join(failures))
-
-
-def _z3_candidates(
-    g1: MultiPoly, g2: MultiPoly, g3: MultiPoly, z1: complex, z2: complex
-) -> list[complex]:
-    cands = []
-    for g in (g1, g2, g3):
-        cs = g.coefficients_in("z3")
-        if len(cs) < 2:
-            continue
-        a = complex(cs[1](z1=z1, z2=z2))
-        b = complex(cs[0](z1=z1, z2=z2))
-        if abs(a) > 1e-10 * (1.0 + abs(b)):
-            cands.append(-b / a)
-    # deduplicate near-equal candidates
-    out: list[complex] = []
-    for z in cands:
-        if not any(abs(z - w) <= 1e-8 * (1.0 + abs(z)) for w in out):
-            out.append(z)
-    return out
-
-
-def _flag_zero_and_isotropic(spec: Spectrum, norm: float) -> None:
-    if any(abs(d.sigma_sq) <= 1e-8 * norm * norm for d in spec.data):
-        spec.notes = spec.notes + ("zero singular value",)
+    return _solve_by_elimination(
+        t, Partition((1, 1, 1)), seed, 0x222,
+        lambda fr: tuple(_g_poly_222(fr, j) for j in (1, 2, 3)),
+        _eliminate_222, _rank_one_spectrum_222,
+    )
 
 
 def solve_21(c: MuTensor, seed: int = 0) -> Spectrum:
@@ -622,172 +658,14 @@ def solve_21(c: MuTensor, seed: int = 0) -> Spectrum:
     """
     if c.mu.parts != (2, 1):
         raise ValueError(f"need mu = (2,1), got {c.mu}")
-    mu = c.mu
-    dense = expand(c)
-    norm = dense.norm()
-    if norm == 0.0:
-        raise ValueError("zero tensor")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x21)))
-    failures: list[str] = []
-    for attempt in range(MAX_ROTATION_ATTEMPTS):
-        cs = _rotation_pairs(rng, 2)
-        c_rot = rotate_cs(c, cs)
-        assert isinstance(c_rot, MuTensor)
-        dense_rot = expand(c_rot)
-        fr = [Fraction(float(v)) for v in dense_rot.entries]
-        g1, g2 = _g_polys_21(fr)
-        try:
-            e_poly = sylvester_resultant(g1, g2, "w")
-        except ValueError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
-        if e_poly.is_zero:
-            failures.append(f"attempt {attempt}: eliminant vanished identically")
-            continue
-        e_uni = e_poly.to_unipoly("z")
-        if e_uni.degree < 4:
-            failures.append(f"attempt {attempt}: eliminant degree {e_uni.degree} < 4")
-            continue
-        try:
-            roots = all_roots(e_uni)
-        except RootFindingError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
-        arr_rot = dense_rot.as_array().astype(complex)
-        found: list[tuple[list[tuple[complex, complex]], complex]] = []
-        keys: list[tuple] = []
-        for z, _mult in roots:
-            for w in _w_candidates(g1, g2, z):
-                try:
-                    vecs = [q_normalize((1.0 + 0j, z)), q_normalize((1.0 + 0j, w))]
-                except IsotropicVectorError:
-                    continue
-                sigma = _pairing(arr_rot, mu, vecs)
-                vecs, sigma = _newton_polish_tuple(arr_rot, mu, vecs, sigma, steps=40)
-                try:
-                    vecs = [q_normalize(v) for v in vecs]
-                except IsotropicVectorError:
-                    continue
-                sigma = _pairing(arr_rot, mu, vecs)
-                if tuple_residual(arr_rot, mu, vecs, sigma) > CHART_FILTER_TOL * norm:
-                    continue
-                key = _pair_key(vecs, sigma * sigma)
-                if any(_keys_close(key, k) for k in keys):
-                    continue
-                keys.append(key)
-                found.append((vecs, sigma))
-        if len(found) != 4:
-            failures.append(f"attempt {attempt}: {len(found)} survivors (expected 4)")
-            continue
-        unrot = [
-            ([_unrotate(vecs[0], cs[0]), _unrotate(vecs[1], cs[1])], sigma)
-            for vecs, sigma in found
-        ]
-        try:
-            spec = _finalize_spectrum(
-                c, mu, unrot, chart_note=f"elimination chart, seed={seed}, attempt={attempt}"
-            )
-        except SolverFailureError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
-        _flag_zero_and_isotropic(spec, norm)
-        return spec
-    return _rank_one_spectrum_21(c, "; ".join(failures))
-
-
-def _w_candidates(g1: MultiPoly, g2: MultiPoly, z: complex) -> list[complex]:
-    cands = []
-    for g in (g1, g2):
-        cw = g.coefficients_in("w")
-        if len(cw) < 2:
-            continue
-        a = complex(cw[1](z=z))
-        b = complex(cw[0](z=z))
-        if abs(a) > 1e-10 * (1.0 + abs(b)):
-            cands.append(-b / a)
-    out: list[complex] = []
-    for w in cands:
-        if not any(abs(w - u) <= 1e-8 * (1.0 + abs(w)) for u in out):
-            out.append(w)
-    return out
+    return _solve_by_elimination(c, c.mu, seed, 0x21, _g_polys_21, _eliminate_pair, _rank_one_spectrum_21)
 
 
 def solve_matrix(t: BinaryTensor, seed: int = 0) -> Spectrum:
     """The two singular pairs of a 2x2 matrix, by the same elimination scheme."""
     if t.d != 2:
         raise ValueError("solve_matrix needs an order-2 tensor")
-    mu = Partition((1, 1))
-    norm = t.norm()
-    if norm == 0.0:
-        raise ValueError("zero tensor")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x11)))
-    failures: list[str] = []
-    for attempt in range(MAX_ROTATION_ATTEMPTS):
-        cs = _rotation_pairs(rng, 2)
-        t_rot = rotate_cs(t, cs)
-        assert isinstance(t_rot, BinaryTensor)
-        fr = [Fraction(float(v)) for v in t_rot.entries]
-        g1, g2 = _g_polys_matrix(fr)
-        try:
-            e_poly = sylvester_resultant(g1, g2, "z2")
-        except ValueError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
-        if e_poly.is_zero:
-            failures.append(f"attempt {attempt}: eliminant vanished identically")
-            continue
-        e_uni = e_poly.to_unipoly("z1")
-        if e_uni.degree < 2:
-            failures.append(f"attempt {attempt}: eliminant degree {e_uni.degree} < 2")
-            continue
-        roots = all_roots(e_uni)
-        arr_rot = t_rot.as_array().astype(complex)
-        found = []
-        keys: list[tuple] = []
-        for z1, _ in roots:
-            cz = g1.coefficients_in("z2")
-            a = complex(cz[1](z1=z1)) if len(cz) > 1 else 0j
-            b = complex(cz[0](z1=z1))
-            z2s = [-b / a] if abs(a) > 1e-10 * (1.0 + abs(b)) else []
-            cz2 = g2.coefficients_in("z2")
-            if len(cz2) > 1:
-                a2 = complex(cz2[1](z1=z1))
-                b2 = complex(cz2[0](z1=z1))
-                if abs(a2) > 1e-10 * (1.0 + abs(b2)):
-                    z2s.append(-b2 / a2)
-            for z2 in z2s:
-                try:
-                    vecs = [q_normalize((1.0 + 0j, z1)), q_normalize((1.0 + 0j, z2))]
-                except IsotropicVectorError:
-                    continue
-                sigma = _pairing(arr_rot, mu, vecs)
-                vecs, sigma = _newton_polish_tuple(arr_rot, mu, vecs, sigma, steps=40)
-                try:
-                    vecs = [q_normalize(v) for v in vecs]
-                except IsotropicVectorError:
-                    continue
-                sigma = _pairing(arr_rot, mu, vecs)
-                if tuple_residual(arr_rot, mu, vecs, sigma) > CHART_FILTER_TOL * norm:
-                    continue
-                key = _pair_key(vecs, sigma * sigma)
-                if any(_keys_close(key, k) for k in keys):
-                    continue
-                keys.append(key)
-                found.append((vecs, sigma))
-        if len(found) != 2:
-            failures.append(f"attempt {attempt}: {len(found)} survivors (expected 2)")
-            continue
-        unrot = [([_unrotate(x, cs[l]) for l, x in enumerate(vecs)], s) for vecs, s in found]
-        try:
-            spec = _finalize_spectrum(
-                t, mu, unrot, chart_note=f"elimination chart, seed={seed}, attempt={attempt}"
-            )
-        except SolverFailureError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
-        _flag_zero_and_isotropic(spec, norm)
-        return spec
-    raise SolverFailureError("matrix solve failed after rotations", {"failures": failures})
+    return _solve_by_elimination(t, Partition((1, 1)), seed, 0x11, _g_polys_matrix, _eliminate_pair, None)
 
 
 def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
@@ -855,7 +733,7 @@ def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
         except SolverFailureError as exc:
             failures.append(f"attempt {attempt}: {exc}")
             continue
-        _flag_zero_and_isotropic(spec, norm)
+        _flag_zero_singular_value(spec, norm)
         if any(m > 1 for _, m in directions) and "collisions" not in spec.notes:
             spec.notes = spec.notes + ("collisions",)
         return spec
@@ -1116,11 +994,5 @@ def best_rank_one(
             f"Pythagorean check failed: q(t - s x) = {check}, q(t) - s^2 = {dist_sq}"
         )
     if isinstance(t, MuTensor):
-        approx = compress_loose(approx, t.mu)
+        approx = compress(approx, t.mu, tol=1e-7)
     return approx, math.sqrt(max(dist_sq, 0.0))
-
-
-def compress_loose(t: BinaryTensor, mu: Partition) -> MuTensor:
-    from .tensor import compress
-
-    return compress(t, mu, tol=1e-7)

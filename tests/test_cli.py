@@ -160,10 +160,30 @@ def test_bts_threads_caps_jobs(capsys, monkeypatch):
     assert code == 0
 
 
-def test_svals_json_byte_identical(capsys, diag_file):
-    args = ("svals", "--input", diag_file, "--seed", "3", "--format", "json")
-    _, out1, _ = run(capsys, *args)
-    _, out2, _ = run(capsys, *args)
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # a full tensor with non-real singular data
+        pytest.param(
+            {"d": 3, "mu": None, "entries": {"000": "1", "001": "2", "010": "-3", "011": "1",
+                                             "101": "5", "110": "2", "111": "-1"}},
+            id="nonreal",
+        ),
+        pytest.param({"d": 2, "mu": None, "entries": {"00": "2", "01": "1", "10": "-1", "11": "3"}}, id="matrix"),
+        pytest.param({"d": 3, "mu": [2, 1], "entries": {"00": "1", "10": "-2", "11": "3", "21": "1"}}, id="sym21"),
+        # (1,2) x (3,-1) x (2,5)
+        pytest.param({"d": 3, "mu": None, "entries": {"000": "6", "001": "15", "010": "-2", "011": "-5",
+                                                      "100": "12", "101": "30", "110": "-4", "111": "-10"}},
+                     id="rank-one"),
+    ],
+)
+def test_svals_json_byte_identical(capsys, tmp_path, doc):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    args = ("svals", "--input", str(path), "--seed", "3", "--format", "json")
+    code1, out1, _ = run(capsys, *args)
+    code2, out2, _ = run(capsys, *args)
+    assert code1 == code2 == 0
     assert out1 == out2
 
 

@@ -29,6 +29,7 @@ from bts.tensor import (
     BinaryTensor,
     MuTensor,
     bombieri_norm_sq,
+    compress,
     expand,
     permute_slots,
     random_tensor,
@@ -213,6 +214,17 @@ def test_nesting_symmetric_chain():
         h_root = float(extra_root_3(c))
         for v in extra21 + extra222:
             assert abs(v - h_root) < 1e-8 * (1 + abs(h_root))
+
+
+def test_solve_21_rank_one_fast_path():
+    t = rank_one_tensor([(Fraction(1), Fraction(2)), (Fraction(1), Fraction(2)), (Fraction(3), Fraction(-1))])
+    spec = solve_21(compress(t, Partition((2, 1))), seed=0)
+    assert len(spec.data) == 4 and spec.degenerate
+    assert all(d.chart_note == "rank-one fast path" for d in spec.data)
+    vals = real_sq(spec)
+    # three zero values and the product of the squared fiber norms, 5 * 5 * 10
+    assert all(abs(v) < 1e-10 for v in vals[:3])
+    assert vals[3] == pytest.approx(250.0, rel=1e-10)
 
 
 # --- matrices -------------------------------------------------------------------------
