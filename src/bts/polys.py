@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .tensor import MuTensor
 ROOT_RESIDUAL_TOL = 1e-10
 CLUSTER_REL_TOL = 1e-7
 MAX_ABERTH_ITER = 200
+SQUARE_FREE_PRIME = 2**61 - 1
 
 
 class RootFindingError(RuntimeError):
@@ -146,13 +147,49 @@ def square_free_part(p: UniPoly) -> UniPoly:
     return _poly_divide_exact(p, g).monic()
 
 
+def _square_free_mod_prime(p: UniPoly) -> bool:
+    """True if gcd(u, u') is constant mod SQUARE_FREE_PRIME, where u is p with denominators cleared.
+
+    When the prime does not divide the leading coefficient of u, reduction
+    keeps the degrees of u and u', so a constant gcd mod the prime means
+    Res(u, u') is nonzero mod the prime, hence nonzero: a proof that p is
+    square-free over the rationals.  False proves nothing.
+    """
+    P = SQUARE_FREE_PRIME
+    coeffs = [Fraction(c) for c in p.coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    u = [c.numerator * (den // c.denominator) % P for c in coeffs]
+    if u[-1] == 0:
+        return False
+    a, b = u, [k * c % P for k, c in enumerate(u)][1:]
+    while b:
+        inv = pow(b[-1], -1, P)
+        while len(a) >= len(b):
+            f = a[-1] * inv % P
+            shift = len(a) - len(b)
+            for i, cb in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * cb) % P
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def square_free_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun's decomposition p = prod f_k^k with the f_k square-free and coprime."""
+    """Yun's decomposition p = prod f_k^k with the f_k square-free and coprime.
+
+    A square-free p is recognized first by ``_square_free_mod_prime`` on
+    the monic p and returned as ``[(p.monic(), 1)]``, which is what Yun gives
+    for it; exact Yun runs only when that certificate fails (a repeated
+    factor, or the prime dividing the cleared leading coefficient).
+    """
     if not p.exact:
         raise ValueError("square-free decomposition needs exact coefficients")
     if p.degree < 1:
         return []
     p = p.monic()
+    if _square_free_mod_prime(p):
+        return [(p, 1)]
     dp = p.derivative()
     a = poly_gcd(p, dp)
     if a.degree <= 0:
@@ -463,12 +500,14 @@ def _cluster(roots: Sequence[complex]) -> list[tuple[complex, int]]:
 def all_roots(p: UniPoly | Sequence[Scalar]) -> list[tuple[complex, int]]:
     """All complex roots with multiplicities, deterministically ordered.
 
-    Exact coefficients go through Yun's square-free decomposition first, so
-    multiplicities are rigorous and each factor has only simple roots.  Float
-    coefficients use simultaneous Aberth-Ehrlich iteration with a
-    companion-matrix fallback and clustering at CLUSTER_REL_TOL; every root is
-    Newton-polished (clusters of multiplicity m on the (m-1)-th derivative)
-    and checked against a backward-error bound of ROOT_RESIDUAL_TOL.
+    Exact coefficients go through ``square_free_decomposition`` first (a gcd
+    mod a large prime proves the usual square-free case, exact Yun handles
+    the rest), so multiplicities are rigorous and each factor has only
+    simple roots.  Float coefficients use simultaneous Aberth-Ehrlich
+    iteration with a companion-matrix fallback and clustering at
+    CLUSTER_REL_TOL; every root is Newton-polished (clusters of multiplicity
+    m on the (m-1)-th derivative) and checked against a backward-error bound
+    of ROOT_RESIDUAL_TOL.
     """
     coeffs = tuple(p.coeffs) if isinstance(p, UniPoly) else tuple(p)
     if all(isinstance(c, (Fraction, int)) for c in coeffs) and len(coeffs) > 2:

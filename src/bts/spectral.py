@@ -6,17 +6,24 @@ The solvers find every solution of the critical equations
 
 where y_j contracts the tensor against all vectors but the j-th.  Full
 2x2x2 tensors, (2,1)-symmetric tensors and 2x2 matrices share one driver,
-``_solve_by_elimination``: a seeded random rotation puts the tensor in
-general position (the squared singular values are rotation invariants), the
-dehomogenized equations are eliminated exactly over the rationals with
-Sylvester resultants, the univariate eliminant is root-found in double
-precision, and every back-substituted tuple is Newton-polished and
-residual-filtered on the rotated tensor, then polished again and certified on
-the original one.  Extraneous elimination roots are removed by residual
-filtering, never by symbolic division.  Each shape supplies only its RNG
-salt, its equation builder, its elimination chain with its back-substitution
-(z3 then z2; w; z2) and an optional rank-one closed form; the expected count
-and the least eliminant degree are both ed_degree(mu).
+``_solve_by_elimination``.  A rank-one tensor (its zero-value critical set
+is a curve, not isolated points) is answered at once by a closed form.
+Otherwise a seeded random rotation puts the tensor in general position (the
+squared singular values are rotation invariants), the dehomogenized
+equations are eliminated exactly over the rationals with Sylvester
+resultants, the univariate eliminant is split square-free (a gcd mod a
+large prime proves the usual square-free case) and root-found in double
+precision, and the last variable is back-substituted in floats.  Only the
+candidates whose residual on the rotated tensor is already small
+(PREFILTER_TOL) are Newton-polished, unless too few are; the polished
+tuples are residual-filtered and deduplicated on the rotated tensor, then
+polished again and certified on the original one.  Extraneous elimination
+roots are removed by residual filtering, never by symbolic division.  Each
+shape supplies only its RNG salt, its equation builder, its elimination
+chain with its back-substitution (z3 then z2; w; z2) and an optional
+rank-one closed form; the expected count and the least eliminant degree are
+both ed_degree(mu).  When every rotation fails, the error names the reason
+of each attempt.
 
 Supported: full 2x2x2 tensors (six tuples), (2,1)-symmetric tensors (four),
 2x2 matrices (two), and fully symmetric tensors of any order (d tuples, via
@@ -56,6 +63,7 @@ from .tensor import (
 
 RESIDUAL_REL_TOL = 1e-9
 CHART_FILTER_TOL = 1e-8
+PREFILTER_TOL = 1e-4
 DEDUP_TOL = 1e-6
 MAX_ROTATION_ATTEMPTS = 3
 
@@ -369,19 +377,36 @@ def _eliminate_pair(gs: tuple[MultiPoly, ...]) -> tuple[MultiPoly, Callable]:
     return sylvester_resultant(g1, g2, g1.vars[-1]), lambda roots: [(z,) for z in roots]
 
 
-def _solve_linear_last(coeffs: list[list[MultiPoly]], point: dict[str, complex]) -> list[complex]:
+def _float_terms(p: MultiPoly) -> list[tuple[float, tuple[int, ...]]]:
+    return [(float(c), e) for e, c in p.terms.items()]
+
+
+def _eval_terms(terms: list[tuple[float, tuple[int, ...]]], point: Sequence[complex]) -> complex:
+    """``MultiPoly.__call__`` at complex values: the same operations in the same order."""
+    acc: complex = 0
+    for c, e in terms:
+        term: complex = c
+        for v, power in zip(point, e):
+            if power:
+                term = term * v**power
+        acc = acc + term
+    return complex(acc)
+
+
+def _solve_linear_last(coeffs: list[list[list]], point: Sequence[complex]) -> list[complex]:
     """Values of the last variable from equations linear in it, at ``point``.
 
-    ``coeffs`` holds each equation's ``coefficients_in`` the last variable.
-    An equation whose linear coefficient nearly vanishes gives no value, and
-    a value within 1e-8 of an earlier one is dropped.
+    ``coeffs`` holds each equation's ``coefficients_in`` the last variable,
+    as ``_float_terms``; ``point`` gives the other variables in order.  An
+    equation whose linear coefficient nearly vanishes gives no value, and a
+    value within 1e-8 of an earlier one is dropped.
     """
     out: list[complex] = []
     for cs in coeffs:
         if len(cs) < 2:
             continue
-        a = complex(cs[1](**point))
-        b = complex(cs[0](**point))
+        a = _eval_terms(cs[1], point)
+        b = _eval_terms(cs[0], point)
         if abs(a) > 1e-10 * (1.0 + abs(b)):
             z = -b / a
             if not any(abs(z - w) <= 1e-8 * (1.0 + abs(z)) for w in out):
@@ -486,18 +511,15 @@ def _try_rank_one_factors(dense: BinaryTensor) -> list[tuple[float, float]] | No
     return fibers
 
 
-def _rank_one_spectrum(t: BinaryTensor | MuTensor, note: str, table: Callable) -> Spectrum:
-    """Closed-form spectrum of a rank-one tensor, flagged degenerate.
+def _rank_one_spectrum(
+    t: BinaryTensor | MuTensor, fibers: list[tuple[float, float]], table: Callable
+) -> Spectrum:
+    """Closed-form spectrum of a rank-one tensor with fiber vectors ``fibers``, flagged degenerate.
 
     ``table`` maps the q-normalized fiber of each group to the critical
     tuples: first the rank-one tuple itself, then the zero-value ones.
     """
     dense = expand(t) if isinstance(t, MuTensor) else t
-    fibers = _try_rank_one_factors(dense)
-    if fibers is None:
-        raise SolverFailureError(
-            "elimination degenerated and the tensor is not rank one", {"note": note}
-        )
     mu = t.mu if isinstance(t, MuTensor) else Partition((1,) * t.d)
     try:
         hats = [q_normalize((complex(f[0]), complex(f[1]))) for f in fibers]
@@ -513,22 +535,22 @@ def _rank_one_spectrum(t: BinaryTensor | MuTensor, note: str, table: Callable) -
     )
 
 
-def _rank_one_spectrum_222(t: BinaryTensor, note: str) -> Spectrum:
+def _rank_one_spectrum_222(t: BinaryTensor, fibers: list[tuple[float, float]]) -> Spectrum:
     def table(a, b, c):
         ap, bp, cp = _perp(a), _perp(b), _perp(c)
         mix = q_normalize((c[0] + cp[0], c[1] + cp[1]))
         return [[a, b, c], [ap, bp, c], [ap, b, cp], [a, bp, cp], [ap, bp, cp], [ap, bp, mix]]
 
-    return _rank_one_spectrum(t, note, table)
+    return _rank_one_spectrum(t, fibers, table)
 
 
-def _rank_one_spectrum_21(c: MuTensor, note: str) -> Spectrum:
+def _rank_one_spectrum_21(c: MuTensor, fibers: list[tuple[float, float]]) -> Spectrum:
     def table(x, w):
         xp, wp = _perp(x), _perp(w)
         mix = q_normalize((w[0] + wp[0], w[1] + wp[1]))
         return [[x, w], [xp, w], [xp, wp], [xp, mix]]
 
-    return _rank_one_spectrum(c, note, table)
+    return _rank_one_spectrum(c, fibers, table)
 
 
 # --- the elimination-chart driver and its three shapes ----------------------------
@@ -550,20 +572,28 @@ def _solve_by_elimination(
 ) -> Spectrum:
     """All ed_degree(mu) singular tuples of ``t``, from a rotated elimination chart.
 
-    Each attempt rotates ``t`` by mu.s seeded angles and builds the
-    dehomogenized critical equations with ``equations``, in one variable z_k
-    per group (x_k = (1, z_k)).  ``eliminate`` reduces them exactly to an
-    eliminant in the first variable, and returns it with a lift from its
-    roots to values of every variable but the last.  The equations are linear
-    in the last variable, which is solved from them.  Candidates are polished,
-    residual-filtered and deduplicated on the rotated tensor, unrotated, and
-    certified on the original.  When every attempt fails, ``rank_one`` takes
-    the tensor and the failure reasons; only the matrix shape has none.
+    A rank-one ``t`` goes straight to ``rank_one``, which takes the tensor
+    and its fiber vectors; only the matrix shape has none.  Otherwise each
+    attempt rotates ``t`` by mu.s seeded angles and builds the dehomogenized
+    critical equations with ``equations``, in one variable z_k per group
+    (x_k = (1, z_k)).  ``eliminate`` reduces them exactly to an eliminant in
+    the first variable, and returns it with a lift from its roots to values
+    of every variable but the last.  The equations are linear in the last
+    variable, which is solved from them in floats.  When there are more
+    candidates than ed_degree(mu), only those whose residual on the rotated
+    tensor is at most PREFILTER_TOL * |t| are polished (all of them if fewer
+    than ed_degree(mu) are); the polished ones are residual-filtered and
+    deduplicated, unrotated, and certified on the original.  When every
+    attempt fails, SolverFailureError names each attempt's reason.
     """
     dense = expand(t) if isinstance(t, MuTensor) else t
     norm = dense.norm()
     if norm == 0.0:
         raise ValueError("zero tensor")
+    if rank_one is not None:
+        fibers = _try_rank_one_factors(dense)
+        if fibers is not None:
+            return rank_one(t, fibers)
     expected = ed_degree(mu)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, salt)))
     failures: list[str] = []
@@ -591,29 +621,35 @@ def _solve_by_elimination(
             continue
 
         arr_rot = dense_rot.as_array().astype(complex)
-        linear = [g.coefficients_in(g.vars[-1]) for g in gs]
-        found: list[tuple[list[tuple[complex, complex]], complex]] = []
-        keys: list[tuple] = []
+        linear = [[_float_terms(c) for c in g.coefficients_in(g.vars[-1])] for g in gs]
+        cands: list[tuple[list[tuple[complex, complex]], complex]] = []
         for head in lift([z for z, _mult in roots]):
-            for z_last in _solve_linear_last(linear, dict(zip(gs[0].vars, head))):
+            for z_last in _solve_linear_last(linear, head):
                 try:
                     vecs = [q_normalize((1.0 + 0j, z)) for z in (*head, z_last)]
                 except IsotropicVectorError:
                     continue
-                sigma = _pairing(arr_rot, mu, vecs)
-                vecs, sigma = _newton_polish_tuple(arr_rot, mu, vecs, sigma, steps=40)
-                try:
-                    vecs = [q_normalize(v) for v in vecs]
-                except IsotropicVectorError:
-                    continue
-                sigma = _pairing(arr_rot, mu, vecs)
-                if tuple_residual(arr_rot, mu, vecs, sigma) > CHART_FILTER_TOL * norm:
-                    continue
-                key = (sigma * sigma, tuple(vecs))
-                if any(_keys_close(key, k) for k in keys):
-                    continue
-                keys.append(key)
-                found.append((vecs, sigma))
+                cands.append((vecs, _pairing(arr_rot, mu, vecs)))
+        if len(cands) > expected:
+            close = [(v, sg) for v, sg in cands if tuple_residual(arr_rot, mu, v, sg) <= PREFILTER_TOL * norm]
+            if len(close) >= expected:
+                cands = close
+        found: list[tuple[list[tuple[complex, complex]], complex]] = []
+        keys: list[tuple] = []
+        for vecs, sigma in cands:
+            vecs, sigma = _newton_polish_tuple(arr_rot, mu, vecs, sigma, steps=40)
+            try:
+                vecs = [q_normalize(v) for v in vecs]
+            except IsotropicVectorError:
+                continue
+            sigma = _pairing(arr_rot, mu, vecs)
+            if tuple_residual(arr_rot, mu, vecs, sigma) > CHART_FILTER_TOL * norm:
+                continue
+            key = (sigma * sigma, tuple(vecs))
+            if any(_keys_close(key, k) for k in keys):
+                continue
+            keys.append(key)
+            found.append((vecs, sigma))
         if len(found) != expected:
             failures.append(f"attempt {attempt}: {len(found)} survivors (expected {expected})")
             continue
@@ -627,9 +663,9 @@ def _solve_by_elimination(
             continue
         _flag_zero_singular_value(spec, norm)
         return spec
-    if rank_one is None:
-        raise SolverFailureError("matrix solve failed after rotations", {"failures": failures})
-    return rank_one(t, "; ".join(failures))
+    raise SolverFailureError(
+        f"no rotation certified {expected} singular tuples: " + "; ".join(failures), {"failures": failures}
+    )
 
 
 def solve_222(t: BinaryTensor, seed: int = 0) -> Spectrum:
@@ -638,7 +674,8 @@ def solve_222(t: BinaryTensor, seed: int = 0) -> Spectrum:
     Rotation for general position, exact resultant elimination z3 then z2,
     degree <= 8 univariate solve, residual-filtered back-substitution, Newton
     polish on the unrotated tensor.  Rank-one inputs take a closed-form path
-    (their zero-value critical set is a curve, not six points).
+    before any rotation (their zero-value critical set is a curve, not six
+    points).
     """
     if t.d != 3:
         raise ValueError("solve_222 needs an order-3 tensor")

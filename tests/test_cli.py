@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+import bts.spectral
 from bts.cli import main
+from bts.polys import RootFindingError
 
 DIAG = {"d": 3, "mu": None, "entries": {"000": "1", "111": "2"}}
 CUBIC = {"d": 3, "mu": [3], "entries": {"0": "1", "3": "1"}}
@@ -191,3 +193,16 @@ def test_verify_product_unsupported_mu(capsys):
     code, _, err = run(capsys, "verify-product", "--mu", "4", "--trials", "1")
     assert code == 2
     assert "supports" in err
+
+
+def test_svals_exit_3_names_every_attempt(capsys, tmp_path, monkeypatch):
+    def failing_roots(_p):
+        raise RootFindingError("no convergence", [])
+
+    monkeypatch.setattr(bts.spectral, "all_roots", failing_roots)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"d": 3, "mu": None, "entries": {"000": "1", "001": "2", "010": "-3", "111": "-1"}}))
+    code, _, err = run(capsys, "svals", "--input", str(path))
+    assert code == 3
+    for k in range(3):
+        assert f"attempt {k}: no convergence" in err

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bts.polys
 from bts.combinatorics import Partition
 from bts.polys import (
+    SQUARE_FREE_PRIME,
     MultiPoly,
     UniPoly,
     all_roots,
@@ -17,6 +19,7 @@ from bts.polys import (
     poly_gcd,
     reflect_edpoly,
     resultant_univariate,
+    square_free_decomposition,
     square_free_part,
     sylvester_resultant,
 )
@@ -219,3 +222,55 @@ def test_poly_gcd():
     b = UniPoly((Fraction(1), Fraction(1)))  # z + 1
     g = poly_gcd(a, b)
     assert g.coeffs == (Fraction(1), Fraction(1))
+
+
+# --- square-free decomposition ------------------------------------------------------
+
+
+def from_roots_exact(roots):
+    p = UniPoly((Fraction(1),))
+    for r in roots:
+        p = p * UniPoly((-Fraction(r), Fraction(1)))
+    return p
+
+
+def test_square_free_certificate_skips_exact_gcd(monkeypatch):
+    # dyadic roots, distinct: the gcd mod the prime proves square-freeness alone
+    p = from_roots_exact(["1/2", "-3/4", "5/8", "7/16", "-1", "3", "-5/32", "9/4"]).scale(Fraction(3, 64))
+    assert p.degree == 8
+
+    def no_gcd(*_args):
+        raise AssertionError("exact gcd should not run on a certified square-free input")
+
+    monkeypatch.setattr(bts.polys, "poly_gcd", no_gcd)
+    assert square_free_decomposition(p) == [(p.monic(), 1)]
+
+
+def test_square_free_decomposition_multiplicities():
+    # (x-1)^2 (x+2) (x^2+1)
+    x2p1 = UniPoly((Fraction(1), Fraction(0), Fraction(1)))
+    p = from_roots_exact([1, 1, -2]) * x2p1
+    assert square_free_decomposition(p) == [(from_roots_exact([-2]) * x2p1, 1), (from_roots_exact([1]), 2)]
+    mults = sorted(m for _, m in all_roots(p))
+    assert mults == [1, 1, 1, 2]
+
+
+def test_square_free_prime_in_leading_coefficient_falls_back_to_yun(monkeypatch):
+    # the monic (x - 1/P)^2 (x + 3) clears to a leading coefficient P^2: no certificate mod P
+    r = Fraction(1, SQUARE_FREE_PRIME)
+    p = from_roots_exact([r, r, -3]).scale(Fraction(5))
+    calls = []
+    real_gcd = bts.polys.poly_gcd
+
+    def counting_gcd(a, b):
+        calls.append(1)
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(bts.polys, "poly_gcd", counting_gcd)
+    assert square_free_decomposition(p) == [(from_roots_exact([-3]), 1), (from_roots_exact([r]), 2)]
+    assert calls
+    # square-free, but the same prime in the leading coefficient: Yun still decides
+    calls.clear()
+    q = UniPoly((Fraction(1), Fraction(1), Fraction(0), Fraction(SQUARE_FREE_PRIME)))
+    assert square_free_decomposition(q) == [(q.monic(), 1)]
+    assert calls

@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import diagonal_sigma_sq, multiset_close, multiset_subtract
 
+import bts.spectral
 from bts.combinatorics import Partition
 from bts.invariants import extra_root_21, extra_root_3, extreme_coeffs_222
 from bts.polys import UniPoly
@@ -133,6 +135,42 @@ def test_rank_one_input_degenerate_with_zero():
     assert min(abs(v) for v in vals) < 1e-10
     qt = float(bombieri_norm_sq(t))
     assert abs(max(vals) - qt) < 1e-8 * qt
+
+
+def test_prefilter_fallback_polishes_every_candidate(monkeypatch):
+    t = random_tensor(17, 3)
+    want = solve_222(t, seed=2).sigma_sq()
+    # no candidate passes a zero tolerance, so every one is polished as before the pre-filter
+    monkeypatch.setattr(bts.spectral, "PREFILTER_TOL", 0.0)
+    spec = solve_222(t, seed=2)
+    assert len(spec.data) == 6
+    assert multiset_subtract(spec.sigma_sq(), want, tol=1e-12) == []
+
+
+def test_float_back_substitution_matches_multipoly_call():
+    # the last-variable coefficients of the full-tensor equations, evaluated as MultiPoly does
+    rng = np.random.default_rng(3)
+    entries = [Fraction(float(v)) for v in rng.normal(size=8)]
+    for j in (1, 2, 3):
+        for coeff in bts.spectral._g_poly_222(entries, j).coefficients_in("z3"):
+            terms = bts.spectral._float_terms(coeff)
+            for z1, z2 in rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)):
+                z1, z2 = complex(z1), complex(z2)
+                assert bts.spectral._eval_terms(terms, (z1, z2)) == complex(coeff(z1=z1, z2=z2))
+
+
+def test_rank_one_answered_before_any_rotation(monkeypatch):
+    t = rank_one_tensor(
+        [(Fraction(1), Fraction(2)), (Fraction(3), Fraction(-1)), (Fraction(2), Fraction(5))]
+    )
+
+    def no_rotation(*_args):
+        raise AssertionError("a rank-one tensor should not be rotated")
+
+    monkeypatch.setattr(bts.spectral, "rotate_cs", no_rotation)
+    spec = solve_222(t, seed=4)
+    assert len(spec.data) == 6 and spec.degenerate
+    assert all(d.chart_note == "rank-one fast path" for d in spec.data)
 
 
 # --- eigen_symmetric ---------------------------------------------------------------
