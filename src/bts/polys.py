@@ -10,6 +10,7 @@ followed by Newton polishing and multiplicity clustering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, lcm
 from typing import NamedTuple, Sequence
@@ -335,14 +336,21 @@ class MultiPoly:
         return UniPoly(tuple(coeffs), var_label or name)
 
     def __call__(self, **values: Fraction | int | float | complex) -> Scalar:
+        """Exact at rational values; otherwise each coefficient is first made a float."""
+        exact = all(isinstance(v, (Fraction, int)) for v in values.values())
+        point = [values.get(name) for name in self.vars]
         acc: Scalar = 0
-        for e, c in self.terms.items():
-            term: Scalar = c if all(isinstance(v, (Fraction, int)) for v in values.values()) else float(c)
-            for name, power in zip(self.vars, e):
+        for e, c in self.terms.items() if exact else self._float_terms:
+            term: Scalar = c
+            for v, power in zip(point, e):
                 if power:
-                    term = term * values[name] ** power
+                    term = term * v**power
             acc = acc + term
         return acc
+
+    @cached_property
+    def _float_terms(self) -> list[tuple[tuple[int, ...], float]]:
+        return [(e, float(c)) for e, c in self.terms.items()]
 
 
 def _det_poly(mat: list[list[MultiPoly]], vars: tuple[str, ...]) -> MultiPoly:

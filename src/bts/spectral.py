@@ -15,7 +15,8 @@ resultants, the univariate eliminant is split square-free (a gcd mod a
 large prime proves the usual square-free case) and root-found in double
 precision, and the last variable is back-substituted in floats.  Only the
 candidates whose residual on the rotated tensor is already small
-(PREFILTER_TOL) are Newton-polished, unless too few are; the polished
+(PREFILTER_TOL) are Newton-polished first; when they do not give exactly
+ed_degree(mu) tuples, every candidate is polished in order.  The polished
 tuples are residual-filtered and deduplicated on the rotated tensor, then
 polished again and certified on the original one.  Extraneous elimination
 roots are removed by residual filtering, never by symbolic division.  Each
@@ -377,36 +378,19 @@ def _eliminate_pair(gs: tuple[MultiPoly, ...]) -> tuple[MultiPoly, Callable]:
     return sylvester_resultant(g1, g2, g1.vars[-1]), lambda roots: [(z,) for z in roots]
 
 
-def _float_terms(p: MultiPoly) -> list[tuple[float, tuple[int, ...]]]:
-    return [(float(c), e) for e, c in p.terms.items()]
-
-
-def _eval_terms(terms: list[tuple[float, tuple[int, ...]]], point: Sequence[complex]) -> complex:
-    """``MultiPoly.__call__`` at complex values: the same operations in the same order."""
-    acc: complex = 0
-    for c, e in terms:
-        term: complex = c
-        for v, power in zip(point, e):
-            if power:
-                term = term * v**power
-        acc = acc + term
-    return complex(acc)
-
-
-def _solve_linear_last(coeffs: list[list[list]], point: Sequence[complex]) -> list[complex]:
+def _solve_linear_last(coeffs: list[list[MultiPoly]], point: dict[str, complex]) -> list[complex]:
     """Values of the last variable from equations linear in it, at ``point``.
 
-    ``coeffs`` holds each equation's ``coefficients_in`` the last variable,
-    as ``_float_terms``; ``point`` gives the other variables in order.  An
-    equation whose linear coefficient nearly vanishes gives no value, and a
-    value within 1e-8 of an earlier one is dropped.
+    ``coeffs`` holds each equation's ``coefficients_in`` the last variable.
+    An equation whose linear coefficient nearly vanishes gives no value, and
+    a value within 1e-8 of an earlier one is dropped.
     """
     out: list[complex] = []
     for cs in coeffs:
         if len(cs) < 2:
             continue
-        a = _eval_terms(cs[1], point)
-        b = _eval_terms(cs[0], point)
+        a = complex(cs[1](**point))
+        b = complex(cs[0](**point))
         if abs(a) > 1e-10 * (1.0 + abs(b)):
             z = -b / a
             if not any(abs(z - w) <= 1e-8 * (1.0 + abs(z)) for w in out):
@@ -561,6 +545,29 @@ def _flag_zero_singular_value(spec: Spectrum, norm: float) -> None:
         spec.notes = spec.notes + ("zero singular value",)
 
 
+def _polish_candidates(
+    arr: np.ndarray, mu: Partition, cands: list[tuple[list[tuple[complex, complex]], complex]], norm: float
+) -> list[tuple[list[tuple[complex, complex]], complex]]:
+    """Newton-polish ``cands`` on ``arr`` in order; keep the distinct ones with residual <= CHART_FILTER_TOL * norm."""
+    found: list[tuple[list[tuple[complex, complex]], complex]] = []
+    keys: list[tuple] = []
+    for vecs, sigma in cands:
+        vecs, sigma = _newton_polish_tuple(arr, mu, vecs, sigma, steps=40)
+        try:
+            vecs = [q_normalize(v) for v in vecs]
+        except IsotropicVectorError:
+            continue
+        sigma = _pairing(arr, mu, vecs)
+        if tuple_residual(arr, mu, vecs, sigma) > CHART_FILTER_TOL * norm:
+            continue
+        key = (sigma * sigma, tuple(vecs))
+        if any(_keys_close(key, k) for k in keys):
+            continue
+        keys.append(key)
+        found.append((vecs, sigma))
+    return found
+
+
 def _solve_by_elimination(
     t: BinaryTensor | MuTensor,
     mu: Partition,
@@ -580,9 +587,10 @@ def _solve_by_elimination(
     the first variable, and returns it with a lift from its roots to values
     of every variable but the last.  The equations are linear in the last
     variable, which is solved from them in floats.  When there are more
-    candidates than ed_degree(mu), only those whose residual on the rotated
-    tensor is at most PREFILTER_TOL * |t| are polished (all of them if fewer
-    than ed_degree(mu) are); the polished ones are residual-filtered and
+    candidates than ed_degree(mu), those whose residual on the rotated
+    tensor is at most PREFILTER_TOL * |t| are polished first; unless that
+    gives exactly ed_degree(mu) distinct tuples, every candidate is polished
+    in its original order.  The polished ones are residual-filtered and
     deduplicated, unrotated, and certified on the original.  When every
     attempt fails, SolverFailureError names each attempt's reason.
     """
@@ -621,35 +629,22 @@ def _solve_by_elimination(
             continue
 
         arr_rot = dense_rot.as_array().astype(complex)
-        linear = [[_float_terms(c) for c in g.coefficients_in(g.vars[-1])] for g in gs]
+        linear = [g.coefficients_in(g.vars[-1]) for g in gs]
         cands: list[tuple[list[tuple[complex, complex]], complex]] = []
         for head in lift([z for z, _mult in roots]):
-            for z_last in _solve_linear_last(linear, head):
+            for z_last in _solve_linear_last(linear, dict(zip(gs[0].vars, head))):
                 try:
                     vecs = [q_normalize((1.0 + 0j, z)) for z in (*head, z_last)]
                 except IsotropicVectorError:
                     continue
                 cands.append((vecs, _pairing(arr_rot, mu, vecs)))
+        found: list[tuple[list[tuple[complex, complex]], complex]] = []
         if len(cands) > expected:
             close = [(v, sg) for v, sg in cands if tuple_residual(arr_rot, mu, v, sg) <= PREFILTER_TOL * norm]
-            if len(close) >= expected:
-                cands = close
-        found: list[tuple[list[tuple[complex, complex]], complex]] = []
-        keys: list[tuple] = []
-        for vecs, sigma in cands:
-            vecs, sigma = _newton_polish_tuple(arr_rot, mu, vecs, sigma, steps=40)
-            try:
-                vecs = [q_normalize(v) for v in vecs]
-            except IsotropicVectorError:
-                continue
-            sigma = _pairing(arr_rot, mu, vecs)
-            if tuple_residual(arr_rot, mu, vecs, sigma) > CHART_FILTER_TOL * norm:
-                continue
-            key = (sigma * sigma, tuple(vecs))
-            if any(_keys_close(key, k) for k in keys):
-                continue
-            keys.append(key)
-            found.append((vecs, sigma))
+            if expected <= len(close) < len(cands):
+                found = _polish_candidates(arr_rot, mu, close, norm)
+        if len(found) != expected:
+            found = _polish_candidates(arr_rot, mu, cands, norm)
         if len(found) != expected:
             failures.append(f"attempt {attempt}: {len(found)} survivors (expected {expected})")
             continue

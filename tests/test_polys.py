@@ -64,6 +64,14 @@ def test_resultant_two_by_two_by_hand():
                        {(1, 0): Fraction(-1), (0, 1): Fraction(1)})
 
 
+def test_multipoly_call_exact_and_float():
+    vars = ("x", "y")
+    x, y = MultiPoly.variable(vars, "x"), MultiPoly.variable(vars, "y")
+    p = x * x * y + MultiPoly.const(vars, Fraction(1, 3))
+    assert p(x=0.5j, y=2.0) == Fraction(1, 3) - 0.5
+    assert p(x=Fraction(1, 2), y=2) == Fraction(5, 6)  # still exact after a float evaluation
+
+
 def test_resultant_both_constant_invalid():
     with pytest.raises(ValueError):
         sylvester_resultant(zpoly([1]), zpoly([2]), "z")

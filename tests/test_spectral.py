@@ -147,16 +147,42 @@ def test_prefilter_fallback_polishes_every_candidate(monkeypatch):
     assert multiset_subtract(spec.sigma_sq(), want, tol=1e-12) == []
 
 
-def test_float_back_substitution_matches_multipoly_call():
-    # the last-variable coefficients of the full-tensor equations, evaluated as MultiPoly does
-    rng = np.random.default_rng(3)
-    entries = [Fraction(float(v)) for v in rng.normal(size=8)]
-    for j in (1, 2, 3):
-        for coeff in bts.spectral._g_poly_222(entries, j).coefficients_in("z3"):
-            terms = bts.spectral._float_terms(coeff)
-            for z1, z2 in rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2)):
-                z1, z2 = complex(z1), complex(z2)
-                assert bts.spectral._eval_terms(terms, (z1, z2)) == complex(coeff(z1=z1, z2=z2))
+def test_prefilter_polishes_the_rest_when_a_true_tuple_is_skipped(monkeypatch):
+    # Hide the largest real tuple from the pre-filter: its duplicates among the
+    # candidates still leave more than six passing, so the fallback has to be
+    # triggered by the five survivors, not by the count of passing candidates.
+    t = random_tensor(17, 3)
+    want = solve_222(t, seed=2).sigma_sq()
+    target = max(z.real for z in want if abs(z.imag) <= 1e-9)
+    norm = t.norm()
+    residual, polish, rotate_cs = bts.spectral.tuple_residual, bts.spectral._newton_polish_tuple, bts.spectral.rotate_cs
+    state = {"polishing": False, "hidden": 0, "passed": 0}
+
+    def filtered_residual(arr, mu, vecs, sigma):
+        r = residual(arr, mu, vecs, sigma)
+        if state["polishing"] or r > bts.spectral.PREFILTER_TOL * norm:
+            return r
+        if abs(sigma * sigma - target) <= 1e-3 * target:
+            state["hidden"] += 1
+            return math.inf
+        state["passed"] += 1
+        return r
+
+    def start_polishing(*args, **kwargs):
+        state["polishing"] = True
+        return polish(*args, **kwargs)
+
+    def new_attempt(*args):
+        state["polishing"] = False
+        return rotate_cs(*args)
+
+    monkeypatch.setattr(bts.spectral, "tuple_residual", filtered_residual)
+    monkeypatch.setattr(bts.spectral, "_newton_polish_tuple", start_polishing)
+    monkeypatch.setattr(bts.spectral, "rotate_cs", new_attempt)
+    spec = solve_222(t, seed=2)
+    assert state["hidden"] > 0 and state["passed"] >= 6
+    assert all(d.chart_note.endswith("attempt=0") for d in spec.data)
+    assert multiset_subtract(spec.sigma_sq(), want, tol=1e-12) == []
 
 
 def test_rank_one_answered_before_any_rotation(monkeypatch):
@@ -171,6 +197,20 @@ def test_rank_one_answered_before_any_rotation(monkeypatch):
     spec = solve_222(t, seed=4)
     assert len(spec.data) == 6 and spec.degenerate
     assert all(d.chart_note == "rank-one fast path" for d in spec.data)
+
+
+def test_within_rank_one_tolerance_gets_the_closed_form():
+    # A tensor within 1e-9 * |t| (entrywise) of rank one is answered by the
+    # closed form of its rank-one fit, flagged degenerate: its sigma^2 are those
+    # of the fit, and the zero-value tuples lie on the fit's critical curve.
+    t0 = rank_one_tensor(
+        [(Fraction(1), Fraction(2)), (Fraction(3), Fraction(-1)), (Fraction(2), Fraction(5))]
+    )
+    bump = np.random.default_rng(5).normal(size=8) * 1e-11 * t0.norm()
+    t = BinaryTensor(3, tuple(e + Fraction(float(x)) for e, x in zip(t0.entries, bump)))
+    spec = solve_222(t, seed=0)
+    assert spec.degenerate and all(d.chart_note == "rank-one fast path" for d in spec.data)
+    assert multiset_subtract(spec.sigma_sq(), solve_222(t0, seed=0).sigma_sq(), tol=1e-9) == []
 
 
 # --- eigen_symmetric ---------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Compare `bts svals --format json` between two source trees on a directory of inputs.
 
-    python3 tools/outdiff.py OLD_TREE NEW_TREE INPUT_DIR [--seed N]
+    python3 tools/outdiff.py OLD_TREE NEW_TREE INPUT_DIR
 
 Each tree's ``src/`` runs in its own interpreter over every ``*.json`` file of
 INPUT_DIR, calling ``bts.cli.main`` in-process.  Per kind (the file name after
@@ -32,15 +32,15 @@ for path in sys.stdin.read().splitlines():
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
-            code = main(["svals", "--input", path, "--format", "json", *sys.argv[2:]])
+            code = main(["svals", "--input", path, "--format", "json"])
         except SystemExit as exc:
             code = exc.code
     print(json.dumps({"code": code, "out": out.getvalue()}), flush=True)
 """
 
 
-def run_tree(tree: Path, files: list[Path], extra: list[str]) -> list[dict]:
-    proc = subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src"), *extra],
+def run_tree(tree: Path, files: list[Path]) -> list[dict]:
+    proc = subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src")],
                           input="\n".join(map(str, files)), capture_output=True, text=True, check=True)
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
@@ -87,11 +87,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("old", type=Path)
     ap.add_argument("new", type=Path)
     ap.add_argument("inputs", type=Path)
-    ap.add_argument("--seed", type=int)
     args = ap.parse_args(argv)
     files = sorted(args.inputs.glob("*.json"))
-    extra = [] if args.seed is None else ["--seed", str(args.seed)]
-    old, new = run_tree(args.old, files, extra), run_tree(args.new, files, extra)
+    old, new = run_tree(args.old, files), run_tree(args.new, files)
     counts: dict[str, Counter] = defaultdict(Counter)
     worst: dict[str, float] = defaultdict(float)
     for path, a, b in zip(files, old, new):
