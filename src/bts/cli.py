@@ -55,8 +55,7 @@ from .spectral import (
     best_rank_one,
     primal_edpoly,
     singular_values,
-    verify_product,
-    _random_for_mu,
+    verify_trial,
 )
 from .tensor import (
     BinaryTensor,
@@ -269,11 +268,9 @@ def cmd_edpoly(args) -> int:
 
 
 def _one_trial(packed) -> dict:
-    mu_parts, seed, trial, scale = packed
-    mu = Partition(mu_parts)
-    t = _random_for_mu(mu, seed, trial, scale)
+    mu_parts, seed, trial = packed
     try:
-        rep = verify_product(t, seed=seed + 1000003 * trial)
+        rep = verify_trial(Partition(mu_parts), seed, trial)
         return {
             "trial": trial,
             "lhs": rep.lhs,
@@ -299,7 +296,7 @@ def cmd_verify_product(args) -> int:
             f"product verification supports {SUPPORTED_PRODUCT_MU}, got {tuple(mu.parts)}",
         )
     jobs = _jobs(args)
-    work = [(tuple(mu.parts), args.seed, trial, 1) for trial in range(args.trials)]
+    work = [(tuple(mu.parts), args.seed, trial) for trial in range(args.trials)]
     if jobs > 1 and args.trials > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_one_trial, work))
@@ -454,9 +451,6 @@ def cmd_random_check(args) -> int:
         t3 = random_tensor(seed, 3)
         try:
             inv = invariants_222(t3)  # internal dual-path cross-asserts
-            prod = 1
-            for v in inv.theta:
-                prod = prod * v
             if any(float(f) <= 0 for f in inv.f3):
                 failures.append(f"trial {trial}: nonpositive quartic factor {inv.f3}")
             tf = BinaryTensor(3, tuple(float(v) for v in t3.entries))

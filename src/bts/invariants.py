@@ -393,7 +393,6 @@ def isotropic_factor_symmetric(c: MuTensor) -> Scalar:
     if c.mu.s != 1:
         raise ValueError("need a fully symmetric tensor, mu = (d)")
     d = c.mu.d
-    exact = c.exact
     a: Scalar = 0
     b: Scalar = 0
     for jj in range(d + 1):
@@ -408,8 +407,3 @@ def isotropic_factor_symmetric(c: MuTensor) -> Scalar:
         else:
             b = b - w
     return a * a + b * b
-
-
-def combine_slice_matrix(t: BinaryTensor, j: int, sign: int) -> list[list[Scalar]]:
-    """Public view of slice(j,0) + sign*i*slice(j,1) for order-3 input, used in tests."""
-    return _slice_pair_matrix(t, j, sign)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
 Scalar = Union[Fraction, int, float, complex, "QQi"]
 
 
@@ -75,19 +74,10 @@ class QQi:
         return f"QQi({self.re}, {self.im})"
 
 
-QQI_ZERO = QQi(Fraction(0), Fraction(0))
-QQI_ONE = QQi(Fraction(1), Fraction(0))
-QQI_I = QQi(Fraction(0), Fraction(1))
-
-
 def _as_qqi(x: "QQi | Fraction | int") -> QQi:
     if isinstance(x, QQi):
         return x
     return QQi(Fraction(x), Fraction(0))
-
-
-def qqi(re: int | Fraction, im: int | Fraction = 0) -> QQi:
-    return QQi(Fraction(re), Fraction(im))
 
 
 def parse_rational(text: str) -> Fraction:

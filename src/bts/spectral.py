@@ -42,13 +42,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .combinatorics import Partition, _as_partition, ed_degree
-from .invariants import extreme_coeffs_222, invariants_222, isotropic_factor_symmetric
+from .invariants import extreme_coeffs_222, invariants_222
 from .polys import (
     MultiPoly,
     RootFindingError,
     UniPoly,
     all_roots,
-    discriminant_binary_form,
     reflect_edpoly,
     sylvester_resultant,
 )
@@ -58,6 +57,7 @@ from .tensor import (
     bombieri_norm_sq,
     compress,
     expand,
+    random_tensor,
     rank_one_tensor,
     rotate_cs,
 )
@@ -464,12 +464,7 @@ def _finalize_spectrum(
 
 
 def _pairing(arr: np.ndarray, mu: Partition, group_vecs: Sequence[Sequence[complex]]) -> complex:
-    slot_vecs = _slot_vectors(mu, group_vecs)
-    out = arr
-    for slot in range(arr.ndim - 1, -1, -1):
-        v = np.asarray(slot_vecs[slot], dtype=complex)
-        out = np.tensordot(out, v, axes=([slot], [0]))
-    return complex(out)
+    return complex(_contract_except(arr, _slot_vectors(mu, group_vecs), keep=()))
 
 
 # --- rank-one fast paths ---------------------------------------------------------
@@ -811,8 +806,6 @@ class VerificationReport:
 
 SUPPORTED_PRODUCT_MU = ((1, 1), (2,), (3,), (2, 1), (1, 1, 1))
 
-_FITTED_CONSTANTS: dict[tuple[int, ...], float] = {}
-
 
 def _product_of_sigma_sq(spec: Spectrum) -> float:
     prod = 1.0 + 0j
@@ -823,154 +816,94 @@ def _product_of_sigma_sq(spec: Spectrum) -> float:
     return prod.real
 
 
-def _reference_symmetric(d: int) -> MuTensor:
-    c = {(j,): Fraction(0) for j in range(d + 1)}
-    c[(0,)] = Fraction(1)
-    c[(d,)] = Fraction(2)
-    return MuTensor(Partition((d,)), c)
+def _or_inf(a0: Callable[[], float]) -> float:
+    """a0() in floats, or inf when it leaves the float range (huge exact input)."""
+    try:
+        return a0()
+    except OverflowError:
+        return math.inf
 
 
-def _symmetric_rhs_raw(c: MuTensor) -> tuple[float, bool]:
-    """disc^2 / Delta_Q^(d-2) before normalization; flag when a factor vanishes."""
-    d = c.mu.d
-    disc = discriminant_binary_form(c)
-    dq = float(isotropic_factor_symmetric(c))
-    num = float(disc.value) ** 2
-    if d > 2 and abs(dq) < 1e-300:
-        return math.nan, True
-    raw = num if d == 2 else num / dq ** (d - 2)
-    return raw, disc.degenerate
+def _edpoly_extremes(t: BinaryTensor | MuTensor, mu: Partition) -> tuple[float, float]:
+    """(a_0, a_top): lowest and leading coefficient of the dual distance polynomial.
 
-
-def _fitted_symmetric_constant(d: int, seed: int = 98765) -> float:
-    """Normalization constant of the symmetric product formula, fitted on a reference form.
-
-    The discriminant here is only pinned up to scale (it is normalized via the
-    resultant of the partials), so the ratio disc^2 / Delta_Q^(d-2) matches
-    the product of squared eigenvalues up to one constant per degree; the
-    batch runner asserts the fit is stable across trials.
+    One row per shape in SUPPORTED_PRODUCT_MU; det is the determinant
+    (d = 2) or the hyperdeterminant (d = 3) of the expanded tensor.  On the
+    symmetric cubic the discriminant is 81 det and Delta_Q is theta_1, so
+    a_0 / a_top = det^2 / theta_1; on the symmetric quadratic it is det^2.
     """
-    key = (d,)
-    if key not in _FITTED_CONSTANTS:
-        ref = _reference_symmetric(d)
-        spec = eigen_symmetric(ref, seed=seed)
-        lhs = _product_of_sigma_sq(spec)
-        raw, degen = _symmetric_rhs_raw(ref)
-        if degen or not math.isfinite(raw) or raw == 0.0:
-            raise SolverFailureError(f"degenerate reference form for d={d}")
-        _FITTED_CONSTANTS[key] = lhs / raw
-    return _FITTED_CONSTANTS[key]
+    parts = tuple(mu.parts)
+    dense = expand(t) if isinstance(t, MuTensor) else t
+    if parts in ((1, 1), (2,)):
+        e = [float(v) for v in dense.entries]
+        det = e[0] * e[3] - e[1] * e[2]
+        return det * det, 1.0
+    if parts == (1, 1, 1):
+        a0, _, a6 = extreme_coeffs_222(t)
+        return _or_inf(lambda: float(a0)), float(a6)
+    inv = invariants_222(dense)
+    th = [float(v) for v in inv.theta]
+    if parts == (2, 1):
+        # slot 3 carries the free factor in this layout
+        return _or_inf(lambda: float(inv.det) ** 2 * float(inv.f3[2])), th[0] * th[1]
+    return _or_inf(lambda: float(inv.det) ** 2), th[0]
 
 
 def verify_product(t: BinaryTensor | MuTensor, seed: int = 0) -> VerificationReport:
     """Check the closed product formula on one tensor.
 
     LHS is the product of the squared singular values from the solver; RHS is
-    the invariant-side product over the dual-variety factors.  For the 2x2x2
-    family (full, (2,1)-symmetric, symmetric) the printed normalizations make
-    the constant exactly 1; for binary forms the constant is fitted once per
-    degree on a reference tensor.  Matrices are exact: the product is the
-    squared determinant.
+    a_0 / a_top, the lowest over the leading coefficient of the dual distance
+    polynomial, both from closed-form invariants (``_edpoly_extremes``).  With
+    the printed 1/64 and 1/16 normalizations the constant is exactly 1 for
+    every supported shape; for matrices and symmetric quadratics the RHS is
+    the squared determinant.
     """
     mu = t.mu if isinstance(t, MuTensor) else Partition((1,) * t.d)
     if tuple(mu.parts) not in SUPPORTED_PRODUCT_MU:
         raise ValueError(f"product verification supports {SUPPORTED_PRODUCT_MU}, got {mu}")
     spec = singular_values(t, seed=seed)
     lhs = _product_of_sigma_sq(spec)
-    note = ""
-    constant = 1.0
-    degenerate = spec.degenerate
-
-    parts = tuple(mu.parts)
-    if parts == (1, 1):
-        dense = t if isinstance(t, BinaryTensor) else expand(t)
-        e = [float(v) for v in dense.entries]
-        det = e[0] * e[3] - e[1] * e[2]
-        rhs_raw = det * det
-        note = "rhs is the squared determinant (exact in the rational pipeline)"
-    elif parts == (1, 1, 1):
-        a0, _, a6 = extreme_coeffs_222(t)
-        a0f, a6f = float(a0), float(a6)
-        if abs(a6f) < 1e-300:
-            return VerificationReport(mu, lhs, math.nan, 1.0, math.nan, True, tuple(spec.sigma_sq()),
-                                      "top coefficient vanished (isotropic structure)")
-        rhs_raw = a0f / a6f
-    elif parts == (2, 1):
-        assert isinstance(t, MuTensor)
-        inv = invariants_222(expand(t))
-        th = [float(v) for v in inv.theta]
-        f_free = float(inv.f3[2])  # slot 3 carries the free factor in this layout
-        den = th[0] * th[1]
-        if abs(den) < 1e-300:
-            return VerificationReport(mu, lhs, math.nan, 1.0, math.nan, True, tuple(spec.sigma_sq()),
-                                      "top coefficient vanished (isotropic structure)")
-        rhs_raw = float(inv.det) ** 2 * f_free / den
-    else:  # (2,) or (3,): symmetric binary forms
-        assert isinstance(t, MuTensor)
-        d = mu.d
-        rhs_raw, degen_disc = _symmetric_rhs_raw(t)
-        degenerate = degenerate or degen_disc
-        constant = _fitted_symmetric_constant(d)
-        note = f"fitted constant for degree {d}"
-
-    rhs = constant * rhs_raw
+    sigma_sq = tuple(spec.sigma_sq())
+    a0, a_top = _edpoly_extremes(t, mu)
+    if abs(a_top) < 1e-300:
+        return VerificationReport(mu, lhs, math.nan, 1.0, math.nan, True, sigma_sq,
+                                  "top coefficient vanished (isotropic structure)")
+    note = "rhs is the squared determinant (exact in the rational pipeline)" if mu.d == 2 else ""
+    rhs = a0 / a_top
     if not math.isfinite(rhs) or rhs == 0.0:
-        both_vanish = abs(lhs) <= 1e-8 and (rhs == 0.0 or not math.isfinite(rhs))
         return VerificationReport(
-            mu, lhs, rhs, constant, 0.0 if both_vanish else math.nan, True,
-            tuple(spec.sigma_sq()), note or "degenerate: rhs vanished",
+            mu, lhs, rhs, 1.0, 0.0 if abs(lhs) <= 1e-8 else math.nan, True,
+            sigma_sq, note or "degenerate: rhs vanished",
         )
     rel = abs(lhs / rhs - 1.0)
-    return VerificationReport(mu, lhs, rhs, constant, rel, degenerate, tuple(spec.sigma_sq()), note)
+    return VerificationReport(mu, lhs, rhs, 1.0, rel, spec.degenerate, sigma_sq, note)
+
+
+def verify_trial(mu: Partition, seed: int, trial: int) -> VerificationReport:
+    """Trial ``trial`` of the seeded product-formula batch: a random tensor of shape mu, checked."""
+    derived = int(np.random.default_rng(np.random.SeedSequence((seed, trial))).integers(0, 2**62))
+    t = random_tensor(derived, mu.d if all(p == 1 for p in mu.parts) else mu)
+    return verify_product(t, seed=seed + 1000003 * trial)
 
 
 def verify_product_batch(
-    mu: Partition | Sequence[int],
-    trials: int,
-    seed: int = 42,
-    scale: int = 1,
+    mu: Partition | Sequence[int], trials: int, seed: int = 42
 ) -> list[VerificationReport]:
     """Seeded batch of product-formula checks on random tensors, one report per trial."""
     mu = _as_partition(mu)
-    reports = []
-    for trial in range(trials):
-        t = _random_for_mu(mu, seed, trial, scale)
-        reports.append(verify_product(t, seed=seed + 1000003 * trial))
-    return reports
-
-
-def _random_for_mu(mu: Partition, seed: int, trial: int, scale: int = 1):
-    from .tensor import random_tensor
-
-    derived = int(np.random.default_rng(np.random.SeedSequence((seed, trial))).integers(0, 2**62))
-    if all(p == 1 for p in mu.parts):
-        return random_tensor(derived, mu.d, scale)
-    return random_tensor(derived, mu, scale)
-
-
-def _edpoly_lead(t: BinaryTensor | MuTensor, mu: Partition) -> float:
-    parts = tuple(mu.parts)
-    if parts == (1, 1, 1):
-        _, _, a6 = extreme_coeffs_222(t)
-        return float(a6)
-    if parts == (2, 1):
-        inv = invariants_222(expand(t))
-        return float(inv.theta[0]) * float(inv.theta[1])
-    if parts == (3,):
-        inv = invariants_222(expand(t))
-        return float(inv.theta[0])
-    return 1.0
+    return [verify_trial(mu, seed, trial) for trial in range(trials)]
 
 
 def assemble_edpoly(spec: Spectrum, t: BinaryTensor | MuTensor) -> UniPoly:
     """Distance polynomial of the dual variety: lead * prod (eps^2 - sigma_i^2).
 
-    The leading coefficient comes from the invariant ring for the 2x2x2
-    family and is monic otherwise; the primal-variety polynomial is the
-    reflection of this one at q~(t).  The result is cached on the spectrum.
+    The leading coefficient is a_top from ``_edpoly_extremes`` for the shapes
+    in SUPPORTED_PRODUCT_MU and 1 otherwise; the primal-variety polynomial is
+    the reflection of this one at q~(t).  The result is cached on the spectrum.
     """
     roots = spec.sigma_sq()
-    lead = _edpoly_lead(t, spec.mu)
+    lead = _edpoly_extremes(t, spec.mu)[1] if tuple(spec.mu.parts) in SUPPORTED_PRODUCT_MU else 1.0
     poly_c = UniPoly.from_roots(roots, lead=complex(lead))
     coeffs = []
     scale = max((abs(complex(c)) for c in poly_c.coeffs), default=1.0)

@@ -18,11 +18,13 @@ from bts.invariants import (
     pair_factor_4,
     slice_factor,
 )
+from bts.polys import discriminant_binary_form
 from bts.scalars import QQi
 from bts.tensor import (
     BinaryTensor,
     MuTensor,
     all_bits,
+    expand,
     random_tensor,
     rank_one_tensor,
     rotate,
@@ -225,6 +227,19 @@ def test_isotropic_factor_examples():
     assert isotropic_factor_symmetric(c) == 2
     for seed in range(30):
         assert isotropic_factor_symmetric(random_tensor(seed, (4,))) >= 0
+
+
+def test_symmetric_forms_reduce_to_det_and_theta():
+    # exact identities behind the constant-1 product formula of binary forms:
+    # Delta_Q = theta_1 and disc = 81 det for cubics, disc = -4 det for quadratics
+    for seed in range(50):
+        c = random_tensor(seed, (3,))
+        inv = invariants_222(expand(c))
+        assert inv.theta[0] == isotropic_factor_symmetric(c)
+        assert discriminant_binary_form(c).value == 81 * inv.det
+        q = random_tensor(seed, (2,))
+        e = expand(q).entries
+        assert discriminant_binary_form(q).value == -4 * (e[0] * e[3] - e[1] * e[2])
 
 
 def test_hyperdet_is_cayley_polynomial():

@@ -343,13 +343,13 @@ def test_verify_batches_all_mu():
         for rep in reports:
             assert rep.rel_error < 1e-8, (mu, rep)
         consts = {rep.constant for rep in reports}
-        assert len(consts) == 1  # fitted once, stable across trials
+        assert len(consts) == 1  # one constant per shape, the same in every trial
 
 
 def test_verify_symmetric_constant_stability():
     reports = verify_product_batch((3,), 10, seed=5)
     for rep in reports:
-        # the per-trial implied constant agrees with the fitted one to 1e-9
+        # the per-trial implied constant agrees with the reported one to 1e-9
         implied = rep.lhs / (rep.rhs / rep.constant)
         assert abs(implied / rep.constant - 1.0) < 1e-9
 
