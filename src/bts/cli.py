@@ -10,8 +10,9 @@ degrees         ED degrees, dual-variety degrees, exponents, identity verdicts
 random-check    seeded battery of invariant cross-checks and positivity tests
 
 Exit codes: 0 success, 1 verification failure (a trial exceeded tolerance),
-2 input/parse error, 3 solver failure.  JSON output is byte-identical for
-identical (input, seed, version); floats carry 17 significant digits.
+2 input/parse error, 3 solver failure or float overflow on huge input.  JSON
+output is byte-identical for identical (input, seed, version); floats carry
+17 significant digits.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .spectral import (
 )
 from .tensor import (
     BinaryTensor,
-    MuTensor,
     NotMuSymmetricError,
     bombieri_norm_sq,
     compress,
@@ -156,9 +156,8 @@ def _load_input(path: str, mu_override: Partition | None):
     except (ValueError, KeyError) as exc:
         raise SystemExit(_fail(EXIT_PARSE, f"bad tensor document: {exc}"))
     if mu_override is not None:
-        dense = expand(t) if isinstance(t, MuTensor) else t
         try:
-            t = compress(dense, mu_override)
+            t = compress(expand(t), mu_override)
         except NotMuSymmetricError as exc:
             raise SystemExit(_fail(EXIT_PARSE, str(exc)))
     return t
@@ -173,6 +172,10 @@ def _jobs(args) -> int:
 
 
 # --- svals / edpoly ----------------------------------------------------------
+
+
+def _overflow_message(exc: OverflowError) -> str:
+    return f"overflow: a value left the double-precision range: {exc}"
 
 
 def _spectrum_doc(t, spec: Spectrum) -> dict:
@@ -231,9 +234,11 @@ def cmd_svals(args) -> int:
     t = _load_input(args.input, _parse_mu(args.mu) if args.mu else None)
     try:
         spec = singular_values(t, seed=args.seed)
+        doc = _spectrum_doc(t, spec)
     except (SolverFailureError, ValueError) as exc:
         return _fail(EXIT_SOLVER, f"solver failure: {exc}")
-    doc = _spectrum_doc(t, spec)
+    except OverflowError as exc:
+        return _fail(EXIT_SOLVER, _overflow_message(exc))
     _emit(doc, args.format, _print_spectrum_table)
     return EXIT_OK
 
@@ -246,6 +251,8 @@ def cmd_edpoly(args) -> int:
         primal = primal_edpoly(spec, t)
     except (SolverFailureError, ValueError) as exc:
         return _fail(EXIT_SOLVER, f"solver failure: {exc}")
+    except OverflowError as exc:
+        return _fail(EXIT_SOLVER, _overflow_message(exc))
     doc = {
         "mu": list(spec.mu.parts),
         "qt": float(bombieri_norm_sq(t)),
@@ -339,8 +346,9 @@ def cmd_verify_product(args) -> int:
 
 def cmd_invariants(args) -> int:
     t = _load_input(args.input, _parse_mu(args.mu) if args.mu else None)
-    dense = expand(t) if isinstance(t, MuTensor) else t
-    doc: dict = {"d": dense.d, "mu": list(t.mu.parts) if isinstance(t, MuTensor) else None}
+    dense = expand(t)
+    parts = None if isinstance(t, BinaryTensor) else t.mu.parts
+    doc: dict = {"d": dense.d, "mu": None if parts is None else list(parts)}
     try:
         if dense.d == 3:
             inv = invariants_222(dense)
@@ -357,11 +365,11 @@ def cmd_invariants(args) -> int:
                     "a6": _num(a6),
                 }
             )
-            if isinstance(t, MuTensor) and t.mu.parts == (2, 1):
+            if parts == (2, 1):
                 doc["extra_root"] = _num(extra_root_21(t))
-            if isinstance(t, MuTensor) and t.mu.parts == (3,):
+            if parts == (3,):
                 doc["extra_root"] = _num(extra_root_3(t))
-        if isinstance(t, MuTensor) and t.mu.s == 1 and t.mu.d >= 2:
+        if parts is not None and len(parts) == 1 and dense.d >= 2:
             disc = discriminant_binary_form(t)
             doc["discriminant"] = _num(disc.value)
             doc["discriminant_degenerate"] = disc.degenerate

@@ -68,7 +68,7 @@ class InvariantSet222:
 
 
 def _entries_222(t: BinaryTensor | MuTensor) -> tuple[BinaryTensor, tuple[Scalar, ...]]:
-    dense = expand(t) if isinstance(t, MuTensor) else t
+    dense = expand(t)
     if dense.d != 3:
         raise ValueError(f"need order 3, got {dense.d}")
     if dense.exact:
@@ -120,24 +120,25 @@ def hyperdet_222(e: Sequence[Scalar]) -> Scalar:
     return (m1 + m2) ** 2 - 4 * m3 * m4
 
 
-def _det_mat2(m: Sequence[Sequence[Scalar]]) -> Scalar:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def _slice_pair_matrix(t: BinaryTensor, j: int, sign: int) -> list[list[Scalar]]:
-    """slice(t,j,0) + sign * i * slice(t,j,1) as a 2x2 matrix of complex scalars."""
-    a = slice_tensor(t, j, 0)
-    b = slice_tensor(t, j, 1)
-    exact = t.exact
+def _complexify(a: Sequence[Scalar], b: Sequence[Scalar], sign: int, exact: bool) -> list[Scalar]:
+    """Entrywise a + sign * i * b: Gaussian rationals on exact input, complex otherwise."""
     i_unit: Scalar = QQi(Fraction(0), Fraction(sign)) if exact else sign * 1j
-    rows = []
-    for r in (0, 1):
-        row = []
-        for c in (0, 1):
-            av, bv = a[(r, c)], b[(r, c)]
-            row.append(i_unit * bv + (av if exact else complex(av)))
-        rows.append(row)
-    return rows
+    return [i_unit * y + (x if exact else complex(x)) for x, y in zip(a, b)]
+
+
+def _real_value(value: Scalar, t: BinaryTensor, degree: int, what: str) -> Scalar:
+    """The real part of a conjugate product of degree ``degree`` in t, checked to be real.
+
+    Exact input must give an imaginary part of exactly zero; float input one
+    within 1e-12 * max(1, |t|^degree).
+    """
+    if t.exact:
+        assert isinstance(value, QQi)
+        _require(value.im == 0, f"{what} not real")
+        return value.re
+    value = complex(value)
+    _require(abs(value.imag) <= 1e-12 * max(1.0, t.norm() ** degree), f"{what} imaginary part too large")
+    return value.real
 
 
 def slice_factor(t: BinaryTensor | MuTensor, j: int) -> Scalar:
@@ -146,34 +147,16 @@ def slice_factor(t: BinaryTensor | MuTensor, j: int) -> Scalar:
     For d = 3 the 2x2 determinant, for d = 4 the 2x2x2 hyperdeterminant of
     slice(j,0) +- i slice(j,1).  Real and nonnegative on real input.
     """
-    dense = expand(t) if isinstance(t, MuTensor) else t
+    dense = expand(t)
     if dense.d not in (3, 4):
         raise ValueError("slice factors implemented for orders 3 and 4")
-    exact = dense.exact
+    a, b = (slice_tensor(dense, j, bit).entries for bit in (0, 1))
+    plus, minus = (_complexify(a, b, sign, dense.exact) for sign in (1, -1))
     if dense.d == 3:
-        plus = _det_mat2(_slice_pair_matrix(dense, j, +1))
-        minus = _det_mat2(_slice_pair_matrix(dense, j, -1))
+        value = _det2(*plus) * _det2(*minus)
     else:
-        i_unit: Scalar = QQi(Fraction(0), Fraction(1)) if exact else 1j
-        s0 = slice_tensor(dense, j, 0)
-        s1 = slice_tensor(dense, j, 1)
-        if exact:
-            ep = [a + i_unit * b for a, b in zip(s0.entries, s1.entries)]
-            em = [a - i_unit * b for a, b in zip(s0.entries, s1.entries)]
-        else:
-            ep = [complex(a) + 1j * complex(b) for a, b in zip(s0.entries, s1.entries)]
-            em = [complex(a) - 1j * complex(b) for a, b in zip(s0.entries, s1.entries)]
-        plus = hyperdet_222(ep)
-        minus = hyperdet_222(em)
-    value = plus * minus
-    if exact:
-        assert isinstance(value, QQi)
-        _require(value.im == 0, f"slice factor {j} not real")
-        return value.re
-    value = complex(value)
-    scale = max(1.0, dense.norm() ** (4 if dense.d == 3 else 8))
-    _require(abs(value.imag) <= 1e-12 * scale, f"slice factor {j} imaginary part too large")
-    return value.real
+        value = hyperdet_222(plus) * hyperdet_222(minus)
+    return _real_value(value, dense, 4 if dense.d == 3 else 8, f"slice factor {j}")
 
 
 def invariants_222(t: BinaryTensor | MuTensor) -> InvariantSet222:
@@ -345,42 +328,14 @@ def pair_factor_4(t: BinaryTensor, pair: tuple[int, int] = (1, 2)) -> Scalar:
     order = [j - 1, k - 1] + [l for l in range(4) if l not in (j - 1, k - 1)]
     u = permute_slots(t, order)
     exact = u.exact
-
-    def mat(r: int, s: int) -> list[list[Scalar]]:
-        return [[u[(r, s, a, b)] for b in (0, 1)] for a in (0, 1)]
-
-    i_unit: Scalar = QQi(Fraction(0), Fraction(1)) if exact else 1j
-
-    def combine(m1: list[list[Scalar]], m2: list[list[Scalar]], sign: int) -> list[list[Scalar]]:
-        si = i_unit if sign > 0 else -i_unit
-        out = []
-        for r in (0, 1):
-            row = []
-            for s in (0, 1):
-                a, b = m1[r][s], m2[r][s]
-                row.append(si * b + (a if exact else complex(a)))
-            out.append(row)
-        return out
-
-    m00, m01, m10, m11 = mat(0, 0), mat(0, 1), mat(1, 0), mat(1, 1)
-    a_plus = combine(m00, m10, +1)   # t00 + i t10
-    b_plus = combine(m01, m11, +1)   # t01 + i t11
-    a_minus = combine(m00, m10, -1)
-    b_minus = combine(m01, m11, -1)
-    value = (
-        _det_mat2(combine(a_plus, b_plus, +1))
-        * _det_mat2(combine(a_plus, b_plus, -1))
-        * _det_mat2(combine(a_minus, b_minus, +1))
-        * _det_mat2(combine(a_minus, b_minus, -1))
-    )
-    if exact:
-        assert isinstance(value, QQi)
-        _require(value.im == 0, "pair factor not real")
-        return value.re
-    value = complex(value)
-    scale = max(1.0, t.norm() ** 8)
-    _require(abs(value.imag) <= 1e-12 * scale, "pair factor imaginary part too large")
-    return value.real
+    # the matrix slices t^(rs), row-major, in the order t^00, t^01, t^10, t^11
+    m = [u.entries[4 * rs : 4 * rs + 4] for rs in range(4)]
+    dets = []
+    for outer in (1, -1):
+        a = _complexify(m[0], m[2], outer, exact)  # t00 +- i t10
+        b = _complexify(m[1], m[3], outer, exact)  # t01 +- i t11
+        dets.extend(_det2(*_complexify(a, b, inner, exact)) for inner in (1, -1))
+    return _real_value(dets[0] * dets[1] * dets[2] * dets[3], t, 8, "pair factor")
 
 
 def isotropic_factor_symmetric(c: MuTensor) -> Scalar:

@@ -313,17 +313,6 @@ class MultiPoly:
             buckets[e[i]][re] = buckets[e[i]].get(re, Fraction(0)) + c
         return [MultiPoly(rest, b) for b in buckets]
 
-    def substitute(self, name: str, value: Fraction | int) -> "MultiPoly":
-        """Evaluate one variable at an exact rational, keeping the others."""
-        i = self.vars.index(name)
-        value = Fraction(value)
-        rest = tuple(v for v in self.vars if v != name)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            re = tuple(x for j, x in enumerate(e) if j != i)
-            out[re] = out.get(re, Fraction(0)) + c * value ** e[i]
-        return MultiPoly(rest, out)
-
     def to_unipoly(self, name: str, var_label: str | None = None) -> UniPoly:
         i = self.vars.index(name)
         for e in self.terms:

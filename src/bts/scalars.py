@@ -64,9 +64,6 @@ class QQi:
         """|z|^2, an exact rational."""
         return self.re * self.re + self.im * self.im
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -78,11 +75,6 @@ def _as_qqi(x: "QQi | Fraction | int") -> QQi:
     if isinstance(x, QQi):
         return x
     return QQi(Fraction(x), Fraction(0))
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or a plain integer/decimal string into an exact Fraction."""
-    return Fraction(text)
 
 
 def format_rational(x: Fraction) -> str:

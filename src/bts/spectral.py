@@ -19,12 +19,13 @@ candidates whose residual on the rotated tensor is already small
 ed_degree(mu) tuples, every candidate is polished in order.  The polished
 tuples are residual-filtered and deduplicated on the rotated tensor, then
 polished again and certified on the original one.  Extraneous elimination
-roots are removed by residual filtering, never by symbolic division.  Each
-shape supplies only its RNG salt, its equation builder, its elimination
-chain with its back-substitution (z3 then z2; w; z2) and an optional
-rank-one closed form; the expected count and the least eliminant degree are
-both ed_degree(mu).  When every rotation fails, the error names the reason
-of each attempt.
+roots are removed by residual filtering, never by symbolic division.  The
+critical equations are built from mu alone (``_critical_equations``), and
+the expected count and the least eliminant degree are both ed_degree(mu);
+each shape supplies only its RNG salt, its elimination chain (z3 then z2
+for 2x2x2, z2 for the two-group shapes) and an optional rank-one closed
+form.  When every rotation fails, the error names the reason of each
+attempt.
 
 Supported: full 2x2x2 tensors (six tuples), (2,1)-symmetric tensors (four),
 2x2 matrices (two), and fully symmetric tensors of any order (d tuples, via
@@ -57,6 +58,7 @@ from .tensor import (
     bombieri_norm_sq,
     compress,
     expand,
+    index_to_bits,
     random_tensor,
     rank_one_tensor,
     rotate_cs,
@@ -255,60 +257,30 @@ def _newton_polish_tuple(
 # --- exact multilinear equations and elimination --------------------------------
 
 
-def _g_poly_222(entries: Sequence[Fraction], j: int) -> MultiPoly:
-    """y_{j,0} z_j - y_{j,1} with x_l = (1, z_l): the slot-j critical equation, dehomogenized."""
-    vars_ = ("z1", "z2", "z3")
-    terms: dict[tuple[int, int, int], Fraction] = {}
-    for idx in range(8):
-        bits = ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
-        v = entries[idx]
+def _critical_equations(entries: Sequence[Fraction], mu: Partition) -> tuple[MultiPoly, ...]:
+    """The dehomogenized critical equations of a mu-symmetric tensor, one per group.
+
+    With x_l = (1, z_k) on every slot l of group k, group k's equation is
+    y_{k,0} z_k - y_{k,1}, where y_k contracts ``entries`` (dense, slot-major)
+    against every slot but the first one of the group.  Variables z1..zs.
+    """
+    vars_ = tuple(f"z{k + 1}" for k in range(mu.s))
+    groups = [k for k, p in enumerate(mu.parts) for _ in range(p)]
+    firsts = [groups.index(k) for k in range(mu.s)]
+    eqs: list[dict[tuple[int, ...], Fraction]] = [{} for _ in firsts]
+    for idx, v in enumerate(entries):
         if v == 0:
             continue
-        e = list(bits)
-        if bits[j - 1] == 0:
-            e[j - 1] = 1
-            sign = 1
-        else:
-            e[j - 1] = 0
-            sign = -1
-        key = tuple(e)
-        terms[key] = terms.get(key, Fraction(0)) + sign * v
-    return MultiPoly(vars_, terms)
-
-
-def _g_polys_21(entries: Sequence[Fraction]) -> tuple[MultiPoly, MultiPoly]:
-    """The two group equations of a (2,1)-symmetric tensor in (z, w), multidegree (2,1) each."""
-    vars_ = ("z", "w")
-    g1: dict[tuple[int, int], Fraction] = {}
-    g2: dict[tuple[int, int], Fraction] = {}
-    for idx in range(8):
-        i1, i2, i3 = (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
-        v = entries[idx]
-        if v == 0:
-            continue
-        # slot-1 equation: contract slots 2,3 -> monomial z^i2 w^i3
-        ez, ew, sign = i2 + (1 if i1 == 0 else 0), i3, (1 if i1 == 0 else -1)
-        g1[(ez, ew)] = g1.get((ez, ew), Fraction(0)) + sign * v
-        # slot-3 equation: contract slots 1,2 -> monomial z^(i1+i2)
-        ez2, ew2, sign2 = i1 + i2, (1 if i3 == 0 else 0), (1 if i3 == 0 else -1)
-        g2[(ez2, ew2)] = g2.get((ez2, ew2), Fraction(0)) + sign2 * v
-    return MultiPoly(vars_, g1), MultiPoly(vars_, g2)
-
-
-def _g_polys_matrix(entries: Sequence[Fraction]) -> tuple[MultiPoly, MultiPoly]:
-    vars_ = ("z1", "z2")
-    g1: dict[tuple[int, int], Fraction] = {}
-    g2: dict[tuple[int, int], Fraction] = {}
-    for idx in range(4):
-        i1, i2 = (idx >> 1) & 1, idx & 1
-        v = entries[idx]
-        if v == 0:
-            continue
-        e1, s1 = (1 if i1 == 0 else 0), (1 if i1 == 0 else -1)
-        g1[(e1, i2)] = g1.get((e1, i2), Fraction(0)) + s1 * v
-        e2, s2 = (1 if i2 == 0 else 0), (1 if i2 == 0 else -1)
-        g2[(i1, e2)] = g2.get((i1, e2), Fraction(0)) + s2 * v
-    return MultiPoly(vars_, g1), MultiPoly(vars_, g2)
+        bits = index_to_bits(idx, mu.d)
+        for k, first in enumerate(firsts):
+            e = [0] * mu.s
+            for l, b in enumerate(bits):
+                if l != first:
+                    e[groups[l]] += b
+            e[k] += 1 - bits[first]
+            key = tuple(e)
+            eqs[k][key] = eqs[k].get(key, Fraction(0)) + (v if bits[first] == 0 else -v)
+    return tuple(MultiPoly(vars_, terms) for terms in eqs)
 
 
 def _to_float_coeff_polys(p: MultiPoly, outer: str, inner: str) -> list[np.ndarray]:
@@ -412,14 +384,14 @@ def _keys_close(k1: tuple, k2: tuple) -> bool:
 
 def _finalize_spectrum(
     t_orig: BinaryTensor | MuTensor,
-    mu: Partition,
     raw: list[tuple[list[tuple[complex, complex]], complex]],
     chart_note: str,
     notes: tuple[str, ...] = (),
     degenerate: bool = False,
 ) -> Spectrum:
     """Polish each tuple on the original tensor, certify residuals, fix conventions."""
-    dense = expand(t_orig) if isinstance(t_orig, MuTensor) else t_orig
+    mu = t_orig.mu
+    dense = expand(t_orig)
     arr = dense.as_array().astype(complex)
     norm = dense.norm() or 1.0
     odd_groups = [k for k, p in enumerate(mu.parts) if p % 2 == 1]
@@ -498,17 +470,16 @@ def _rank_one_spectrum(
     ``table`` maps the q-normalized fiber of each group to the critical
     tuples: first the rank-one tuple itself, then the zero-value ones.
     """
-    dense = expand(t) if isinstance(t, MuTensor) else t
-    mu = t.mu if isinstance(t, MuTensor) else Partition((1,) * t.d)
+    mu = t.mu
     try:
         hats = [q_normalize((complex(f[0]), complex(f[1]))) for f in fibers]
     except IsotropicVectorError as exc:
         raise SolverFailureError(f"isotropic rank-one tensor: {exc}") from exc
     top, *zeros = table(*(hats[sum(mu.parts[:k])] for k in range(mu.s)))
-    arr = dense.as_array().astype(complex)
+    arr = expand(t).as_array().astype(complex)
     raw = [(top, _pairing(arr, mu, top))] + [(vecs, 0j) for vecs in zeros]
     return _finalize_spectrum(
-        t, mu, raw, chart_note="rank-one fast path",
+        t, raw, chart_note="rank-one fast path",
         notes=("rank-one input; zero-value critical set is positive-dimensional", "det zero"),
         degenerate=True,
     )
@@ -565,10 +536,8 @@ def _polish_candidates(
 
 def _solve_by_elimination(
     t: BinaryTensor | MuTensor,
-    mu: Partition,
     seed: int,
     salt: int,
-    equations: Callable,
     eliminate: Callable,
     rank_one: Callable | None,
 ) -> Spectrum:
@@ -576,9 +545,9 @@ def _solve_by_elimination(
 
     A rank-one ``t`` goes straight to ``rank_one``, which takes the tensor
     and its fiber vectors; only the matrix shape has none.  Otherwise each
-    attempt rotates ``t`` by mu.s seeded angles and builds the dehomogenized
-    critical equations with ``equations``, in one variable z_k per group
-    (x_k = (1, z_k)).  ``eliminate`` reduces them exactly to an eliminant in
+    attempt rotates ``t`` by mu.s seeded angles, mu = t.mu, and builds its
+    dehomogenized critical equations with ``_critical_equations``, in one
+    variable z_k per group (x_k = (1, z_k)).  ``eliminate`` reduces them exactly to an eliminant in
     the first variable, and returns it with a lift from its roots to values
     of every variable but the last.  The equations are linear in the last
     variable, which is solved from them in floats.  When there are more
@@ -589,7 +558,8 @@ def _solve_by_elimination(
     deduplicated, unrotated, and certified on the original.  When every
     attempt fails, SolverFailureError names each attempt's reason.
     """
-    dense = expand(t) if isinstance(t, MuTensor) else t
+    mu = t.mu
+    dense = expand(t)
     norm = dense.norm()
     if norm == 0.0:
         raise ValueError("zero tensor")
@@ -603,8 +573,8 @@ def _solve_by_elimination(
     for attempt in range(MAX_ROTATION_ATTEMPTS):
         cs = _rotation_pairs(rng, mu.s)
         t_rot = rotate_cs(t, cs)
-        dense_rot = expand(t_rot) if isinstance(t_rot, MuTensor) else t_rot
-        gs = equations([Fraction(float(v)) for v in dense_rot.entries])
+        dense_rot = expand(t_rot)
+        gs = _critical_equations([Fraction(float(v)) for v in dense_rot.entries], mu)
         try:
             e_poly, lift = eliminate(gs)
         except ValueError as exc:
@@ -646,7 +616,7 @@ def _solve_by_elimination(
         unrot = [([_unrotate(x, cs[l]) for l, x in enumerate(vecs)], sigma) for vecs, sigma in found]
         try:
             spec = _finalize_spectrum(
-                t, mu, unrot, chart_note=f"elimination chart, seed={seed}, attempt={attempt}"
+                t, unrot, chart_note=f"elimination chart, seed={seed}, attempt={attempt}"
             )
         except SolverFailureError as exc:
             failures.append(f"attempt {attempt}: {exc}")
@@ -669,30 +639,26 @@ def solve_222(t: BinaryTensor, seed: int = 0) -> Spectrum:
     """
     if t.d != 3:
         raise ValueError("solve_222 needs an order-3 tensor")
-    return _solve_by_elimination(
-        t, Partition((1, 1, 1)), seed, 0x222,
-        lambda fr: tuple(_g_poly_222(fr, j) for j in (1, 2, 3)),
-        _eliminate_222, _rank_one_spectrum_222,
-    )
+    return _solve_by_elimination(t, seed, 0x222, _eliminate_222, _rank_one_spectrum_222)
 
 
 def solve_21(c: MuTensor, seed: int = 0) -> Spectrum:
     """The four singular tuples (x, x, w) of a (2,1)-symmetric tensor.
 
     Same scheme as the full solver with one elimination step: the two group
-    equations have multidegree (2,1) in (z, w); eliminating w by a 2x2
-    Sylvester determinant leaves a quartic in z.
+    equations have multidegree (2,1) in (z1, z2); eliminating z2 by a 2x2
+    Sylvester determinant leaves a quartic in z1.
     """
     if c.mu.parts != (2, 1):
         raise ValueError(f"need mu = (2,1), got {c.mu}")
-    return _solve_by_elimination(c, c.mu, seed, 0x21, _g_polys_21, _eliminate_pair, _rank_one_spectrum_21)
+    return _solve_by_elimination(c, seed, 0x21, _eliminate_pair, _rank_one_spectrum_21)
 
 
 def solve_matrix(t: BinaryTensor, seed: int = 0) -> Spectrum:
     """The two singular pairs of a 2x2 matrix, by the same elimination scheme."""
     if t.d != 2:
         raise ValueError("solve_matrix needs an order-2 tensor")
-    return _solve_by_elimination(t, Partition((1, 1)), seed, 0x11, _g_polys_matrix, _eliminate_pair, None)
+    return _solve_by_elimination(t, seed, 0x11, _eliminate_pair, None)
 
 
 def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
@@ -755,7 +721,7 @@ def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
         unrot = [([_unrotate(vecs[0], cs[0])], sigma) for vecs, sigma in fixed]
         try:
             spec = _finalize_spectrum(
-                c, mu, unrot, chart_note=f"critical form chart, seed={seed}, attempt={attempt}"
+                c, unrot, chart_note=f"critical form chart, seed={seed}, attempt={attempt}"
             )
         except SolverFailureError as exc:
             failures.append(f"attempt {attempt}: {exc}")
@@ -833,7 +799,7 @@ def _edpoly_extremes(t: BinaryTensor | MuTensor, mu: Partition) -> tuple[float, 
     a_0 / a_top = det^2 / theta_1; on the symmetric quadratic it is det^2.
     """
     parts = tuple(mu.parts)
-    dense = expand(t) if isinstance(t, MuTensor) else t
+    dense = expand(t)
     if parts in ((1, 1), (2,)):
         e = [float(v) for v in dense.entries]
         det = e[0] * e[3] - e[1] * e[2]
@@ -859,7 +825,7 @@ def verify_product(t: BinaryTensor | MuTensor, seed: int = 0) -> VerificationRep
     every supported shape; for matrices and symmetric quadratics the RHS is
     the squared determinant.
     """
-    mu = t.mu if isinstance(t, MuTensor) else Partition((1,) * t.d)
+    mu = t.mu
     if tuple(mu.parts) not in SUPPORTED_PRODUCT_MU:
         raise ValueError(f"product verification supports {SUPPORTED_PRODUCT_MU}, got {mu}")
     spec = singular_values(t, seed=seed)
@@ -951,8 +917,7 @@ def best_rank_one(
     approx = rank_one_tensor(slot_vecs).scale(best.sigma.real)
     qt = float(bombieri_norm_sq(t))
     dist_sq = qt - best.sigma_sq.real
-    dense = expand(t) if isinstance(t, MuTensor) else t
-    diff = dense.as_array().astype(float) - approx.as_array().real
+    diff = expand(t).as_array().astype(float) - approx.as_array().real
     check = float(np.sum(diff * diff))
     if abs(check - dist_sq) > 1e-7 * (1.0 + abs(qt)):
         raise SolverFailureError(

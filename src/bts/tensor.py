@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .combinatorics import Partition, _as_partition
-from .scalars import QQi, Scalar, format_rational, is_exact, parse_rational, snap_to_dyadic
+from .scalars import QQi, Scalar, format_rational, is_exact, snap_to_dyadic
 
 
 class NotMuSymmetricError(ValueError):
@@ -72,6 +72,11 @@ class BinaryTensor:
     @property
     def exact(self) -> bool:
         return all(is_exact(v) for v in self.entries)
+
+    @property
+    def mu(self) -> Partition:
+        """The trivial symmetry type 1^d: every slot is its own group."""
+        return Partition((1,) * self.d)
 
     def __getitem__(self, bits: Sequence[int]) -> Scalar:
         return self.entries[bits_to_index(bits)]
@@ -161,8 +166,10 @@ def bombieri_norm_sq(t: BinaryTensor | MuTensor) -> Scalar:
     return bombieri(t, t)
 
 
-def expand(t: MuTensor) -> BinaryTensor:
-    """Dense tensor whose entry at I is c at the group-wise bit sums of I."""
+def expand(t: BinaryTensor | MuTensor) -> BinaryTensor:
+    """Dense tensor whose entry at I is c at the group-wise bit sums of I; a dense t as it is."""
+    if isinstance(t, BinaryTensor):
+        return t
     mu = t.mu
     entries = [t.c[group_sums(bits, mu)] for bits in all_bits(mu.d)]
     return BinaryTensor(mu.d, tuple(entries))
@@ -427,9 +434,7 @@ def _scalar_to_json(v: Scalar) -> str | float:
 
 
 def _scalar_from_json(v: str | float | int) -> Scalar:
-    if isinstance(v, str):
-        return parse_rational(v)
-    if isinstance(v, int):
+    if isinstance(v, (str, int)):
         return Fraction(v)
     return float(v)
 

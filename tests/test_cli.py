@@ -206,3 +206,20 @@ def test_svals_exit_3_names_every_attempt(capsys, tmp_path, monkeypatch):
     assert code == 3
     for k in range(3):
         assert f"attempt {k}: no convergence" in err
+
+
+@pytest.mark.parametrize("command", ["svals", "edpoly"])
+@pytest.mark.parametrize("power, code", [(20, 0), (25, 3), (40, 3)])
+def test_huge_exact_input_exits_3_on_overflow(capsys, tmp_path, command, power, code):
+    # an exact integer 2x2x2 tensor with entries near 10^power: at 10^25 the
+    # primal polynomial leaves the float range, at 10^40 the leading invariant
+    base = [3, -1, 2, 5, -4, 1, 2, -3]
+    entries = {format(i, "03b"): str(v * 10**power) for i, v in enumerate(base)}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"d": 3, "mu": None, "entries": entries}))
+    got, out, err = run(capsys, command, "--input", str(path), "--format", "json")
+    assert got == code
+    if code == 3:
+        assert "overflow" in err and out == ""
+    else:
+        assert json.loads(out)["mu"] == [1, 1, 1]

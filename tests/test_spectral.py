@@ -32,7 +32,10 @@ from bts.tensor import (
     MuTensor,
     bombieri_norm_sq,
     compress,
+    contract_all_but,
     expand,
+    mu_box,
+    pairing_rank_one,
     permute_slots,
     random_tensor,
     rank_one_tensor,
@@ -535,3 +538,54 @@ def test_near_rank_one_not_degenerate():
 def test_zero_tensor_rejected():
     with pytest.raises(ValueError):
         solve_222(BinaryTensor(3, (Fraction(0),) * 8), seed=0)
+
+
+# --- the critical equations and the contraction kernel ----------------------------
+
+
+def _seeded(rng, shape, draw):
+    """A dense order-``shape`` tensor, or a compressed one for a partition, with entries draw(rng)."""
+    if isinstance(shape, int):
+        return BinaryTensor(shape, tuple(draw(rng) for _ in range(2**shape)))
+    mu = Partition(shape)
+    return MuTensor(mu, {om: draw(rng) for om in mu_box(mu)})
+
+
+@pytest.mark.parametrize("shape", [2, (2, 1), 3], ids=str)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_critical_equations_vanish_at_certified_tuples(shape, seed):
+    t = _seeded(np.random.default_rng(seed), shape, lambda rng: float(rng.uniform(-1.0, 1.0)))
+    eqs = bts.spectral._critical_equations([Fraction(v) for v in expand(t).entries], t.mu)
+    assert len(eqs) == t.mu.s
+    spec = singular_values(t, seed=seed)
+    assert len(spec.data) == spec.ed_degree
+    for datum in spec.data:
+        point = {f"z{k + 1}": x[1] / x[0] for k, x in enumerate(datum.vectors)}
+        for eq in eqs:
+            size = sum(
+                abs(float(c)) * math.prod(abs(point[v]) ** p for v, p in zip(eq.vars, e))
+                for e, c in eq.terms.items()
+            )
+            assert abs(eq(**point)) <= 1e-8 * size
+
+
+@pytest.mark.parametrize("shape", [2, 3, 4, (2, 1)], ids=str)
+@pytest.mark.parametrize("seed", range(5))
+def test_contraction_kernel_matches_exact_oracles(shape, seed):
+    # small dyadic entries and vectors: every float product and sum is exact,
+    # so the numpy kernel must agree with the rational oracles to the bit
+    rng = np.random.default_rng(seed)
+    seeded = _seeded(rng, shape, lambda rng: Fraction(int(rng.integers(-8, 9)), 8))
+    t, mu = expand(seeded), seeded.mu
+    group_vecs = [tuple(Fraction(int(v), 4) for v in rng.integers(-8, 9, size=2)) for _ in range(mu.s)]
+    slot_vecs = [v for v, p in zip(group_vecs, mu.parts) for _ in range(p)]
+    arr = t.as_array().astype(complex)
+    assert bts.spectral._pairing(arr, mu, group_vecs) == pairing_rank_one(t, slot_vecs)
+    sigma = Fraction(int(rng.integers(-8, 9)), 4)
+    worst = Fraction(0)
+    for slot in range(mu.d):
+        y = bts.spectral._contract_except(arr, slot_vecs, keep=(slot,))
+        oracle = contract_all_but(t, slot_vecs, slot + 1)
+        assert list(y) == [complex(v) for v in oracle]
+        worst = max(worst, *(abs(oracle[b] - sigma * slot_vecs[slot][b]) for b in (0, 1)))
+    assert bts.spectral.tuple_residual(arr, mu, group_vecs, complex(sigma)) == worst

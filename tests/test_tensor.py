@@ -113,6 +113,12 @@ def test_round_trips(mu, seed):
     assert expand(compress(dense, mu)).entries == dense.entries
 
 
+def test_dense_tensor_is_its_own_expansion():
+    t = random_tensor(0, 3)
+    assert expand(t) is t
+    assert t.mu == Partition((1, 1, 1))
+
+
 # --- contractions ----------------------------------------------------------------
 
 
