@@ -64,9 +64,9 @@ from .tensor import (
     bombieri_norm_sq,
     compress,
     expand,
+    load_tensor,
     random_tensor,
     rotate,
-    tensor_from_json_dict,
     tensor_to_json_dict,
 )
 
@@ -141,34 +141,25 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load_input(path: str, mu_override: Partition | None):
+def _load_input(args):
+    """The tensor of ``--input``, recompressed to ``--mu`` when given; parse errors exit 2."""
+    mu = _parse_mu(args.mu) if args.mu else None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        t = load_tensor(args.input)
     except OSError as exc:
         raise SystemExit(_fail(EXIT_PARSE, str(exc)))
     except json.JSONDecodeError as exc:
-        raise SystemExit(
-            _fail(EXIT_PARSE, f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-        )
-    try:
-        t = tensor_from_json_dict(doc)
+        raise SystemExit(_fail(
+            EXIT_PARSE, f"malformed JSON in {args.input} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ))
     except (ValueError, KeyError) as exc:
         raise SystemExit(_fail(EXIT_PARSE, f"bad tensor document: {exc}"))
-    if mu_override is not None:
+    if mu is not None:
         try:
-            t = compress(expand(t), mu_override)
+            t = compress(expand(t), mu)
         except NotMuSymmetricError as exc:
             raise SystemExit(_fail(EXIT_PARSE, str(exc)))
     return t
-
-
-def _jobs(args) -> int:
-    cap = os.environ.get("BTS_THREADS")
-    jobs = args.jobs if getattr(args, "jobs", None) else (os.cpu_count() or 1)
-    if cap:
-        jobs = min(jobs, max(1, int(cap)))
-    return max(1, jobs)
 
 
 # --- svals / edpoly ----------------------------------------------------------
@@ -231,7 +222,7 @@ def _print_spectrum_table(doc: dict) -> None:
 
 
 def cmd_svals(args) -> int:
-    t = _load_input(args.input, _parse_mu(args.mu) if args.mu else None)
+    t = _load_input(args)
     try:
         spec = singular_values(t, seed=args.seed)
         doc = _spectrum_doc(t, spec)
@@ -244,7 +235,7 @@ def cmd_svals(args) -> int:
 
 
 def cmd_edpoly(args) -> int:
-    t = _load_input(args.input, _parse_mu(args.mu) if args.mu else None)
+    t = _load_input(args)
     try:
         spec = singular_values(t, seed=args.seed)
         dual = assemble_edpoly(spec, t)
@@ -302,7 +293,7 @@ def cmd_verify_product(args) -> int:
             EXIT_PARSE,
             f"product verification supports {SUPPORTED_PRODUCT_MU}, got {tuple(mu.parts)}",
         )
-    jobs = _jobs(args)
+    jobs = max(1, args.jobs or os.cpu_count() or 1)
     work = [(tuple(mu.parts), args.seed, trial) for trial in range(args.trials)]
     if jobs > 1 and args.trials > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -345,7 +336,7 @@ def cmd_verify_product(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    t = _load_input(args.input, _parse_mu(args.mu) if args.mu else None)
+    t = _load_input(args)
     dense = expand(t)
     parts = None if isinstance(t, BinaryTensor) else t.mu.parts
     doc: dict = {"d": dense.d, "mu": None if parts is None else list(parts)}

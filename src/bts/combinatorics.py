@@ -18,7 +18,7 @@ the degree formula for ``J = [s]`` uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Iterable, Iterator
 
@@ -41,6 +41,16 @@ class Partition:
     @property
     def s(self) -> int:
         return len(self.parts)
+
+    @cached_property
+    def group_of(self) -> tuple[int, ...]:
+        """The group (0-based) of each slot: consecutive blocks of sizes mu_1, ..., mu_s."""
+        return tuple(k for k, p in enumerate(self.parts) for _ in range(p))
+
+    @cached_property
+    def firsts(self) -> tuple[int, ...]:
+        """The first slot (0-based) of each group."""
+        return tuple(self.group_of.index(k) for k in range(self.s))
 
     @property
     def is_empty(self) -> bool:

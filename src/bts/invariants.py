@@ -28,6 +28,7 @@ from .scalars import QQi, Scalar
 from .tensor import (
     BinaryTensor,
     MuTensor,
+    compress,
     expand,
     permute_slots,
     slice_tensor,
@@ -250,21 +251,6 @@ def extreme_coeffs_222(t: BinaryTensor | MuTensor) -> tuple[Scalar, Scalar, Scal
     return a0, a5, a6
 
 
-def _dup_theta_root(inv: InvariantSet222, dup: tuple[int, int], pair_f: Scalar) -> Scalar:
-    """Common helper: extra squared singular value = f_pair / theta_dup."""
-    th = inv.theta
-    exact = inv.exact
-    d0, d1 = dup
-    if not _close(th[d0], th[d1], exact, tol=1e-9):
-        raise FormulaCrossCheckError(
-            f"theta_{d0 + 1} and theta_{d1 + 1} should coincide for this symmetry"
-        )
-    theta_dup = th[d0]
-    if (exact and theta_dup == 0) or (not exact and abs(complex(theta_dup)) < 1e-12):
-        raise DegenerateInputError("isotropic configuration: the duplicated theta vanishes")
-    return pair_f / theta_dup
-
-
 def extra_root_21(c: MuTensor) -> Scalar:
     """The doubled squared singular value a (2,1)-symmetric tensor has beyond its own four.
 
@@ -285,9 +271,14 @@ def extra_root_21(c: MuTensor) -> Scalar:
         raise DegenerateInputError("isotropic configuration: denominator vanishes")
     value = Fraction(num, den) if exact else num / den
     inv = invariants_222(expand(c))
+    th = inv.theta
     if not _close(inv.f3[0], inv.f3[1], exact, tol=1e-9):
         raise FormulaCrossCheckError("slot-1 and slot-2 quartic factors should coincide")
-    check = _dup_theta_root(inv, (2, 3), inv.f3[0])
+    if not _close(th[2], th[3], exact, tol=1e-9):
+        raise FormulaCrossCheckError("theta_3 and theta_4 should coincide for this symmetry")
+    if (exact and th[2] == 0) or (not exact and abs(complex(th[2])) < 1e-12):
+        raise DegenerateInputError("isotropic configuration: the duplicated theta vanishes")
+    check = inv.f3[0] / th[2]
     _require(_close(value, check, exact, tol=1e-11), "extra root (2,1): printed forms disagree")
     return value
 
@@ -295,22 +286,12 @@ def extra_root_21(c: MuTensor) -> Scalar:
 def extra_root_3(c: MuTensor) -> Scalar:
     """The tripled squared singular value a symmetric 2x2x2 tensor has beyond its three.
 
-    Compressed-coordinate ratio of sums of squares, cross-checked against
-    f_{3,{1}} / theta_dup on the expanded tensor.
+    A symmetric tensor is (2,1)-symmetric too, and its extra root is the one
+    of that view: ``extra_root_21`` on the same tensor compressed as (2,1).
     """
     if c.mu.parts != (3,):
         raise ValueError(f"need mu = (3), got {c.mu}")
-    exact = c.exact
-    c0, c1, c2, c3 = c[(0,)], c[(1,)], c[(2,)], c[(3,)]
-    num = (c1**2 - c2**2 - c0 * c2 + c1 * c3) ** 2 + (c0 * c3 - c1 * c2) ** 2
-    den = (c0 + c2) ** 2 + (c1 + c3) ** 2
-    if (exact and den == 0) or (not exact and abs(den) < 1e-14):
-        raise DegenerateInputError("isotropic configuration: denominator vanishes")
-    value = Fraction(num, den) if exact else num / den
-    inv = invariants_222(expand(c))
-    check = _dup_theta_root(inv, (1, 2), inv.f3[0])
-    _require(_close(value, check, exact, tol=1e-11), "extra root (3): printed forms disagree")
-    return value
+    return extra_root_21(compress(expand(c), (2, 1)))
 
 
 def pair_factor_4(t: BinaryTensor, pair: tuple[int, int] = (1, 2)) -> Scalar:

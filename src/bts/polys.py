@@ -138,16 +138,6 @@ def _poly_divide_exact(a: UniPoly, b: UniPoly) -> UniPoly:
     return UniPoly(tuple(out), a.var)
 
 
-def square_free_part(p: UniPoly) -> UniPoly:
-    """p / gcd(p, p'), monic; exact coefficients required."""
-    if not p.exact:
-        raise ValueError("square-free part needs exact coefficients")
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.monic()
-    return _poly_divide_exact(p, g).monic()
-
-
 def _square_free_mod_prime(p: UniPoly) -> bool:
     """True if gcd(u, u') is constant mod SQUARE_FREE_PRIME, where u is p with denominators cleared.
 
@@ -368,13 +358,10 @@ def _det_poly(mat: list[list[MultiPoly]], vars: tuple[str, ...]) -> MultiPoly:
     return rec(tuple(range(n)))
 
 
-def sylvester_matrix(
-    p_coeffs: Sequence[MultiPoly], q_coeffs: Sequence[MultiPoly], vars: tuple[str, ...]
-) -> list[list[MultiPoly]]:
-    """Sylvester matrix of two polynomials given by ascending coefficient lists."""
+def sylvester_matrix(p_coeffs: Sequence, q_coeffs: Sequence, zero: Scalar | MultiPoly) -> list[list]:
+    """Sylvester matrix of two polynomials given by ascending coefficient lists, padded with ``zero``."""
     m, n = len(p_coeffs) - 1, len(q_coeffs) - 1
     size = m + n
-    zero = MultiPoly.zero(vars)
     mat = [[zero] * size for _ in range(size)]
     for r in range(n):
         for i in range(m + 1):
@@ -411,7 +398,7 @@ def sylvester_resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
         for _ in range(m):
             acc = acc * base
         return acc
-    mat = sylvester_matrix(pc, qc, rest)
+    mat = sylvester_matrix(pc, qc, MultiPoly.zero(rest))
     return _det_poly(mat, rest)
 
 
@@ -424,7 +411,7 @@ def resultant_univariate(p_coeffs: Sequence[Fraction], q_coeffs: Sequence[Fracti
     vars: tuple[str, ...] = ()
     pm = [MultiPoly.const(vars, c) for c in p_coeffs]
     qm = [MultiPoly.const(vars, c) for c in q_coeffs]
-    mat = sylvester_matrix(pm, qm, vars)
+    mat = sylvester_matrix(pm, qm, MultiPoly.zero(vars))
     det = _det_poly(mat, vars)
     return det.terms.get((), Fraction(0))
 
@@ -627,14 +614,5 @@ def discriminant_binary_form(c: MuTensor) -> Discriminant:
     if exact:
         value: Scalar = resultant_univariate([Fraction(v) for v in d0], [Fraction(v) for v in d1])
     else:
-        size = 2 * (d - 1)
-        mat = np.zeros((size, size), dtype=float)
-        m = n = d - 1
-        for r in range(n):
-            for i in range(m + 1):
-                mat[r][r + i] = d0[m - i]
-        for r in range(m):
-            for i in range(n + 1):
-                mat[n + r][r + i] = d1[n - i]
-        value = float(np.linalg.det(mat))
+        value = float(np.linalg.det(np.array(sylvester_matrix(d0, d1, 0.0), dtype=float)))
     return Discriminant(value, False)

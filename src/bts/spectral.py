@@ -4,28 +4,33 @@ The solvers find every solution of the critical equations
 
     y_j = sigma * x_j,   q(x_j) = 1,
 
-where y_j contracts the tensor against all vectors but the j-th.  Full
-2x2x2 tensors, (2,1)-symmetric tensors and 2x2 matrices share one driver,
-``_solve_by_elimination``.  A rank-one tensor (its zero-value critical set
-is a curve, not isolated points) is answered at once by a closed form.
-Otherwise a seeded random rotation puts the tensor in general position (the
-squared singular values are rotation invariants), the dehomogenized
-equations are eliminated exactly over the rationals with Sylvester
-resultants, the univariate eliminant is split square-free (a gcd mod a
-large prime proves the usual square-free case) and root-found in double
-precision, and the last variable is back-substituted in floats.  Only the
-candidates whose residual on the rotated tensor is already small
-(PREFILTER_TOL) are Newton-polished first; when they do not give exactly
-ed_degree(mu) tuples, every candidate is polished in order.  The polished
-tuples are residual-filtered and deduplicated on the rotated tensor, then
-polished again and certified on the original one.  Extraneous elimination
-roots are removed by residual filtering, never by symbolic division.  The
-critical equations are built from mu alone (``_critical_equations``), and
-the expected count and the least eliminant degree are both ed_degree(mu);
-each shape supplies only its RNG salt, its elimination chain (z3 then z2
-for 2x2x2, z2 for the two-group shapes) and an optional rank-one closed
-form.  When every rotation fails, the error names the reason of each
-attempt.
+where y_j contracts the tensor against all vectors but the j-th.  Every
+solver runs one attempt loop, ``_first_certified``: each attempt works in
+a chart (a seeded random rotation of the tensor; the squared singular
+values are rotation invariants), the chart's tuples are unrotated, Newton
+polished and residual-certified on the original tensor, and when every
+attempt fails the error names the reason of each.
+
+Full 2x2x2 tensors, (2,1)-symmetric tensors and 2x2 matrices share the
+elimination chart, ``_solve_by_elimination``.  A rank-one tensor (its
+zero-value critical set is a curve, not isolated points) is answered at
+once by a closed form.  Otherwise the dehomogenized equations are
+eliminated exactly over the rationals with Sylvester resultants, the
+univariate eliminant is split square-free (a gcd mod a large prime proves
+the usual square-free case) and root-found in double precision, and the
+last variable is back-substituted in floats.  Only the candidates whose
+residual on the rotated tensor is already small (PREFILTER_TOL) are
+Newton-polished first; when they do not give exactly ed_degree(mu) tuples,
+every candidate is polished in order.  The polished tuples are
+residual-filtered and deduplicated on the rotated tensor.  Extraneous
+elimination roots are removed by residual filtering, never by symbolic
+division.  The critical equations are built from mu alone
+(``_critical_equations``), and the expected count and the least eliminant
+degree are both ed_degree(mu); each shape supplies only its RNG salt, its
+elimination chain (z3 then z2 for 2x2x2, z2 for the two-group shapes) and
+an optional rank-one closed form.  Fully symmetric tensors use the
+critical binary form chart of ``eigen_symmetric``, whose attempt 0 does
+not rotate.
 
 Supported: full 2x2x2 tensors (six tuples), (2,1)-symmetric tensors (four),
 2x2 matrices (two), and fully symmetric tensors of any order (d tuples, via
@@ -148,10 +153,7 @@ def _unrotate(x: tuple[complex, complex], cs: tuple[float, float]) -> tuple[comp
 
 
 def _slot_vectors(mu: Partition, group_vecs: Sequence[Sequence[complex]]) -> list:
-    out = []
-    for k, p in enumerate(mu.parts):
-        out.extend([group_vecs[k]] * p)
-    return out
+    return [group_vecs[k] for k in mu.group_of]
 
 
 def _contract_except(arr: np.ndarray, slot_vecs: Sequence[Sequence[complex]], keep: Sequence[int]) -> np.ndarray:
@@ -171,13 +173,10 @@ def tuple_residual(
     """Worst defect of the critical equations over all slots."""
     slot_vecs = _slot_vectors(mu, group_vecs)
     worst = 0.0
-    slot = 0
-    for k, p in enumerate(mu.parts):
-        for off in range(p):
-            y = _contract_except(arr, slot_vecs, keep=(slot + off,))
-            x = np.asarray(group_vecs[k], dtype=complex)
-            worst = max(worst, float(np.max(np.abs(y - sigma * x))))
-        slot += p
+    for slot, k in enumerate(mu.group_of):
+        y = _contract_except(arr, slot_vecs, keep=(slot,))
+        x = np.asarray(group_vecs[k], dtype=complex)
+        worst = max(worst, float(np.max(np.abs(y - sigma * x))))
     return worst
 
 
@@ -189,13 +188,7 @@ def _newton_polish_tuple(
     steps: int = 50,
 ) -> tuple[list[tuple[complex, complex]], complex]:
     """Damped Gauss-Newton on (vectors, sigma) with the normalizations q(x_k) = 1."""
-    s = mu.s
-    rep = []
-    slot = 0
-    for p in mu.parts:
-        rep.append(slot)
-        slot += p
-
+    s, firsts = mu.s, mu.firsts
     x = np.array([list(v) for v in group_vecs], dtype=complex)  # (s, 2)
     sig = complex(sigma)
 
@@ -203,7 +196,7 @@ def _newton_polish_tuple(
         slot_vecs = _slot_vectors(mu, [tuple(row) for row in xv])
         eqs = []
         for k in range(s):
-            y = _contract_except(arr, slot_vecs, keep=(rep[k],))
+            y = _contract_except(arr, slot_vecs, keep=(firsts[k],))
             eqs.extend(list(y - sg * xv[k]))
         for k in range(s):
             eqs.append(xv[k][0] ** 2 + xv[k][1] ** 2 - 1.0)
@@ -217,9 +210,9 @@ def _newton_polish_tuple(
             for m in range(s):
                 count = mu.parts[m] - (1 if m == k else 0)
                 if count > 0:
-                    other = rep[m] + (1 if m == k else 0)
-                    mat = _contract_except(arr, slot_vecs, keep=(rep[k], other))
-                    if rep[k] > other:
+                    other = firsts[m] + (1 if m == k else 0)
+                    mat = _contract_except(arr, slot_vecs, keep=(firsts[k], other))
+                    if firsts[k] > other:
                         mat = mat.T
                     jac[row : row + 2, 2 * m : 2 * m + 2] += count * mat
             jac[row : row + 2, 2 * k : 2 * k + 2] -= sg * np.eye(2)
@@ -265,8 +258,7 @@ def _critical_equations(entries: Sequence[Fraction], mu: Partition) -> tuple[Mul
     against every slot but the first one of the group.  Variables z1..zs.
     """
     vars_ = tuple(f"z{k + 1}" for k in range(mu.s))
-    groups = [k for k, p in enumerate(mu.parts) for _ in range(p)]
-    firsts = [groups.index(k) for k in range(mu.s)]
+    groups, firsts = mu.group_of, mu.firsts
     eqs: list[dict[tuple[int, ...], Fraction]] = [{} for _ in firsts]
     for idx, v in enumerate(entries):
         if v == 0:
@@ -475,7 +467,7 @@ def _rank_one_spectrum(
         hats = [q_normalize((complex(f[0]), complex(f[1]))) for f in fibers]
     except IsotropicVectorError as exc:
         raise SolverFailureError(f"isotropic rank-one tensor: {exc}") from exc
-    top, *zeros = table(*(hats[sum(mu.parts[:k])] for k in range(mu.s)))
+    top, *zeros = table(*(hats[first] for first in mu.firsts))
     arr = expand(t).as_array().astype(complex)
     raw = [(top, _pairing(arr, mu, top))] + [(vecs, 0j) for vecs in zeros]
     return _finalize_spectrum(
@@ -503,12 +495,49 @@ def _rank_one_spectrum_21(c: MuTensor, fibers: list[tuple[float, float]]) -> Spe
     return _rank_one_spectrum(c, fibers, table)
 
 
-# --- the elimination-chart driver and its three shapes ----------------------------
+# --- the attempt loop and its charts ----------------------------------------------
 
 
-def _flag_zero_singular_value(spec: Spectrum, norm: float) -> None:
-    if any(abs(d.sigma_sq) <= 1e-8 * norm * norm for d in spec.data):
-        spec.notes = spec.notes + ("zero singular value",)
+class _AttemptFailed(Exception):
+    """One chart attempt found no certifiable tuples; the message says why."""
+
+
+def _first_certified(
+    t: BinaryTensor | MuTensor, seed: int, salt: int, attempts: int, chart: Callable
+) -> Spectrum:
+    """The spectrum from the first of ``attempts`` chart attempts that certifies on ``t``.
+
+    ``chart(rng, attempt)`` draws its rotation from the seeded ``rng`` and
+    returns the (cos, sin) pair it applied to each group, the critical tuples
+    it found on the rotated tensor, and its name; it raises _AttemptFailed,
+    or RootFindingError from ``all_roots``, when it finds none.  The tuples
+    are unrotated and certified on ``t`` by ``_finalize_spectrum``.  When no
+    attempt certifies, SolverFailureError names each attempt's reason.
+    """
+    norm = expand(t).norm()
+    if norm == 0.0:
+        raise ValueError("zero tensor")
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, salt)))
+    failures: list[str] = []
+    for attempt in range(attempts):
+        try:
+            cs, found, name = chart(rng, attempt)
+        except (_AttemptFailed, RootFindingError) as exc:
+            failures.append(f"attempt {attempt}: {exc}")
+            continue
+        unrot = [([_unrotate(x, cs[k]) for k, x in enumerate(vecs)], sigma) for vecs, sigma in found]
+        try:
+            spec = _finalize_spectrum(t, unrot, chart_note=f"{name}, seed={seed}, attempt={attempt}")
+        except SolverFailureError as exc:
+            failures.append(f"attempt {attempt}: {exc}")
+            continue
+        if any(abs(d.sigma_sq) <= 1e-8 * norm * norm for d in spec.data):
+            spec.notes = spec.notes + ("zero singular value",)
+        return spec
+    raise SolverFailureError(
+        f"no rotation certified {ed_degree(t.mu)} singular tuples: " + "; ".join(failures),
+        {"failures": failures},
+    )
 
 
 def _polish_candidates(
@@ -545,9 +574,10 @@ def _solve_by_elimination(
 
     A rank-one ``t`` goes straight to ``rank_one``, which takes the tensor
     and its fiber vectors; only the matrix shape has none.  Otherwise each
-    attempt rotates ``t`` by mu.s seeded angles, mu = t.mu, and builds its
-    dehomogenized critical equations with ``_critical_equations``, in one
-    variable z_k per group (x_k = (1, z_k)).  ``eliminate`` reduces them exactly to an eliminant in
+    of MAX_ROTATION_ATTEMPTS attempts of ``_first_certified`` rotates ``t``
+    by mu.s seeded angles, mu = t.mu, and builds its dehomogenized critical
+    equations with ``_critical_equations``, in one variable z_k per group
+    (x_k = (1, z_k)).  ``eliminate`` reduces them exactly to an eliminant in
     the first variable, and returns it with a lift from its roots to values
     of every variable but the last.  The equations are linear in the last
     variable, which is solved from them in floats.  When there are more
@@ -555,43 +585,31 @@ def _solve_by_elimination(
     tensor is at most PREFILTER_TOL * |t| are polished first; unless that
     gives exactly ed_degree(mu) distinct tuples, every candidate is polished
     in its original order.  The polished ones are residual-filtered and
-    deduplicated, unrotated, and certified on the original.  When every
-    attempt fails, SolverFailureError names each attempt's reason.
+    deduplicated before ``_first_certified`` unrotates and certifies them.
     """
-    mu = t.mu
     dense = expand(t)
-    norm = dense.norm()
-    if norm == 0.0:
-        raise ValueError("zero tensor")
     if rank_one is not None:
         fibers = _try_rank_one_factors(dense)
         if fibers is not None:
             return rank_one(t, fibers)
+    mu = t.mu
     expected = ed_degree(mu)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, salt)))
-    failures: list[str] = []
-    for attempt in range(MAX_ROTATION_ATTEMPTS):
+    norm = dense.norm()
+
+    def chart(rng: np.random.Generator, attempt: int):
         cs = _rotation_pairs(rng, mu.s)
-        t_rot = rotate_cs(t, cs)
-        dense_rot = expand(t_rot)
+        dense_rot = expand(rotate_cs(t, cs))
         gs = _critical_equations([Fraction(float(v)) for v in dense_rot.entries], mu)
         try:
             e_poly, lift = eliminate(gs)
         except ValueError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
+            raise _AttemptFailed(str(exc)) from exc
         if e_poly.is_zero:
-            failures.append(f"attempt {attempt}: eliminant vanished identically")
-            continue
+            raise _AttemptFailed("eliminant vanished identically")
         e_uni = e_poly.to_unipoly(gs[0].vars[0])
         if e_uni.degree < expected:
-            failures.append(f"attempt {attempt}: eliminant degree {e_uni.degree} < {expected}")
-            continue
-        try:
-            roots = all_roots(e_uni)
-        except RootFindingError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
+            raise _AttemptFailed(f"eliminant degree {e_uni.degree} < {expected}")
+        roots = all_roots(e_uni)
 
         arr_rot = dense_rot.as_array().astype(complex)
         linear = [g.coefficients_in(g.vars[-1]) for g in gs]
@@ -611,21 +629,10 @@ def _solve_by_elimination(
         if len(found) != expected:
             found = _polish_candidates(arr_rot, mu, cands, norm)
         if len(found) != expected:
-            failures.append(f"attempt {attempt}: {len(found)} survivors (expected {expected})")
-            continue
-        unrot = [([_unrotate(x, cs[l]) for l, x in enumerate(vecs)], sigma) for vecs, sigma in found]
-        try:
-            spec = _finalize_spectrum(
-                t, unrot, chart_note=f"elimination chart, seed={seed}, attempt={attempt}"
-            )
-        except SolverFailureError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
-        _flag_zero_singular_value(spec, norm)
-        return spec
-    raise SolverFailureError(
-        f"no rotation certified {expected} singular tuples: " + "; ".join(failures), {"failures": failures}
-    )
+            raise _AttemptFailed(f"{len(found)} survivors (expected {expected})")
+        return cs, found, "elimination chart"
+
+    return _first_certified(t, seed, salt, MAX_ROTATION_ATTEMPTS, chart)
 
 
 def solve_222(t: BinaryTensor, seed: int = 0) -> Spectrum:
@@ -665,26 +672,24 @@ def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
     """The d eigen-pairs of a symmetric binary tensor, via its critical binary form.
 
     The form x1 * df/dx0 - x0 * df/dx1 has degree d; its projective roots are
-    the critical directions (degree drop at the top means roots at infinity).
-    Each root is q-normalized and paired back for the eigenvalue.  Isotropic
-    roots trigger an automatic rotation retry, up to three times.
+    the critical directions (degree drop at the top means roots at infinity),
+    a root of multiplicity m giving m equal tuples.  Each root is
+    q-normalized and paired back for the eigenvalue.  Attempt 0 of
+    ``_first_certified`` takes the form as it is, the next
+    MAX_ROTATION_ATTEMPTS rotate it by a seeded angle; an isotropic root or a
+    failed root finding or certification moves on to the next attempt.  A
+    form whose critical form vanishes identically (a radial form) fails at
+    once.
     """
     if c.mu.s != 1:
         raise ValueError("eigen_symmetric needs mu = (d)")
     mu = c.mu
     d = mu.d
-    norm = expand(c).norm()
-    if norm == 0.0:
-        raise ValueError("zero tensor")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0xD)))
-    failures: list[str] = []
-    for attempt in range(MAX_ROTATION_ATTEMPTS + 1):
-        if attempt == 0:
-            cs = [(1.0, 0.0)]
-            c_rot: MuTensor = MuTensor(mu, {k: float(v) for k, v in c.c.items()})
-        else:
-            cs = _rotation_pairs(rng, 1)
-            c_rot = rotate_cs(MuTensor(mu, {k: float(v) for k, v in c.c.items()}), cs)  # type: ignore[assignment]
+    c_float = MuTensor(mu, {k: float(v) for k, v in c.c.items()})
+
+    def chart(rng: np.random.Generator, attempt: int):
+        cs = [(1.0, 0.0)] if attempt == 0 else _rotation_pairs(rng, 1)
+        c_rot = c_float if attempt == 0 else rotate_cs(c_float, cs)
         a = [float(c_rot[(j,)]) * math.comb(d, j) for j in range(d + 1)]
         g = [0.0] * (d + 1)
         for k in range(d + 1):
@@ -702,37 +707,20 @@ def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
         while gg and abs(gg[-1]) <= 1e-13 * scale:
             gg.pop()
             top_drop += 1
-        directions: list[tuple[tuple[complex, complex], int]] = []
-        if top_drop:
-            directions.append(((0j, 1.0 + 0j), top_drop))
+        directions = [((0j, 1.0 + 0j), top_drop)] if top_drop else []
         if len(gg) > 1:
-            for z, mult in all_roots(gg):
-                directions.append(((1.0 + 0j, z), mult))
-        try:
-            arr_rot = expand(c_rot).as_array().astype(complex)
-            fixed = []
-            for x, mult in directions:
+            directions += [((1.0 + 0j, z), mult) for z, mult in all_roots(gg)]
+        arr_rot = expand(c_rot).as_array().astype(complex)
+        fixed = []
+        for x, mult in directions:
+            try:
                 xn = q_normalize(x)
-                for _ in range(mult):
-                    fixed.append(([xn], _pairing(arr_rot, mu, [xn])))
-        except IsotropicVectorError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
-        unrot = [([_unrotate(vecs[0], cs[0])], sigma) for vecs, sigma in fixed]
-        try:
-            spec = _finalize_spectrum(
-                c, unrot, chart_note=f"critical form chart, seed={seed}, attempt={attempt}"
-            )
-        except SolverFailureError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
-        _flag_zero_singular_value(spec, norm)
-        if any(m > 1 for _, m in directions) and "collisions" not in spec.notes:
-            spec.notes = spec.notes + ("collisions",)
-        return spec
-    raise SolverFailureError(
-        "isotropic critical direction persisted after rotations", {"failures": failures}
-    )
+            except IsotropicVectorError as exc:
+                raise _AttemptFailed(str(exc)) from exc
+            fixed += [([xn], _pairing(arr_rot, mu, [xn]))] * mult
+        return cs, fixed, "critical form chart"
+
+    return _first_certified(c, seed, 0xD, MAX_ROTATION_ATTEMPTS + 1, chart)
 
 
 def singular_values(t: BinaryTensor | MuTensor, seed: int = 0) -> Spectrum:
@@ -861,16 +849,24 @@ def verify_product_batch(
     return [verify_trial(mu, seed, trial) for trial in range(trials)]
 
 
+def _require_finite(p: UniPoly, what: str) -> UniPoly:
+    """p, or OverflowError when one of its coefficients left the float range."""
+    if not all(cmath.isfinite(complex(c)) for c in p.coeffs):
+        raise OverflowError(f"{what} has a coefficient outside the float range")
+    return p
+
+
 def assemble_edpoly(spec: Spectrum, t: BinaryTensor | MuTensor) -> UniPoly:
     """Distance polynomial of the dual variety: lead * prod (eps^2 - sigma_i^2).
 
     The leading coefficient is a_top from ``_edpoly_extremes`` for the shapes
     in SUPPORTED_PRODUCT_MU and 1 otherwise; the primal-variety polynomial is
     the reflection of this one at q~(t).  The result is cached on the spectrum.
+    A coefficient that leaves the float range raises OverflowError.
     """
     roots = spec.sigma_sq()
     lead = _edpoly_extremes(t, spec.mu)[1] if tuple(spec.mu.parts) in SUPPORTED_PRODUCT_MU else 1.0
-    poly_c = UniPoly.from_roots(roots, lead=complex(lead))
+    poly_c = _require_finite(UniPoly.from_roots(roots, lead=complex(lead)), "dual distance polynomial")
     coeffs = []
     scale = max((abs(complex(c)) for c in poly_c.coeffs), default=1.0)
     for c in poly_c.coeffs:
@@ -884,10 +880,10 @@ def assemble_edpoly(spec: Spectrum, t: BinaryTensor | MuTensor) -> UniPoly:
 
 
 def primal_edpoly(spec: Spectrum, t: BinaryTensor | MuTensor) -> UniPoly:
-    """Distance polynomial of the variety itself, by reflection at q~(t)."""
+    """Distance polynomial of the variety itself, by reflection at q~(t); OverflowError out of float range."""
     dual = spec.edpoly_dual or assemble_edpoly(spec, t)
     qt = float(bombieri_norm_sq(t))
-    return reflect_edpoly(dual, qt)
+    return _require_finite(reflect_edpoly(dual, qt), "primal distance polynomial")
 
 
 def best_rank_one(
@@ -909,12 +905,8 @@ def best_rank_one(
             "so this indicates a solver failure", {"notes": spec.notes},
         )
     best = max(reals, key=lambda d: d.sigma_sq.real)
-    mu = spec.mu
-    slot_vecs = []
-    for k, p in enumerate(mu.parts):
-        v = (best.vectors[k][0].real, best.vectors[k][1].real)
-        slot_vecs.extend([v] * p)
-    approx = rank_one_tensor(slot_vecs).scale(best.sigma.real)
+    real_vecs = [(x[0].real, x[1].real) for x in best.vectors]
+    approx = rank_one_tensor(_slot_vectors(spec.mu, real_vecs)).scale(best.sigma.real)
     qt = float(bombieri_norm_sq(t))
     dist_sq = qt - best.sigma_sq.real
     diff = expand(t).as_array().astype(float) - approx.as_array().real

@@ -126,17 +126,11 @@ def mu_box(mu: Partition) -> list[tuple[int, ...]]:
     return list(product(*[range(p + 1) for p in mu.parts]))
 
 
-def _slot_groups(mu: Partition) -> list[list[int]]:
-    """0-based slot indices of each group: consecutive blocks of sizes mu_1, ..., mu_s."""
-    groups, start = [], 0
-    for p in mu.parts:
-        groups.append(list(range(start, start + p)))
-        start += p
-    return groups
-
-
 def group_sums(bits: Sequence[int], mu: Partition) -> tuple[int, ...]:
-    return tuple(sum(bits[l] for l in g) for g in _slot_groups(mu))
+    sums = [0] * mu.s
+    for b, k in zip(bits, mu.group_of):
+        sums[k] += b
+    return tuple(sums)
 
 
 def bombieri(t: BinaryTensor | MuTensor, u: BinaryTensor | MuTensor) -> Scalar:
@@ -302,10 +296,7 @@ def rotate_cs(
         mu = t.mu
         if len(cs) != mu.s:
             raise ValueError(f"need one rotation per group, got {len(cs)} for {mu}")
-        per_slot: list[tuple[Scalar, Scalar]] = []
-        for k, g in enumerate(_slot_groups(mu)):
-            per_slot.extend([cs[k]] * len(g))
-        dense = rotate_cs(expand(t), per_slot)
+        dense = rotate_cs(expand(t), [cs[k] for k in mu.group_of])
         assert isinstance(dense, BinaryTensor)
         return compress(dense, mu)
     if len(cs) != t.d:
@@ -353,45 +344,6 @@ def to_u_coordinates(t: BinaryTensor) -> BinaryTensor:
             acc = acc + term
         out.append(acc)
     return BinaryTensor(t.d, tuple(out))
-
-
-def symmetrize(
-    t: BinaryTensor, lam: Partition | Iterable[int], grouping: Sequence[int]
-) -> BinaryTensor:
-    """Orthogonal projection onto the lam-symmetric subspace.
-
-    ``grouping`` assigns each slot (0-based position) to a part of ``lam``
-    (1-based).  Entries are averaged over the orbit of each index under
-    within-group slot permutations; the result is lam-symmetric and the map is
-    idempotent.
-    """
-    lam = _as_partition(lam)
-    if len(grouping) != t.d:
-        raise ValueError(f"grouping must assign all {t.d} slots")
-    sizes = [0] * lam.s
-    for g in grouping:
-        if not 1 <= g <= lam.s:
-            raise ValueError(f"slot assigned to nonexistent part {g}")
-        sizes[g - 1] += 1
-    if sizes != list(lam.parts):
-        raise ValueError(f"grouping sizes {sizes} do not match parts {lam.parts}")
-
-    def signature(bits: Sequence[int]) -> tuple[int, ...]:
-        sums = [0] * lam.s
-        for l, b in enumerate(bits):
-            sums[grouping[l] - 1] += b
-        return tuple(sums)
-
-    orbits: dict[tuple[int, ...], list[int]] = {}
-    for bits in all_bits(t.d):
-        orbits.setdefault(signature(bits), []).append(bits_to_index(bits))
-    entries: list[Scalar] = [0] * (1 << t.d)
-    for members in orbits.values():
-        total = sum(t.entries[i] for i in members)
-        avg = total / len(members) if not t.exact else total * Fraction(1, len(members))
-        for i in members:
-            entries[i] = avg
-    return BinaryTensor(t.d, tuple(entries))
 
 
 def random_tensor(

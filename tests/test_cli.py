@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -155,13 +156,6 @@ def test_random_check(capsys):
     assert json.loads(out)["failures"] == []
 
 
-def test_bts_threads_caps_jobs(capsys, monkeypatch):
-    monkeypatch.setenv("BTS_THREADS", "1")
-    code, out, _ = run(capsys, "verify-product", "--mu", "1,1", "--trials", "2",
-                       "--seed", "1", "--format", "json")
-    assert code == 0
-
-
 @pytest.mark.parametrize(
     "doc",
     [
@@ -208,11 +202,24 @@ def test_svals_exit_3_names_every_attempt(capsys, tmp_path, monkeypatch):
         assert f"attempt {k}: no convergence" in err
 
 
+def test_svals_symmetric_exit_3_names_every_attempt(capsys, cubic_file, monkeypatch):
+    def failing_roots(_p):
+        raise RootFindingError("no convergence", [])
+
+    monkeypatch.setattr(bts.spectral, "all_roots", failing_roots)
+    code, out, err = run(capsys, "svals", "--input", cubic_file)
+    assert code == 3 and out == ""
+    assert "no rotation certified 3 singular tuples" in err
+    for k in range(4):
+        assert f"attempt {k}: no convergence" in err
+
+
 @pytest.mark.parametrize("command", ["svals", "edpoly"])
-@pytest.mark.parametrize("power, code", [(20, 0), (25, 3), (40, 3)])
+@pytest.mark.parametrize("power, code", [(10, 0), (15, 3), (20, 3), (25, 3), (40, 3)])
 def test_huge_exact_input_exits_3_on_overflow(capsys, tmp_path, command, power, code):
-    # an exact integer 2x2x2 tensor with entries near 10^power: at 10^25 the
-    # primal polynomial leaves the float range, at 10^40 the leading invariant
+    # an exact integer 2x2x2 tensor with entries near 10^power: from about
+    # 10^15 a distance-polynomial coefficient leaves the float range, at 10^25
+    # so does q~(t) in the reflection, at 10^40 the leading invariant
     base = [3, -1, 2, 5, -4, 1, 2, -3]
     entries = {format(i, "03b"): str(v * 10**power) for i, v in enumerate(base)}
     path = tmp_path / "t.json"
@@ -222,4 +229,7 @@ def test_huge_exact_input_exits_3_on_overflow(capsys, tmp_path, command, power, 
     if code == 3:
         assert "overflow" in err and out == ""
     else:
-        assert json.loads(out)["mu"] == [1, 1, 1]
+        doc = json.loads(out)
+        assert doc["mu"] == [1, 1, 1]
+        coeffs = doc["edpoly_dual"] + doc["edpoly_primal"]
+        assert all(isinstance(c, (int, float)) and math.isfinite(c) for c in coeffs)

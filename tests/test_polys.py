@@ -20,7 +20,6 @@ from bts.polys import (
     reflect_edpoly,
     resultant_univariate,
     square_free_decomposition,
-    square_free_part,
     sylvester_resultant,
 )
 from bts.tensor import MuTensor
@@ -213,16 +212,6 @@ def test_discriminant_homogeneity():
 
 
 # --- gcd helpers ------------------------------------------------------------------
-
-
-def test_square_free_part():
-    # (z-1)^2 (z+2) -> (z-1)(z+2)
-    p = UniPoly((Fraction(1),))
-    for r in (1, 1, -2):
-        p = p * UniPoly((Fraction(-r), Fraction(1)))
-    sf = square_free_part(p)
-    expected = UniPoly((Fraction(-2), Fraction(1), Fraction(1))).monic()
-    assert sf.coeffs == expected.coeffs
 
 
 def test_poly_gcd():

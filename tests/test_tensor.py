@@ -31,7 +31,6 @@ from bts.tensor import (
     rotate_cs,
     save_tensor,
     slice_tensor,
-    symmetrize,
     tensor_from_json_dict,
     to_u_coordinates,
 )
@@ -232,27 +231,6 @@ def test_random_tensor_deterministic_and_dyadic():
 def test_random_mu_round_trip():
     c = random_tensor(5, (2, 1))
     assert compress(expand(c), (2, 1)).c == c.c
-
-
-def test_symmetrize_matrix():
-    t = frac_tensor([0, 1, 0, 0])
-    s = symmetrize(t, (2,), [1, 1])
-    assert s.entries == (0, Fraction(1, 2), Fraction(1, 2), 0)
-
-
-def test_symmetrize_idempotent_and_fixes_symmetric():
-    t = random_tensor(13, 3)
-    s1 = symmetrize(t, (2, 1), [1, 1, 2])
-    s2 = symmetrize(s1, (2, 1), [1, 1, 2])
-    assert s1.entries == s2.entries
-    sym = expand(random_tensor(4, (2, 1)))
-    assert symmetrize(sym, (2, 1), [1, 1, 2]).entries == sym.entries
-
-
-def test_symmetrize_grouping_validation():
-    t = random_tensor(1, 3)
-    with pytest.raises(ValueError):
-        symmetrize(t, (2, 1), [1, 2, 2])  # sizes don't match parts
 
 
 def test_permute_slots():

@@ -9,8 +9,12 @@ are identical (same exit code, same stdout), numerically equal (both exit 0;
 same ``mu``, ``ed_degree``, ``degenerate``, ``notes``, data count and
 ``is_real`` multiset; sigma^2 matched and the best rank-one squared distance
 within REL_TOL * q~(t); ``edpoly_dual`` within REL_TOL of its largest
-coefficient) or different, and every exit-code change.  Exits 1 on any
-difference or exit-code change.
+coefficient) or different, and every exit-code change.  Runs that exit with
+the same non-zero code on both sides are also compared on the last
+``error:`` line of their stderr and counted as "message changed" when it
+differs; only that line is compared, since warnings printed before it vary
+with the numpy version.  Exits 1 on any difference, exit-code change or
+changed message.
 """
 
 from __future__ import annotations
@@ -29,13 +33,14 @@ import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from bts.cli import main
 for path in sys.stdin.read().splitlines():
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(["svals", "--input", path, "--format", "json"])
         except SystemExit as exc:
             code = exc.code
-    print(json.dumps({"code": code, "out": out.getvalue()}), flush=True)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    print(json.dumps({"code": code, "out": out.getvalue(), "error": errors[-1] if errors else None}), flush=True)
 """
 
 
@@ -97,6 +102,9 @@ def main(argv: list[str] | None = None) -> int:
         if a["code"] != b["code"]:
             tally[f"exit {a['code']}->{b['code']}"] += 1
             print(f"exit {a['code']}->{b['code']}: {path.name}")
+        elif a["out"] == b["out"] and a["code"] != 0 and a["error"] != b["error"]:
+            tally["message changed"] += 1
+            print(f"message changed: {path.name}")
         elif a["out"] == b["out"]:
             tally["identical"] += 1
         elif a["code"] == 0 and (gap := sigma_sq_gap(json.loads(a["out"]), json.loads(b["out"]))) is not None:
@@ -110,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{kind:<24} " + ", ".join(f"{k} {n}" for k, n in sorted(counts[kind].items())) + note)
     total = sum(counts.values(), Counter())
     print(json.dumps({"files": len(files), **total}))
-    return 1 if any(k == "different" or k.startswith("exit") for k in total) else 0
+    return 1 if any(k in ("different", "message changed") or k.startswith("exit") for k in total) else 0
 
 
 if __name__ == "__main__":
