@@ -152,7 +152,7 @@ def _load_input(args):
         raise SystemExit(_fail(
             EXIT_PARSE, f"malformed JSON in {args.input} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise SystemExit(_fail(EXIT_PARSE, f"bad tensor document: {exc}"))
     if mu is not None:
         try:
@@ -376,6 +376,8 @@ def cmd_invariants(args) -> int:
             return _fail(EXIT_PARSE, f"no closed-form invariants implemented for this shape (d={dense.d})")
     except (FormulaCrossCheckError, DegenerateInputError) as exc:
         return _fail(EXIT_SOLVER, str(exc))
+    except OverflowError as exc:
+        return _fail(EXIT_SOLVER, _overflow_message(exc))
 
     def table(doc):
         for key in sorted(doc):

@@ -1,10 +1,12 @@
 """Exact polynomial arithmetic, resultants, and complex root finding.
 
 The elimination pipeline runs entirely over the rationals: sparse multivariate
-polynomials with Fraction coefficients, Sylvester resultants by exact
-determinant expansion.  Root finding is the one inexact step and uses
-Aberth-Ehrlich simultaneous iteration with a companion-matrix fallback,
-followed by Newton polishing and multiplicity clustering.
+polynomials with Fraction coefficients (the solvers' chart resultants are
+closed forms in ``spectral``), and univariate resultants as fraction-free
+(Bareiss) determinants of the Sylvester matrix.  Root finding is the one
+inexact step and uses Aberth-Ehrlich simultaneous iteration with a
+companion-matrix fallback, followed by Newton polishing and multiplicity
+clustering.
 """
 
 from __future__ import annotations
@@ -78,9 +80,6 @@ class UniPoly:
         lead = self.coeffs[-1]
         return UniPoly(tuple(c / lead for c in self.coeffs), self.var)
 
-    def scale(self, factor: Scalar) -> "UniPoly":
-        return UniPoly(tuple(factor * c for c in self.coeffs), self.var)
-
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not self.coeffs or not other.coeffs:
             return UniPoly((), self.var)
@@ -98,24 +97,29 @@ class UniPoly:
         return p
 
 
+def _divmod(u: list[Fraction], v: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of u by v, ascending coefficients; v's last one is nonzero.
+
+    The remainder has its trailing zeros stripped.
+    """
+    r = u[:]
+    q = [Fraction(0)] * max(len(u) - len(v) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        f = r[k + len(v) - 1] / v[-1]
+        q[k] = f
+        for i, cv in enumerate(v):
+            r[k + i] -= f * cv
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic gcd over the rationals (Euclid)."""
     a = [Fraction(c) for c in p.coeffs]
     b = [Fraction(c) for c in q.coeffs]
-
-    def rem(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-        u = u[:]
-        while len(u) >= len(v) and u:
-            f = u[-1] / v[-1]
-            shift = len(u) - len(v)
-            for i, cv in enumerate(v):
-                u[shift + i] -= f * cv
-            while u and u[-1] == 0:
-                u.pop()
-        return u
-
     while b:
-        a, b = b, rem(a, b)
+        a, b = b, _divmod(a, b)[1]
     if not a:
         return UniPoly(())
     lead = a[-1]
@@ -124,18 +128,10 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
 
 def _poly_divide_exact(a: UniPoly, b: UniPoly) -> UniPoly:
     """Exact quotient a / b over the rationals (remainder must vanish)."""
-    num = [Fraction(c) for c in a.coeffs]
-    den = [Fraction(c) for c in b.coeffs]
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    rem = num[:]
-    for k in range(len(out) - 1, -1, -1):
-        f = rem[k + len(den) - 1] / den[-1]
-        out[k] = f
-        for i, cv in enumerate(den):
-            rem[k + i] -= f * cv
-    if any(r != 0 for r in rem):
+    quot, rem = _divmod([Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs])
+    if rem:
         raise ValueError("inexact polynomial division")
-    return UniPoly(tuple(out), a.var)
+    return UniPoly(tuple(quot), a.var)
 
 
 def _square_free_mod_prime(p: UniPoly) -> bool:
@@ -187,29 +183,18 @@ def square_free_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
         return [(p, 1)]
     b = _poly_divide_exact(p, a)
     c = _poly_divide_exact(dp, a)
-    d = UniPoly(
-        tuple(
-            Fraction(x) - Fraction(y)
-            for x, y in _zip_pad(c.coeffs, b.derivative().coeffs)
-        ),
-        p.var,
-    )
     out: list[tuple[UniPoly, int]] = []
     k = 1
     while b.degree >= 1:
+        d = UniPoly(
+            tuple(Fraction(x) - Fraction(y) for x, y in _zip_pad(c.coeffs, b.derivative().coeffs)), p.var
+        )
         a = poly_gcd(b, d)
         if a.degree >= 1:
             out.append((a.monic(), k))
-        b_next = _poly_divide_exact(b, a) if a.degree >= 1 else b
-        c_next = _poly_divide_exact(d, a) if a.degree >= 1 else d
-        d = UniPoly(
-            tuple(
-                Fraction(x) - Fraction(y)
-                for x, y in _zip_pad(c_next.coeffs, b_next.derivative().coeffs)
-            ),
-            p.var,
-        )
-        b = b_next
+            b, c = _poly_divide_exact(b, a), _poly_divide_exact(d, a)
+        else:
+            c = d
         k += 1
     return out
 
@@ -234,30 +219,9 @@ class MultiPoly:
         clean = {e: Fraction(c) for e, c in self.terms.items() if c != 0}
         object.__setattr__(self, "terms", clean)
 
-    @staticmethod
-    def zero(vars: tuple[str, ...]) -> "MultiPoly":
-        return MultiPoly(vars, {})
-
-    @staticmethod
-    def const(vars: tuple[str, ...], c: Fraction | int) -> "MultiPoly":
-        return MultiPoly(vars, {(0,) * len(vars): Fraction(c)})
-
-    @staticmethod
-    def variable(vars: tuple[str, ...], name: str) -> "MultiPoly":
-        e = [0] * len(vars)
-        e[vars.index(name)] = 1
-        return MultiPoly(vars, {tuple(e): Fraction(1)})
-
     def _check(self, other: "MultiPoly") -> None:
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(self.vars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
@@ -265,9 +229,6 @@ class MultiPoly:
         for e, c in other.terms.items():
             out[e] = out.get(e, Fraction(0)) - c
         return MultiPoly(self.vars, out)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
@@ -277,10 +238,6 @@ class MultiPoly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
         return MultiPoly(self.vars, out)
-
-    def scale(self, f: Fraction | int) -> "MultiPoly":
-        f = Fraction(f)
-        return MultiPoly(self.vars, {e: f * c for e, c in self.terms.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -332,33 +289,7 @@ class MultiPoly:
         return [(e, float(c)) for e, c in self.terms.items()]
 
 
-def _det_poly(mat: list[list[MultiPoly]], vars: tuple[str, ...]) -> MultiPoly:
-    """Determinant by Laplace expansion with memoization over column subsets."""
-    n = len(mat)
-    memo: dict[tuple[int, ...], MultiPoly] = {}
-
-    def rec(cols: tuple[int, ...]) -> MultiPoly:
-        if not cols:
-            return MultiPoly.const(vars, 1)
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        row = n - len(cols)
-        acc = MultiPoly.zero(vars)
-        for k, col in enumerate(cols):
-            entry = mat[row][col]
-            if entry.is_zero:
-                continue
-            minor = rec(cols[:k] + cols[k + 1 :])
-            term = entry * minor
-            acc = acc + term if k % 2 == 0 else acc - term
-        memo[cols] = acc
-        return acc
-
-    return rec(tuple(range(n)))
-
-
-def sylvester_matrix(p_coeffs: Sequence, q_coeffs: Sequence, zero: Scalar | MultiPoly) -> list[list]:
+def sylvester_matrix(p_coeffs: Sequence[Scalar], q_coeffs: Sequence[Scalar], zero: Scalar) -> list[list[Scalar]]:
     """Sylvester matrix of two polynomials given by ascending coefficient lists, padded with ``zero``."""
     m, n = len(p_coeffs) - 1, len(q_coeffs) - 1
     size = m + n
@@ -372,48 +303,28 @@ def sylvester_matrix(p_coeffs: Sequence, q_coeffs: Sequence, zero: Scalar | Mult
     return mat
 
 
-def sylvester_resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
-    """Res_name(p, q), exact.
-
-    Vanishes on common roots and is multiplicative in factors.  If one of the
-    two is constant in ``name`` the convention Res(p, c) = c^deg(p) applies;
-    both constant is invalid.
-    """
-    p._check(q)
-    m, n = p.degree_in(name), q.degree_in(name)
-    if m <= 0 and n <= 0:
-        raise ValueError(f"both arguments are constant in {name}")
-    rest = tuple(v for v in p.vars if v != name)
-    pc = p.coefficients_in(name)
-    qc = q.coefficients_in(name)
-    if m <= 0:
-        base = pc[0] if pc else MultiPoly.zero(rest)
-        acc = MultiPoly.const(rest, 1)
-        for _ in range(n):
-            acc = acc * base
-        return acc
-    if n <= 0:
-        base = qc[0] if qc else MultiPoly.zero(rest)
-        acc = MultiPoly.const(rest, 1)
-        for _ in range(m):
-            acc = acc * base
-        return acc
-    mat = sylvester_matrix(pc, qc, MultiPoly.zero(rest))
-    return _det_poly(mat, rest)
-
-
 def resultant_univariate(p_coeffs: Sequence[Fraction], q_coeffs: Sequence[Fraction]) -> Fraction:
     """Resultant of two univariate polynomials given by ascending exact coefficients.
 
     The formal degrees are taken from the list lengths, so callers eliminating
-    a variable from binary forms keep roots at infinity accounted for.
+    a variable from binary forms keep roots at infinity accounted for.  The
+    determinant is taken by fraction-free (Bareiss) elimination with row
+    swaps: 0 once no nonzero pivot is left, 1 for the empty matrix.
     """
-    vars: tuple[str, ...] = ()
-    pm = [MultiPoly.const(vars, c) for c in p_coeffs]
-    qm = [MultiPoly.const(vars, c) for c in q_coeffs]
-    mat = sylvester_matrix(pm, qm, MultiPoly.zero(vars))
-    det = _det_poly(mat, vars)
-    return det.terms.get((), Fraction(0))
+    mat = sylvester_matrix([Fraction(c) for c in p_coeffs], [Fraction(c) for c in q_coeffs], Fraction(0))
+    n, sign, prev = len(mat), 1, Fraction(1)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if mat[r][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) / prev
+        prev = mat[k][k]
+    return sign * mat[-1][-1] if n else Fraction(1)
 
 
 # --- root finding -------------------------------------------------------------

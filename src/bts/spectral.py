@@ -15,16 +15,17 @@ Full 2x2x2 tensors, (2,1)-symmetric tensors and 2x2 matrices share the
 elimination chart, ``_solve_by_elimination``.  A rank-one tensor (its
 zero-value critical set is a curve, not isolated points) is answered at
 once by a closed form.  Otherwise the dehomogenized equations are
-eliminated exactly over the rationals with Sylvester resultants, the
-univariate eliminant is split square-free (a gcd mod a large prime proves
-the usual square-free case) and root-found in double precision, and the
-last variable is back-substituted in floats.  Only the candidates whose
-residual on the rotated tensor is already small (PREFILTER_TOL) are
-Newton-polished first; when they do not give exactly ed_degree(mu) tuples,
-every candidate is polished in order.  The polished tuples are
-residual-filtered and deduplicated on the rotated tensor.  Extraneous
-elimination roots are removed by residual filtering, never by symbolic
-division.  The critical equations are built from mu alone
+eliminated exactly over the rationals by closed-form resultants
+(``_resultant``: every elimination step takes two linear or two quadratic
+equations), the univariate eliminant is split square-free (a gcd mod a
+large prime proves the usual square-free case) and root-found in double
+precision, and the last variable is back-substituted in floats.  Only the
+candidates whose residual on the rotated tensor is already small
+(PREFILTER_TOL) are Newton-polished first; when they do not give exactly
+ed_degree(mu) tuples, every candidate is polished in order.  The polished
+tuples are residual-filtered and deduplicated on the rotated tensor.
+Extraneous elimination roots are removed by residual filtering, never by
+symbolic division.  The critical equations are built from mu alone
 (``_critical_equations``), and the expected count and the least eliminant
 degree are both ed_degree(mu); each shape supplies only its RNG salt, its
 elimination chain (z3 then z2 for 2x2x2, z2 for the two-group shapes) and
@@ -55,7 +56,6 @@ from .polys import (
     UniPoly,
     all_roots,
     reflect_edpoly,
-    sylvester_resultant,
 )
 from .tensor import (
     BinaryTensor,
@@ -314,11 +314,28 @@ def _common_root_of_quadratics(p: Sequence[complex], q: Sequence[complex]) -> li
     return cands
 
 
+def _resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
+    """Res_name(p, q), exact, for two polynomials both linear or both quadratic in ``name``.
+
+    Degree 1 gives the 2x2 Sylvester determinant p1 q0 - p0 q1, degree 2 its
+    Bezout form (p2 q0 - p0 q2)^2 - (p2 q1 - p1 q2)(p1 q0 - p0 q1); any other
+    pair of degrees raises ValueError.
+    """
+    pc, qc = p.coefficients_in(name), q.coefficients_in(name)
+    if len(pc) != len(qc) or len(pc) not in (2, 3):
+        raise ValueError(f"no closed-form resultant in {name} for degrees {len(pc) - 1} and {len(qc) - 1}")
+    if len(pc) == 2:
+        return pc[1] * qc[0] - pc[0] * qc[1]
+    (p0, p1, p2), (q0, q1, q2) = pc, qc
+    a, b, c = p2 * q0 - p0 * q2, p2 * q1 - p1 * q2, p1 * q0 - p0 * q1
+    return a * a - b * c
+
+
 def _eliminate_222(gs: tuple[MultiPoly, ...]) -> tuple[MultiPoly, Callable]:
     """z3 from (g1, g2) and from (g1, g3), then z2; z1 lifts through both quadratics in z2."""
     g1, g2, g3 = gs
-    r12 = sylvester_resultant(g1, g2, "z3")
-    r13 = sylvester_resultant(g1, g3, "z3")
+    r12 = _resultant(g1, g2, "z3")
+    r13 = _resultant(g1, g3, "z3")
     if r12.is_zero or r13.is_zero:
         raise ValueError("intermediate resultant vanished")
 
@@ -333,13 +350,13 @@ def _eliminate_222(gs: tuple[MultiPoly, ...]) -> tuple[MultiPoly, Callable]:
             )
         ]
 
-    return sylvester_resultant(r12, r13, "z2"), lift
+    return _resultant(r12, r13, "z2"), lift
 
 
 def _eliminate_pair(gs: tuple[MultiPoly, ...]) -> tuple[MultiPoly, Callable]:
     """The last of two variables, by one resultant; the lift keeps each root as it is."""
     g1, g2 = gs
-    return sylvester_resultant(g1, g2, g1.vars[-1]), lambda roots: [(z,) for z in roots]
+    return _resultant(g1, g2, g1.vars[-1]), lambda roots: [(z,) for z in roots]
 
 
 def _solve_linear_last(coeffs: list[list[MultiPoly]], point: dict[str, complex]) -> list[complex]:

@@ -436,9 +436,3 @@ def tensor_from_json_dict(doc: dict) -> BinaryTensor | MuTensor:
 def load_tensor(path: str) -> BinaryTensor | MuTensor:
     with open(path, "r", encoding="utf-8") as fh:
         return tensor_from_json_dict(json.load(fh))
-
-
-def save_tensor(t: BinaryTensor | MuTensor, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tensor_to_json_dict(t), fh, indent=2, sort_keys=True)
-        fh.write("\n")

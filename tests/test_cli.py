@@ -44,12 +44,19 @@ def test_svals_diagonal(capsys, diag_file):
     assert doc["best_rank_one"]["distance"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_svals_malformed_json_exit_2(capsys, tmp_path):
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"d": 3, "mu": null garbage}', "line 1, column", id="garbage"),
+    pytest.param('[1, 2]', "bad tensor document", id="list"),
+    pytest.param('{"d": 3, "mu": null, "entries": {"000": [1]}}', "bad tensor document", id="entry-list"),
+    pytest.param('{"d": 3, "mu": null, "entries": {"000": null}}', "bad tensor document", id="entry-null"),
+    pytest.param('{"d": 3, "mu": [2, 1], "entries": {"00": {"x": 1}}}', "bad tensor document", id="entry-dict"),
+])
+def test_svals_malformed_json_exit_2(capsys, tmp_path, text, message):
     p = tmp_path / "bad.json"
-    p.write_text('{"d": 3, "mu": null garbage}')
+    p.write_text(text)
     code, _, err = run(capsys, "svals", "--input", str(p))
     assert code == 2
-    assert "line 1" in err and "column" in err
+    assert message in err
 
 
 def test_svals_mu_override_symmetric(capsys, tmp_path):
@@ -233,3 +240,14 @@ def test_huge_exact_input_exits_3_on_overflow(capsys, tmp_path, command, power, 
         assert doc["mu"] == [1, 1, 1]
         coeffs = doc["edpoly_dual"] + doc["edpoly_primal"]
         assert all(isinstance(c, (int, float)) and math.isfinite(c) for c in coeffs)
+
+
+def test_invariants_float_overflow_exits_3(capsys, tmp_path):
+    # float entries near 1e150: the closed-form invariants leave the double range
+    base = [3, -1, 2, 5, -4, 1, 2, -3]
+    entries = {format(i, "03b"): v * 1e150 for i, v in enumerate(base)}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"d": 3, "mu": None, "entries": entries}))
+    code, out, err = run(capsys, "invariants", "--input", str(path), "--format", "json")
+    assert code == 3 and out == ""
+    assert "overflow" in err

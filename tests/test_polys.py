@@ -20,72 +20,40 @@ from bts.polys import (
     reflect_edpoly,
     resultant_univariate,
     square_free_decomposition,
-    sylvester_resultant,
 )
 from bts.tensor import MuTensor
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
-def zpoly(coeffs, vars=("z",), var="z"):
-    i = vars.index(var)
-    terms = {}
-    for k, c in enumerate(coeffs):
-        e = [0] * len(vars)
-        e[i] = k
-        terms[tuple(e)] = Fraction(c)
-    return MultiPoly(vars, terms)
-
-
 # --- resultants -------------------------------------------------------------
 
 
 def test_resultant_distinct_roots_nonzero():
-    r = sylvester_resultant(zpoly([-1, 1]), zpoly([-2, 1]), "z")
-    assert r.terms == {(): Fraction(-1)}
+    assert resultant_univariate([Fraction(-1), Fraction(1)], [Fraction(-2), Fraction(1)]) == -1
 
 
 def test_resultant_shared_root_zero():
-    p = zpoly([-3, 1])
-    assert sylvester_resultant(p, p, "z").is_zero
-
-
-def test_resultant_two_by_two_by_hand():
-    vars = ("x", "y", "z")
-    x = MultiPoly.variable(vars, "x")
-    y = MultiPoly.variable(vars, "y")
-    z = MultiPoly.variable(vars, "z")
-    one = MultiPoly.const(vars, 1)
-    r = sylvester_resultant(x * z + one, y * z + one, "z")
-    # the eliminated variable is dropped; x - y up to sign over vars (x, y)
-    assert r.vars == ("x", "y")
-    assert r.terms in ({(1, 0): Fraction(1), (0, 1): Fraction(-1)},
-                       {(1, 0): Fraction(-1), (0, 1): Fraction(1)})
+    p = [Fraction(-3), Fraction(1)]
+    assert resultant_univariate(p, p) == 0
 
 
 def test_multipoly_call_exact_and_float():
-    vars = ("x", "y")
-    x, y = MultiPoly.variable(vars, "x"), MultiPoly.variable(vars, "y")
-    p = x * x * y + MultiPoly.const(vars, Fraction(1, 3))
+    # x^2 y + 1/3 over (x, y)
+    p = MultiPoly(("x", "y"), {(2, 1): Fraction(1), (0, 0): Fraction(1, 3)})
     assert p(x=0.5j, y=2.0) == Fraction(1, 3) - 0.5
     assert p(x=Fraction(1, 2), y=2) == Fraction(5, 6)  # still exact after a float evaluation
-
-
-def test_resultant_both_constant_invalid():
-    with pytest.raises(ValueError):
-        sylvester_resultant(zpoly([1]), zpoly([2]), "z")
 
 
 @given(st.lists(fracs, min_size=2, max_size=3), st.lists(fracs, min_size=2, max_size=3),
        st.lists(fracs, min_size=2, max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_resultant_multiplicative(pc, qc, rc):
-    p, q, r = zpoly(pc), zpoly(qc), zpoly(rc)
-    if p.degree_in("z") < 1 or q.degree_in("z") < 1 or r.degree_in("z") < 1:
+    p, q, r = UniPoly(tuple(pc)), UniPoly(tuple(qc)), UniPoly(tuple(rc))
+    if p.degree < 1 or q.degree < 1 or r.degree < 1:
         return
-    lhs = sylvester_resultant(p * q, r, "z")
-    rhs = sylvester_resultant(p, r, "z") * sylvester_resultant(q, r, "z")
-    assert lhs.terms == rhs.terms
+    lhs = resultant_univariate((p * q).coeffs, r.coeffs)
+    assert lhs == resultant_univariate(p.coeffs, r.coeffs) * resultant_univariate(q.coeffs, r.coeffs)
 
 
 def test_resultant_univariate_formal_degrees():
@@ -233,7 +201,7 @@ def from_roots_exact(roots):
 
 def test_square_free_certificate_skips_exact_gcd(monkeypatch):
     # dyadic roots, distinct: the gcd mod the prime proves square-freeness alone
-    p = from_roots_exact(["1/2", "-3/4", "5/8", "7/16", "-1", "3", "-5/32", "9/4"]).scale(Fraction(3, 64))
+    p = UniPoly((Fraction(3, 64),)) * from_roots_exact(["1/2", "-3/4", "5/8", "7/16", "-1", "3", "-5/32", "9/4"])
     assert p.degree == 8
 
     def no_gcd(*_args):
@@ -255,7 +223,7 @@ def test_square_free_decomposition_multiplicities():
 def test_square_free_prime_in_leading_coefficient_falls_back_to_yun(monkeypatch):
     # the monic (x - 1/P)^2 (x + 3) clears to a leading coefficient P^2: no certificate mod P
     r = Fraction(1, SQUARE_FREE_PRIME)
-    p = from_roots_exact([r, r, -3]).scale(Fraction(5))
+    p = UniPoly((Fraction(5),)) * from_roots_exact([r, r, -3])
     calls = []
     real_gcd = bts.polys.poly_gcd
 

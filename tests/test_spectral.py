@@ -13,7 +13,7 @@ from conftest import diagonal_sigma_sq, multiset_close, multiset_subtract
 import bts.spectral
 from bts.combinatorics import Partition
 from bts.invariants import extra_root_21, extra_root_3, extreme_coeffs_222
-from bts.polys import UniPoly
+from bts.polys import MultiPoly, UniPoly, resultant_univariate
 from bts.spectral import (
     SolverFailureError,
     assemble_edpoly,
@@ -589,3 +589,36 @@ def test_contraction_kernel_matches_exact_oracles(shape, seed):
         assert list(y) == [complex(v) for v in oracle]
         worst = max(worst, *(abs(oracle[b] - sigma * slot_vecs[slot][b]) for b in (0, 1)))
     assert bts.spectral.tuple_residual(arr, mu, group_vecs, complex(sigma)) == worst
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chart_resultants_match_specialized_sylvester_determinants(seed):
+    # every closed-form step of the 2x2x2 elimination, specialized at rational
+    # points, equals the Sylvester determinant of the specialized equations
+    rng = np.random.default_rng(seed)
+    t = _seeded(rng, 3, lambda rng: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))))
+    g1, g2, g3 = bts.spectral._critical_equations(list(t.entries), t.mu)
+    r12 = bts.spectral._resultant(g1, g2, "z3")
+    r13 = bts.spectral._resultant(g1, g3, "z3")
+    eliminant = bts.spectral._resultant(r12, r13, "z2")
+    assert eliminant.degree_in("z1") >= 6
+    checked = 0
+    for _ in range(12):
+        z1, z2 = (Fraction(int(rng.integers(-7, 8)), int(rng.integers(1, 4))) for _ in range(2))
+        at = {"z1": z1, "z2": z2}
+        lin = [[c(**at) for c in g.coefficients_in("z3")] for g in (g1, g2, g3)]
+        quad = [[c(z1=z1) for c in r.coefficients_in("z2")] for r in (r12, r13)]
+        if any(cs[-1] == 0 for cs in lin + quad):
+            continue
+        assert r12(**at) == resultant_univariate(lin[0], lin[1])
+        assert r13(**at) == resultant_univariate(lin[0], lin[2])
+        assert eliminant(z1=z1) == resultant_univariate(quad[0], quad[1])
+        checked += 1
+    assert checked >= 6
+
+
+def test_chart_resultant_rejects_other_degrees():
+    linear = MultiPoly(("z1", "z2"), {(0, 1): Fraction(1), (1, 0): Fraction(2)})
+    quadratic = MultiPoly(("z1", "z2"), {(0, 2): Fraction(1), (0, 0): Fraction(-1)})
+    with pytest.raises(ValueError, match="z2 for degrees 1 and 2"):
+        bts.spectral._resultant(linear, quadratic, "z2")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -29,9 +30,9 @@ from bts.tensor import (
     random_tensor,
     rotate,
     rotate_cs,
-    save_tensor,
     slice_tensor,
     tensor_from_json_dict,
+    tensor_to_json_dict,
     to_u_coordinates,
 )
 
@@ -246,7 +247,8 @@ def test_permute_slots():
 def test_json_round_trip_exact(tmp_path):
     c = MuTensor(Partition((2, 1)), {(0, 0): Fraction(3, 4), (2, 1): Fraction(-7, 16)})
     path = tmp_path / "t.json"
-    save_tensor(c, str(path))
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(tensor_to_json_dict(c), fh)
     back = load_tensor(str(path))
     assert isinstance(back, MuTensor)
     assert back.c == c.c and back.mu.parts == (2, 1)

@@ -1,19 +1,20 @@
-"""Compare `bts svals --format json` between two source trees on a directory of inputs.
+"""Compare `bts svals` and `bts invariants` (`--format json`) between two source trees.
 
     python3 tools/outdiff.py OLD_TREE NEW_TREE INPUT_DIR
 
 Each tree's ``src/`` runs in its own interpreter over every ``*.json`` file of
-INPUT_DIR, calling ``bts.cli.main`` in-process.  Per kind (the file name after
-its first ``-``: ``00012-sym3-exact`` is ``sym3-exact``) it counts outputs that
-are identical (same exit code, same stdout), numerically equal (both exit 0;
-same ``mu``, ``ed_degree``, ``degenerate``, ``notes``, data count and
-``is_real`` multiset; sigma^2 matched and the best rank-one squared distance
-within REL_TOL * q~(t); ``edpoly_dual`` within REL_TOL of its largest
-coefficient) or different, and every exit-code change.  Runs that exit with
-the same non-zero code on both sides are also compared on the last
-``error:`` line of their stderr and counted as "message changed" when it
-differs; only that line is compared, since warnings printed before it vary
-with the numpy version.  Exits 1 on any difference, exit-code change or
+INPUT_DIR, calling ``bts.cli.main`` in-process once per command; an uncaught
+exception counts as the exit code ``uncaught <type>``.  Per command and kind
+(the file name after its first ``-``: ``00012-sym3-exact`` is ``sym3-exact``)
+it counts outputs that are identical (same exit code, same stdout), for
+``svals`` numerically equal (both exit 0; same ``mu``, ``ed_degree``,
+``degenerate``, ``notes``, data count and ``is_real`` multiset; sigma^2
+matched and the best rank-one squared distance within REL_TOL * q~(t);
+``edpoly_dual`` within REL_TOL of its largest coefficient) or different, and
+every exit-code change.  Runs that exit with the same non-zero code on both
+sides are also compared on the last ``error:`` line of their stderr and
+counted as "message changed" when it differs; only that line is compared,
+since warnings printed before it vary with the numpy version.  Exits 1 on any difference, exit-code change or
 changed message.
 """
 
@@ -27,25 +28,30 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 REL_TOL = 1e-12
+COMMANDS = ("svals", "invariants")
 
 RUNNER = r"""
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from bts.cli import main
 for path in sys.stdin.read().splitlines():
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(["svals", "--input", path, "--format", "json"])
-        except SystemExit as exc:
-            code = exc.code
-    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
-    print(json.dumps({"code": code, "out": out.getvalue(), "error": errors[-1] if errors else None}), flush=True)
+    for command in sys.argv[2:]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([command, "--input", path, "--format", "json"])
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                code = f"uncaught {type(exc).__name__}"
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        print(json.dumps({"code": code, "out": out.getvalue(), "error": errors[-1] if errors else None}), flush=True)
 """
 
 
 def run_tree(tree: Path, files: list[Path]) -> list[dict]:
-    proc = subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src")],
+    """One result per (file, command), files outer."""
+    proc = subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src"), *COMMANDS],
                           input="\n".join(map(str, files)), capture_output=True, text=True, check=True)
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
@@ -97,25 +103,28 @@ def main(argv: list[str] | None = None) -> int:
     old, new = run_tree(args.old, files), run_tree(args.new, files)
     counts: dict[str, Counter] = defaultdict(Counter)
     worst: dict[str, float] = defaultdict(float)
-    for path, a, b in zip(files, old, new):
-        kind, tally = kind_of(path), counts[kind_of(path)]
+    runs = [(command, path) for path in files for command in COMMANDS]
+    for (command, path), a, b in zip(runs, old, new):
+        kind = f"{command} {kind_of(path)}"
+        tally = counts[kind]
         if a["code"] != b["code"]:
             tally[f"exit {a['code']}->{b['code']}"] += 1
-            print(f"exit {a['code']}->{b['code']}: {path.name}")
+            print(f"exit {a['code']}->{b['code']}: {command} {path.name}")
         elif a["out"] == b["out"] and a["code"] != 0 and a["error"] != b["error"]:
             tally["message changed"] += 1
-            print(f"message changed: {path.name}")
+            print(f"message changed: {command} {path.name}")
         elif a["out"] == b["out"]:
             tally["identical"] += 1
-        elif a["code"] == 0 and (gap := sigma_sq_gap(json.loads(a["out"]), json.loads(b["out"]))) is not None:
+        elif (command == "svals" and a["code"] == 0
+              and (gap := sigma_sq_gap(json.loads(a["out"]), json.loads(b["out"]))) is not None):
             tally["numerically equal"] += 1
             worst[kind] = max(worst[kind], gap)
         else:
             tally["different"] += 1
-            print(f"different: {path.name}")
+            print(f"different: {command} {path.name}")
     for kind in sorted(counts):
         note = f"  (worst sigma^2 gap {worst[kind]:.2e} q~(t))" if kind in worst else ""
-        print(f"{kind:<24} " + ", ".join(f"{k} {n}" for k, n in sorted(counts[kind].items())) + note)
+        print(f"{kind:<35} " + ", ".join(f"{k} {n}" for k, n in sorted(counts[kind].items())) + note)
     total = sum(counts.values(), Counter())
     print(json.dumps({"files": len(files), **total}))
     return 1 if any(k in ("different", "message changed") or k.startswith("exit") for k in total) else 0
