@@ -50,6 +50,7 @@ from .invariants import (
 from .polys import discriminant_binary_form
 from .scalars import QQi, format_rational
 from .spectral import (
+    SUPPORTED_PRODUCT_MU,
     SolverFailureError,
     Spectrum,
     assemble_edpoly,
@@ -286,8 +287,6 @@ def cmd_verify_product(args) -> int:
     if not args.mu:
         return _fail(EXIT_PARSE, "verify-product needs --mu")
     mu = _parse_mu(args.mu)
-    from .spectral import SUPPORTED_PRODUCT_MU
-
     if tuple(mu.parts) not in SUPPORTED_PRODUCT_MU:
         return _fail(
             EXIT_PARSE,

@@ -4,9 +4,8 @@ The elimination pipeline runs entirely over the rationals: sparse multivariate
 polynomials with Fraction coefficients (the solvers' chart resultants are
 closed forms in ``spectral``), and univariate resultants as fraction-free
 (Bareiss) determinants of the Sylvester matrix.  Root finding is the one
-inexact step and uses Aberth-Ehrlich simultaneous iteration with a
-companion-matrix fallback, followed by Newton polishing and multiplicity
-clustering.
+inexact step: the eigenvalues of the companion matrix (one LAPACK call,
+backward stable), followed by Newton polishing and multiplicity clustering.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .tensor import MuTensor
 
 ROOT_RESIDUAL_TOL = 1e-10
 CLUSTER_REL_TOL = 1e-7
-MAX_ABERTH_ITER = 200
 SQUARE_FREE_PRIME = 2**61 - 1
 
 
@@ -338,33 +336,6 @@ def _horner_pair(coeffs: np.ndarray, z: complex) -> tuple[complex, complex]:
     return p, dp
 
 
-def _aberth(coeffs: np.ndarray) -> np.ndarray | None:
-    """Aberth-Ehrlich iteration; None on non-convergence."""
-    n = len(coeffs) - 1
-    lead = coeffs[-1]
-    monic = coeffs / lead
-    radius = 1.0 + max(abs(monic[:-1]))
-    low = abs(monic[0]) ** (1.0 / n) if monic[0] != 0 else 0.1
-    r = 0.5 * (min(radius, max(low, 1e-3)) + max(low, 1e-3))
-    angles = 2.0 * np.pi * (np.arange(n) + 0.5) / n + 0.41 + 0.03 * np.sin(7.1 * np.arange(n))
-    z = r * np.exp(1j * angles)
-    for _ in range(MAX_ABERTH_ITER):
-        p = np.polyval(monic[::-1], z)
-        dp = np.polyval(np.polyder(monic[::-1]), z)
-        with np.errstate(all="ignore"):
-            w = np.where(dp != 0, p / dp, p)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
-            corr = w / (1.0 - w * s)
-        if not np.all(np.isfinite(corr)):
-            return None
-        z = z - corr
-        if np.max(np.abs(corr) / (1.0 + np.abs(z))) < 1e-14:
-            return z
-    return None
-
-
 def _newton_polish(coeffs: np.ndarray, z: complex, steps: int = 40) -> complex:
     for _ in range(steps):
         p, dp = _horner_pair(coeffs, z)
@@ -398,11 +369,10 @@ def all_roots(p: UniPoly | Sequence[Scalar]) -> list[tuple[complex, int]]:
     Exact coefficients go through ``square_free_decomposition`` first (a gcd
     mod a large prime proves the usual square-free case, exact Yun handles
     the rest), so multiplicities are rigorous and each factor has only
-    simple roots.  Float coefficients use simultaneous Aberth-Ehrlich
-    iteration with a companion-matrix fallback and clustering at
-    CLUSTER_REL_TOL; every root is Newton-polished (clusters of multiplicity
-    m on the (m-1)-th derivative) and checked against a backward-error bound
-    of ROOT_RESIDUAL_TOL.
+    simple roots.  Float coefficients take their roots as the eigenvalues of
+    the companion matrix, clustered at CLUSTER_REL_TOL; every root is
+    Newton-polished (clusters of multiplicity m on the (m-1)-th derivative)
+    and checked against a backward-error bound of ROOT_RESIDUAL_TOL.
     """
     coeffs = tuple(p.coeffs) if isinstance(p, UniPoly) else tuple(p)
     if all(isinstance(c, (Fraction, int)) for c in coeffs) and len(coeffs) > 2:
@@ -432,18 +402,7 @@ def _all_roots_float(coeffs: Sequence[Scalar]) -> list[tuple[complex, int]]:
         zero_mult += 1
         c = c[1:]
 
-    roots: list[complex]
-    if len(c) == 1:
-        roots = []
-    elif len(c) == 2:
-        roots = [complex(-c[0] / c[1])]
-    else:
-        z = _aberth(c)
-        if z is None:
-            z = np.roots(c[::-1])
-        roots = [complex(r) for r in z]
-
-    polished = [_newton_polish(c, z) for z in roots]
+    polished = [_newton_polish(c, complex(z)) for z in np.roots(c[::-1])]
     clustered = _cluster(polished)
     final: list[tuple[complex, int]] = []
     for mean, mult in clustered:

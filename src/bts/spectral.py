@@ -631,13 +631,15 @@ def _solve_by_elimination(
         arr_rot = dense_rot.as_array().astype(complex)
         linear = [g.coefficients_in(g.vars[-1]) for g in gs]
         cands: list[tuple[list[tuple[complex, complex]], complex]] = []
-        for head in lift([z for z, _mult in roots]):
-            for z_last in _solve_linear_last(linear, dict(zip(gs[0].vars, head))):
-                try:
-                    vecs = [q_normalize((1.0 + 0j, z)) for z in (*head, z_last)]
-                except IsotropicVectorError:
-                    continue
-                cands.append((vecs, _pairing(arr_rot, mu, vecs)))
+        # far from unit scale the lift overflows to inf/nan candidates, which the residual filter drops
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for head in lift([z for z, _mult in roots]):
+                for z_last in _solve_linear_last(linear, dict(zip(gs[0].vars, head))):
+                    try:
+                        vecs = [q_normalize((1.0 + 0j, z)) for z in (*head, z_last)]
+                    except IsotropicVectorError:
+                        continue
+                    cands.append((vecs, _pairing(arr_rot, mu, vecs)))
         found: list[tuple[list[tuple[complex, complex]], complex]] = []
         if len(cands) > expected:
             close = [(v, sg) for v, sg in cands if tuple_residual(arr_rot, mu, v, sg) <= PREFILTER_TOL * norm]

@@ -273,15 +273,16 @@ def slice_tensor(t: BinaryTensor, j: int, bit: int) -> BinaryTensor:
     return BinaryTensor(t.d - 1, tuple(entries))
 
 
-def _apply_slot_rotation(entries: list[Scalar], d: int, slot: int, c: Scalar, s: Scalar) -> None:
-    """In-place planar rotation [[c,-s],[s,c]] acting on one slot (0-based)."""
+def _apply_slot_map(entries: list[Scalar], d: int, slot: int, m: Sequence[Sequence[Scalar]]) -> None:
+    """In-place 2x2 map m on one slot (0-based): each pair (a, b) becomes m (a, b)."""
+    (m00, m01), (m10, m11) = m
     shift = d - 1 - slot
     for i in range(1 << d):
         if (i >> shift) & 1 == 0:
             i1 = i | (1 << shift)
             a, b = entries[i], entries[i1]
-            entries[i] = c * a - s * b
-            entries[i1] = s * a + c * b
+            entries[i] = m00 * a + m01 * b
+            entries[i1] = m10 * a + m11 * b
 
 
 def rotate_cs(
@@ -303,7 +304,7 @@ def rotate_cs(
         raise ValueError(f"need one rotation per slot, got {len(cs)} for order {t.d}")
     entries = list(t.entries)
     for slot, (c, s) in enumerate(cs):
-        _apply_slot_rotation(entries, t.d, slot, c, s)
+        _apply_slot_map(entries, t.d, slot, ((c, -s), (s, c)))
     return BinaryTensor(t.d, tuple(entries))
 
 
@@ -317,33 +318,20 @@ def rotate(t: BinaryTensor | MuTensor, angles: Sequence[float]) -> BinaryTensor 
 def to_u_coordinates(t: BinaryTensor) -> BinaryTensor:
     """Coefficients of t in the isotropic basis z_0 = x_0 + i x_1, z_1 = x_0 - i x_1.
 
-    u_I = sum_J i^{|J|} (-1)^{sum_l (1-i_l) j_l} t_J.  For real t the entry at
-    the bitwise complement of I is the complex conjugate of the entry at I.
-    Exact input yields exact Gaussian-rational entries.
+    u_I = sum_J i^{|J|} (-1)^{sum_l (1-i_l) j_l} t_J.  The sum factors per
+    slot: every slot maps its pair (a, b) to (a - i b, a + i b).  For real t
+    the entry at the bitwise complement of I is the complex conjugate of the
+    entry at I.  Exact input yields exact Gaussian-rational entries.
     """
-    exact = t.exact
-    if exact:
-        one = QQi(Fraction(1), Fraction(0))
-        i_pow: list[Scalar] = [one, QQi(Fraction(0), Fraction(1)), -one, QQi(Fraction(0), Fraction(-1))]
-        zero: Scalar = QQi(Fraction(0), Fraction(0))
+    if t.exact:
+        one, i = QQi(Fraction(1), Fraction(0)), QQi(Fraction(0), Fraction(1))
+        entries: list[Scalar] = list(t.entries)
     else:
-        i_pow = [1.0 + 0j, 1j, -1.0 + 0j, -1j]
-        zero = 0j
-    out = []
-    for ibits in all_bits(t.d):
-        acc = zero
-        for jbits in all_bits(t.d):
-            v = t[jbits]
-            if v == 0:
-                continue
-            w = sum(jbits)
-            sign_exp = sum((1 - ib) * jb for ib, jb in zip(ibits, jbits))
-            term = i_pow[w % 4] * (v if exact else complex(v))
-            if sign_exp % 2:
-                term = -term
-            acc = acc + term
-        out.append(acc)
-    return BinaryTensor(t.d, tuple(out))
+        one, i = 1.0 + 0j, 1j
+        entries = [complex(v) for v in t.entries]
+    for slot in range(t.d):
+        _apply_slot_map(entries, t.d, slot, ((one, -i), (one, i)))
+    return BinaryTensor(t.d, tuple(entries))
 
 
 def random_tensor(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -251,3 +252,19 @@ def test_invariants_float_overflow_exits_3(capsys, tmp_path):
     code, out, err = run(capsys, "invariants", "--input", str(path), "--format", "json")
     assert code == 3 and out == ""
     assert "overflow" in err
+
+
+def test_svals_float_1e150_exits_3_without_runtime_warnings(capsys, tmp_path):
+    # every chart attempt overflows to inf/nan candidates and keeps none; that
+    # is the named exit 3, with nothing from numpy before it
+    base = [3, -1, 2, 5, -4, 1, 2, -3]
+    entries = {format(i, "03b"): v * 1e150 for i, v in enumerate(base)}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"d": 3, "mu": None, "entries": entries}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "svals", "--input", str(path))
+    assert code == 3 and out == ""
+    attempts = "; ".join(f"attempt {k}: 0 survivors (expected 6)" for k in range(3))
+    assert err.splitlines() == [f"error: solver failure: no rotation certified 6 singular tuples: {attempts}"]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

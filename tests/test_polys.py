@@ -77,6 +77,26 @@ def test_roots_conjugate_pair():
     assert abs(ims[0] + 1) < 1e-12 and abs(ims[1] - 1) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        ((3.0, -2.0), [(1.5, 1)]),
+        ((0.0, 0.0, -3.0, 1.0), [(0, 2), (3, 1)]),
+        ((2.0, -3.0, 0.0, 1.0), [(-2, 1), (1, 2)]),
+        (UniPoly.from_roots([-3.5, -2.0, -1.0, -0.25, 0.5, 1.5, 2.75, 4.0]).coeffs,
+         [(r, 1) for r in (-3.5, -2.0, -1.0, -0.25, 0.5, 1.5, 2.75, 4.0)]),
+        (UniPoly.from_roots([-1 - 2j, -1 + 2j, 1.0, -3.0]).coeffs,
+         [(-3, 1), (-1 - 2j, 1), (-1 + 2j, 1), (1, 1)]),
+    ],
+    ids=["linear", "double-zero", "double-one", "eight-real", "pair-and-two-real"],
+)
+def test_float_roots_with_multiplicities(coeffs, expected):
+    found = all_roots(UniPoly(tuple(coeffs)))
+    assert [m for _, m in found] == [m for _, m in expected]
+    for (z, _), (want, _) in zip(found, expected):
+        assert abs(z - want) < 1e-9
+
+
 def test_roots_structured_multiplicity():
     # the dual distance polynomial of the diagonal tensor (1,2): 625(e-1)(e-4)(e-4/5)^4
     p = UniPoly((Fraction(625),))

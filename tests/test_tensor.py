@@ -6,6 +6,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,6 +217,44 @@ def test_u_diagonal_theta():
     prod = u.entries[0] * u.entries[7]
     assert isinstance(prod, QQi)
     assert prod.im == 0 and prod.re == a * a + b * b
+
+
+def u_coordinates_by_double_sum(t):
+    """The printed formula u_I = sum_J i^{|J|} (-1)^{sum_l (1-i_l) j_l} t_J, term by term."""
+    if t.exact:
+        one = QQi(Fraction(1), Fraction(0))
+        i_pow = [one, QQi(Fraction(0), Fraction(1)), -one, QQi(Fraction(0), Fraction(-1))]
+        zero = QQi(Fraction(0), Fraction(0))
+    else:
+        i_pow, zero = [1.0 + 0j, 1j, -1.0 + 0j, -1j], 0j
+    out = []
+    for ibits in all_bits(t.d):
+        acc = zero
+        for jbits in all_bits(t.d):
+            v = t[jbits]
+            if v == 0:
+                continue
+            term = i_pow[sum(jbits) % 4] * (v if t.exact else complex(v))
+            if sum((1 - ib) * jb for ib, jb in zip(ibits, jbits)) % 2:
+                term = -term
+            acc = acc + term
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_u_coordinates_match_double_sum(d):
+    rng = np.random.default_rng(100 + d)
+    for _ in range(40):
+        # about a third of the entries are zero, which the double sum skips
+        nums = rng.integers(-9, 10, size=1 << d) * (rng.random(1 << d) > 0.3)
+        dens = rng.integers(1, 10, size=1 << d)
+        exact = BinaryTensor(d, tuple(Fraction(int(n), int(m)) for n, m in zip(nums, dens)))
+        got, want = to_u_coordinates(exact).entries, u_coordinates_by_double_sum(exact)
+        assert [(u.re, u.im) for u in got] == [(u.re, u.im) for u in want]
+        floats = BinaryTensor(d, tuple(float(v) for v in rng.uniform(-1, 1, size=1 << d) * (nums != 0)))
+        got, want = to_u_coordinates(floats).entries, u_coordinates_by_double_sum(floats)
+        assert all(abs(a - b) <= 1e-15 * (1 + abs(b)) for a, b in zip(got, want))
 
 
 # --- randomness, symmetrization, permutation ---------------------------------------

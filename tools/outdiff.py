@@ -11,10 +11,13 @@ it counts outputs that are identical (same exit code, same stdout), for
 ``degenerate``, ``notes``, data count and ``is_real`` multiset; sigma^2
 matched and the best rank-one squared distance within REL_TOL * q~(t);
 ``edpoly_dual`` within REL_TOL of its largest coefficient) or different, and
-every exit-code change.  Runs that exit with the same non-zero code on both
-sides are also compared on the last ``error:`` line of their stderr and
-counted as "message changed" when it differs; only that line is compared,
-since warnings printed before it vary with the numpy version.  Exits 1 on any difference, exit-code change or
+every exit-code change.  A different ``svals`` output that keeps that
+structure also prints its worst sigma^2 gap over q~(t) and over |sigma^2|,
+which tells an ill-conditioned complex pair from a real change.  Runs that
+exit with the same non-zero code on both sides are also compared on the last
+``error:`` line of their stderr and counted as "message changed" when it
+differs; only that line is compared, since warnings printed before it vary
+with the numpy version.  Exits 1 on any difference, exit-code change or
 changed message.
 """
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -65,27 +69,39 @@ def _dist_sq(doc: dict) -> float | None:
     return None if dist is None else dist * dist
 
 
-def sigma_sq_gap(a: dict, b: dict) -> float | None:
-    """Worst sigma^2 mismatch over q~(t), or None when the documents are not numerically equal."""
+def sigma_sq_gaps(a: dict, b: dict) -> tuple[float, float] | None:
+    """Worst sigma^2 mismatch over q~(t) and over |sigma^2|, or None when the structure differs.
+
+    The structure is ``mu``, ``ed_degree``, ``degenerate``, ``notes``, the data
+    count and the ``is_real`` multiset; each sigma^2 of ``a`` is matched to the
+    nearest one of ``b`` left unmatched.
+    """
     keys = ("mu", "ed_degree", "degenerate", "notes")
     real_a, real_b = (sorted(d["is_real"] for d in doc["data"]) for doc in (a, b))
     if any(a[k] != b[k] for k in keys) or len(a["data"]) != len(b["data"]) or real_a != real_b:
         return None
     qt = a["qt"] or 1.0
     rest = [_sq(d["sigma_sq"]) for d in b["data"]]
-    worst = 0.0
+    over_qt = over_abs = 0.0
     for d in a["data"]:
         v = _sq(d["sigma_sq"])
         i = min(range(len(rest)), key=lambda i: abs(rest[i] - v))
-        worst = max(worst, abs(rest.pop(i) - v) / qt)
+        gap = abs(rest.pop(i) - v)
+        over_qt = max(over_qt, gap / qt)
+        over_abs = max(over_abs, gap / abs(v) if v else math.inf if gap else 0.0)
+    return over_qt, over_abs
+
+
+def numerically_equal(a: dict, b: dict, gap: float) -> bool:
+    """Sigma^2 gap, ``edpoly_dual`` and best rank-one distance all within REL_TOL."""
     ca, cb = a["edpoly_dual"], b["edpoly_dual"]
     top = max(map(abs, ca), default=0.0) or 1.0
     if len(ca) != len(cb) or any(abs(x - y) > REL_TOL * top for x, y in zip(ca, cb)):
-        return None
+        return False
     da, db = _dist_sq(a), _dist_sq(b)
-    if (da is None) != (db is None) or (da is not None and abs(da - db) > REL_TOL * qt):
-        return None
-    return worst if worst <= REL_TOL else None
+    if (da is None) != (db is None) or (da is not None and abs(da - db) > REL_TOL * (a["qt"] or 1.0)):
+        return False
+    return gap <= REL_TOL
 
 
 def kind_of(path: Path) -> str:
@@ -115,13 +131,18 @@ def main(argv: list[str] | None = None) -> int:
             print(f"message changed: {command} {path.name}")
         elif a["out"] == b["out"]:
             tally["identical"] += 1
-        elif (command == "svals" and a["code"] == 0
-              and (gap := sigma_sq_gap(json.loads(a["out"]), json.loads(b["out"]))) is not None):
-            tally["numerically equal"] += 1
-            worst[kind] = max(worst[kind], gap)
         else:
-            tally["different"] += 1
-            print(f"different: {command} {path.name}")
+            gaps = None
+            if command == "svals" and a["code"] == 0:
+                doc_a, doc_b = json.loads(a["out"]), json.loads(b["out"])
+                gaps = sigma_sq_gaps(doc_a, doc_b)
+            if gaps is not None and numerically_equal(doc_a, doc_b, gaps[0]):
+                tally["numerically equal"] += 1
+                worst[kind] = max(worst[kind], gaps[0])
+            else:
+                tally["different"] += 1
+                note = "" if gaps is None else f"  (worst sigma^2 gap {gaps[0]:.2e} q~(t), {gaps[1]:.2e} |sigma^2|)"
+                print(f"different: {command} {path.name}{note}")
     for kind in sorted(counts):
         note = f"  (worst sigma^2 gap {worst[kind]:.2e} q~(t))" if kind in worst else ""
         print(f"{kind:<35} " + ", ".join(f"{k} {n}" for k, n in sorted(counts[kind].items())) + note)
