@@ -19,8 +19,9 @@ eliminated exactly over the rationals by closed-form resultants
 (``_resultant``: every elimination step takes two linear or two quadratic
 equations), the univariate eliminant is split square-free (a gcd mod a
 large prime proves the usual square-free case) and root-found in double
-precision, and the last variable is back-substituted in floats.  Only the
-candidates whose residual on the rotated tensor is already small
+precision, and the last variable is back-substituted in floats.  One call
+of the batched kernel pairs every candidate and scores its residual on the
+rotated tensor; only the candidates whose residual is already small
 (PREFILTER_TOL) are Newton-polished first; when they do not give exactly
 ed_degree(mu) tuples, every candidate is polished in order.  The polished
 tuples are residual-filtered and deduplicated on the rotated tensor.
@@ -32,6 +33,16 @@ elimination chain (z3 then z2 for 2x2x2, z2 for the two-group shapes) and
 an optional rank-one closed form.  Fully symmetric tensors use the
 critical binary form chart of ``eigen_symmetric``, whose attempt 0 does
 not rotate.
+
+The critical equations are scored by one batched kernel,
+``_contract_batch``: it takes the group vectors of n tuples as an (n, s, 2)
+array and returns, from one ``np.einsum`` per slot, the all-but-one
+contractions y_j of every tuple, their pairings t(x, ..., x) and their
+residuals max_j |y_j - sigma x_j| (inf when not finite).  ``tuple_residual``
+and ``_pairing`` are its one-row views, Newton's system takes its group rows
+from the same per-slot einsums, and the Jacobian's all-but-two blocks are
+one einsum each.  Every contraction, batched or not, is one call of
+``_contract_except``.
 
 Supported: full 2x2x2 tensors (six tuples), (2,1)-symmetric tensors (four),
 2x2 matrices (two), and fully symmetric tensors of any order (d tuples, via
@@ -156,28 +167,60 @@ def _slot_vectors(mu: Partition, group_vecs: Sequence[Sequence[complex]]) -> lis
     return [group_vecs[k] for k in mu.group_of]
 
 
-def _contract_except(arr: np.ndarray, slot_vecs: Sequence[Sequence[complex]], keep: Sequence[int]) -> np.ndarray:
-    """Contract every slot not in ``keep`` (0-based) with its vector."""
-    out = arr
-    for slot in range(arr.ndim - 1, -1, -1):
-        if slot in keep:
-            continue
-        v = np.asarray(slot_vecs[slot], dtype=complex)
-        out = np.tensordot(out, v, axes=([slot], [0]))
-    return out
+def _contract_except(arr: np.ndarray, slot_vecs: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """``arr`` contracted with the (n, d, 2) ``slot_vecs`` at every slot not in ``keep`` (0-based).
+
+    Shape (n, 2, ..., 2): the batch axis, then the kept axes in ascending slot order.
+    """
+    d, n = arr.ndim, slot_vecs.shape[0]
+    if len(keep) == d:
+        # no vector left to carry the batch index into the einsum
+        return np.broadcast_to(arr, (n, *arr.shape))
+    operands: list = [arr, list(range(d))]
+    for slot in range(d):
+        if slot not in keep:
+            operands += [slot_vecs[:, slot], [d, slot]]
+    return np.einsum(*operands, [d, *sorted(keep)])
+
+
+def _all_but_one(arr: np.ndarray, slot_vecs: np.ndarray, slots: Sequence[int]) -> np.ndarray:
+    """(n, len(slots), 2): the all-but-one contraction at each of ``slots``."""
+    return np.stack([_contract_except(arr, slot_vecs, (slot,)) for slot in slots], axis=1)
+
+
+def _stack(mu: Partition, tuples: Sequence[Sequence[Sequence[complex]]]) -> np.ndarray:
+    """The (n, s, 2) complex array of n group-vector tuples."""
+    return np.array(tuples, dtype=complex).reshape(-1, mu.s, 2)
+
+
+def _contract_batch(
+    arr: np.ndarray, mu: Partition, vecs: np.ndarray, sigma: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The critical equations of n tuples at once, for group vectors ``vecs`` of shape (n, s, 2).
+
+    Returns the all-but-one contractions y_j of every slot (n, d, 2), the
+    pairings t(x, ..., x) (n,), and the residuals (n,): the worst defect
+    |y_j - sigma * x_j| over all slots, with ``sigma`` the pairings unless
+    given.  A tuple with a non-finite defect has residual inf.
+    """
+    slot_vecs = vecs[:, list(mu.group_of)]
+    ys = _all_but_one(arr, slot_vecs, range(mu.d))
+    pairings = np.einsum("nb,nb->n", ys[:, 0], slot_vecs[:, 0])
+    sig = pairings if sigma is None else np.asarray(sigma, dtype=complex)
+    defects = np.abs(ys - sig[:, None, None] * slot_vecs).max(axis=(1, 2))
+    residuals = np.where(np.isfinite(defects), defects, np.inf)
+    return ys, pairings, residuals
 
 
 def tuple_residual(
     arr: np.ndarray, mu: Partition, group_vecs: Sequence[Sequence[complex]], sigma: complex
 ) -> float:
-    """Worst defect of the critical equations over all slots."""
-    slot_vecs = _slot_vectors(mu, group_vecs)
-    worst = 0.0
-    for slot, k in enumerate(mu.group_of):
-        y = _contract_except(arr, slot_vecs, keep=(slot,))
-        x = np.asarray(group_vecs[k], dtype=complex)
-        worst = max(worst, float(np.max(np.abs(y - sigma * x))))
-    return worst
+    """Worst defect of the critical equations over all slots; inf when it is not finite."""
+    return float(_contract_batch(arr, mu, _stack(mu, [group_vecs]), np.array([sigma]))[2][0])
+
+
+def _pairing(arr: np.ndarray, mu: Partition, group_vecs: Sequence[Sequence[complex]]) -> complex:
+    return complex(_contract_batch(arr, mu, _stack(mu, [group_vecs]))[1][0])
 
 
 def _newton_polish_tuple(
@@ -188,22 +231,16 @@ def _newton_polish_tuple(
     steps: int = 50,
 ) -> tuple[list[tuple[complex, complex]], complex]:
     """Damped Gauss-Newton on (vectors, sigma) with the normalizations q(x_k) = 1."""
-    s, firsts = mu.s, mu.firsts
+    s, firsts, group_of = mu.s, mu.firsts, list(mu.group_of)
     x = np.array([list(v) for v in group_vecs], dtype=complex)  # (s, 2)
     sig = complex(sigma)
 
     def system(xv: np.ndarray, sg: complex) -> np.ndarray:
-        slot_vecs = _slot_vectors(mu, [tuple(row) for row in xv])
-        eqs = []
-        for k in range(s):
-            y = _contract_except(arr, slot_vecs, keep=(firsts[k],))
-            eqs.extend(list(y - sg * xv[k]))
-        for k in range(s):
-            eqs.append(xv[k][0] ** 2 + xv[k][1] ** 2 - 1.0)
-        return np.array(eqs, dtype=complex)
+        ys = _all_but_one(arr, xv[None, group_of], firsts)[0]  # (s, 2): y at each group's first slot
+        return np.concatenate([(ys - sg * xv).ravel(), xv[:, 0] ** 2 + xv[:, 1] ** 2 - 1.0])
 
     def jacobian(xv: np.ndarray, sg: complex) -> np.ndarray:
-        slot_vecs = _slot_vectors(mu, [tuple(row) for row in xv])
+        slot_vecs = xv[None, group_of]
         jac = np.zeros((3 * s, 2 * s + 1), dtype=complex)
         row = 0
         for k in range(s):
@@ -211,7 +248,7 @@ def _newton_polish_tuple(
                 count = mu.parts[m] - (1 if m == k else 0)
                 if count > 0:
                     other = firsts[m] + (1 if m == k else 0)
-                    mat = _contract_except(arr, slot_vecs, keep=(firsts[k], other))
+                    mat = _contract_except(arr, slot_vecs, keep=(firsts[k], other))[0]
                     if firsts[k] > other:
                         mat = mat.T
                     jac[row : row + 2, 2 * m : 2 * m + 2] += count * mat
@@ -225,8 +262,9 @@ def _newton_polish_tuple(
 
     f = system(x, sig)
     best = float(np.linalg.norm(f))
+    converged = 1e-14 * (1.0 + float(np.max(np.abs(arr))))
     for _ in range(steps):
-        if best < 1e-14 * (1.0 + float(np.max(np.abs(arr)))):
+        if best < converged:
             break
         jac = jacobian(x, sig)
         step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
@@ -444,10 +482,6 @@ def _finalize_spectrum(
     return Spectrum(mu=mu, data=data, degenerate=degenerate, notes=notes)
 
 
-def _pairing(arr: np.ndarray, mu: Partition, group_vecs: Sequence[Sequence[complex]]) -> complex:
-    return complex(_contract_except(arr, _slot_vectors(mu, group_vecs), keep=()))
-
-
 # --- rank-one fast paths ---------------------------------------------------------
 
 
@@ -561,16 +595,18 @@ def _polish_candidates(
     arr: np.ndarray, mu: Partition, cands: list[tuple[list[tuple[complex, complex]], complex]], norm: float
 ) -> list[tuple[list[tuple[complex, complex]], complex]]:
     """Newton-polish ``cands`` on ``arr`` in order; keep the distinct ones with residual <= CHART_FILTER_TOL * norm."""
-    found: list[tuple[list[tuple[complex, complex]], complex]] = []
-    keys: list[tuple] = []
+    polished: list[list[tuple[complex, complex]]] = []
     for vecs, sigma in cands:
-        vecs, sigma = _newton_polish_tuple(arr, mu, vecs, sigma, steps=40)
+        vecs, _ = _newton_polish_tuple(arr, mu, vecs, sigma, steps=40)
         try:
-            vecs = [q_normalize(v) for v in vecs]
+            polished.append([q_normalize(v) for v in vecs])
         except IsotropicVectorError:
             continue
-        sigma = _pairing(arr, mu, vecs)
-        if tuple_residual(arr, mu, vecs, sigma) > CHART_FILTER_TOL * norm:
+    _, sigmas, residuals = _contract_batch(arr, mu, _stack(mu, polished))
+    found: list[tuple[list[tuple[complex, complex]], complex]] = []
+    keys: list[tuple] = []
+    for vecs, sigma, res in zip(polished, sigmas.tolist(), residuals.tolist()):
+        if res > CHART_FILTER_TOL * norm:
             continue
         key = (sigma * sigma, tuple(vecs))
         if any(_keys_close(key, k) for k in keys):
@@ -630,19 +666,20 @@ def _solve_by_elimination(
 
         arr_rot = dense_rot.as_array().astype(complex)
         linear = [g.coefficients_in(g.vars[-1]) for g in gs]
-        cands: list[tuple[list[tuple[complex, complex]], complex]] = []
+        tuples: list[list[tuple[complex, complex]]] = []
         # far from unit scale the lift overflows to inf/nan candidates, which the residual filter drops
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for head in lift([z for z, _mult in roots]):
                 for z_last in _solve_linear_last(linear, dict(zip(gs[0].vars, head))):
                     try:
-                        vecs = [q_normalize((1.0 + 0j, z)) for z in (*head, z_last)]
+                        tuples.append([q_normalize((1.0 + 0j, z)) for z in (*head, z_last)])
                     except IsotropicVectorError:
                         continue
-                    cands.append((vecs, _pairing(arr_rot, mu, vecs)))
+            _, pairings, residuals = _contract_batch(arr_rot, mu, _stack(mu, tuples))
+        cands = list(zip(tuples, pairings.tolist()))
         found: list[tuple[list[tuple[complex, complex]], complex]] = []
         if len(cands) > expected:
-            close = [(v, sg) for v, sg in cands if tuple_residual(arr_rot, mu, v, sg) <= PREFILTER_TOL * norm]
+            close = [c for c, r in zip(cands, residuals.tolist()) if r <= PREFILTER_TOL * norm]
             if expected <= len(close) < len(cands):
                 found = _polish_candidates(arr_rot, mu, close, norm)
         if len(found) != expected:
@@ -730,13 +767,14 @@ def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
         if len(gg) > 1:
             directions += [((1.0 + 0j, z), mult) for z, mult in all_roots(gg)]
         arr_rot = expand(c_rot).as_array().astype(complex)
+        try:
+            normalized = [[q_normalize(x)] for x, _mult in directions]
+        except IsotropicVectorError as exc:
+            raise _AttemptFailed(str(exc)) from exc
+        _, pairings, _ = _contract_batch(arr_rot, mu, _stack(mu, normalized))
         fixed = []
-        for x, mult in directions:
-            try:
-                xn = q_normalize(x)
-            except IsotropicVectorError as exc:
-                raise _AttemptFailed(str(exc)) from exc
-            fixed += [([xn], _pairing(arr_rot, mu, [xn]))] * mult
+        for xn, sigma, (_x, mult) in zip(normalized, pairings.tolist(), directions):
+            fixed += [(xn, sigma)] * mult
         return cs, fixed, "critical form chart"
 
     return _first_certified(c, seed, 0xD, MAX_ROTATION_ATTEMPTS + 1, chart)

@@ -395,6 +395,8 @@ def tensor_from_json_dict(doc: dict) -> BinaryTensor | MuTensor:
     d = int(doc["d"])
     mu = doc.get("mu")
     raw = doc.get("entries", {})
+    if not isinstance(raw, dict):
+        raise TypeError(f"entries must be an object of index keys, not {type(raw).__name__}")
     if mu is None:
         entries: list[Scalar] = [Fraction(0)] * (1 << d)
         for key, val in raw.items():

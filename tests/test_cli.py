@@ -60,6 +60,18 @@ def test_svals_malformed_json_exit_2(capsys, tmp_path, text, message):
     assert message in err
 
 
+@pytest.mark.parametrize("doc", [
+    pytest.param({"d": 3, "mu": None, "entries": [3, -1, 2, 5, -4, 1, 2, -3]}, id="dense"),
+    pytest.param({"d": 2, "mu": [2], "entries": [1, 2, 3]}, id="symmetric"),
+])
+def test_svals_entries_list_exits_2(capsys, tmp_path, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "svals", "--input", str(p))
+    assert code == 2 and out == ""
+    assert "bad tensor document:" in err and "entries" in err
+
+
 def test_svals_mu_override_symmetric(capsys, tmp_path):
     # dense symmetric tensor recompressed as mu=(3): three eigen data
     entries = {"000": "1", "111": "1"}

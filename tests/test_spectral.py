@@ -158,18 +158,23 @@ def test_prefilter_polishes_the_rest_when_a_true_tuple_is_skipped(monkeypatch):
     want = solve_222(t, seed=2).sigma_sq()
     target = max(z.real for z in want if abs(z.imag) <= 1e-9)
     norm = t.norm()
-    residual, polish, rotate_cs = bts.spectral.tuple_residual, bts.spectral._newton_polish_tuple, bts.spectral.rotate_cs
+    batch, polish, rotate_cs = bts.spectral._contract_batch, bts.spectral._newton_polish_tuple, bts.spectral.rotate_cs
     state = {"polishing": False, "hidden": 0, "passed": 0}
 
-    def filtered_residual(arr, mu, vecs, sigma):
-        r = residual(arr, mu, vecs, sigma)
-        if state["polishing"] or r > bts.spectral.PREFILTER_TOL * norm:
-            return r
-        if abs(sigma * sigma - target) <= 1e-3 * target:
-            state["hidden"] += 1
-            return math.inf
-        state["passed"] += 1
-        return r
+    def filtered_batch(arr, mu, vecs, sigma=None):
+        ys, pairings, residuals = batch(arr, mu, vecs, sigma)
+        if state["polishing"]:
+            return ys, pairings, residuals
+        residuals = residuals.copy()
+        for i, (sg, r) in enumerate(zip(pairings, residuals)):
+            if r > bts.spectral.PREFILTER_TOL * norm:
+                continue
+            if abs(sg * sg - target) <= 1e-3 * target:
+                state["hidden"] += 1
+                residuals[i] = math.inf
+            else:
+                state["passed"] += 1
+        return ys, pairings, residuals
 
     def start_polishing(*args, **kwargs):
         state["polishing"] = True
@@ -179,7 +184,7 @@ def test_prefilter_polishes_the_rest_when_a_true_tuple_is_skipped(monkeypatch):
         state["polishing"] = False
         return rotate_cs(*args)
 
-    monkeypatch.setattr(bts.spectral, "tuple_residual", filtered_residual)
+    monkeypatch.setattr(bts.spectral, "_contract_batch", filtered_batch)
     monkeypatch.setattr(bts.spectral, "_newton_polish_tuple", start_polishing)
     monkeypatch.setattr(bts.spectral, "rotate_cs", new_attempt)
     spec = solve_222(t, seed=2)
@@ -580,15 +585,60 @@ def test_contraction_kernel_matches_exact_oracles(shape, seed):
     group_vecs = [tuple(Fraction(int(v), 4) for v in rng.integers(-8, 9, size=2)) for _ in range(mu.s)]
     slot_vecs = [v for v, p in zip(group_vecs, mu.parts) for _ in range(p)]
     arr = t.as_array().astype(complex)
+    batch = np.array([[[complex(v) for v in x] for x in slot_vecs]], dtype=complex)
     assert bts.spectral._pairing(arr, mu, group_vecs) == pairing_rank_one(t, slot_vecs)
     sigma = Fraction(int(rng.integers(-8, 9)), 4)
     worst = Fraction(0)
     for slot in range(mu.d):
-        y = bts.spectral._contract_except(arr, slot_vecs, keep=(slot,))
+        y = bts.spectral._contract_except(arr, batch, keep=(slot,))[0]
         oracle = contract_all_but(t, slot_vecs, slot + 1)
         assert list(y) == [complex(v) for v in oracle]
         worst = max(worst, *(abs(oracle[b] - sigma * slot_vecs[slot][b]) for b in (0, 1)))
     assert bts.spectral.tuple_residual(arr, mu, group_vecs, complex(sigma)) == worst
+
+
+@pytest.mark.parametrize("shape", [(1,), 2, 3, 4, (2, 1), (3,), (8,)], ids=str)
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_batched_contractions_match_exact_oracles(shape, n):
+    # dyadic entries, vectors and sigmas keep every float operation exact, so
+    # each row of the batch must equal the rational oracles to the bit
+    rng = np.random.default_rng(n)
+    seeded = _seeded(rng, shape, lambda rng: Fraction(int(rng.integers(-8, 9)), 8))
+    t, mu = expand(seeded), seeded.mu
+    tuples = [
+        [tuple(Fraction(int(v), 4) for v in rng.integers(-8, 9, size=2)) for _ in range(mu.s)] for _ in range(n)
+    ]
+    sigmas = [Fraction(int(rng.integers(-8, 9)), 4) for _ in range(n)]
+    arr = t.as_array().astype(complex)
+    vecs = np.array([[[complex(v) for v in x] for x in tup] for tup in tuples], dtype=complex).reshape(n, mu.s, 2)
+    ys, pairings, residuals = bts.spectral._contract_batch(arr, mu, vecs, np.array(sigmas, dtype=complex))
+    assert ys.shape == (n, mu.d, 2) and pairings.shape == residuals.shape == (n,)
+    for i, (tup, sigma) in enumerate(zip(tuples, sigmas)):
+        slot_vecs = [tup[k] for k in mu.group_of]
+        for slot in range(mu.d):
+            assert list(ys[i, slot]) == [complex(v) for v in contract_all_but(t, slot_vecs, slot + 1)]
+        assert pairings[i] == pairing_rank_one(t, slot_vecs)
+        assert residuals[i] == bts.spectral.tuple_residual(arr, mu, tup, complex(sigma))
+    _, _, own = bts.spectral._contract_batch(arr, mu, vecs)
+    assert list(own) == [bts.spectral.tuple_residual(arr, mu, tup, p) for tup, p in zip(tuples, pairings)]
+
+
+@pytest.mark.parametrize("defect", ["nan-sigma", "nan-vector", "inf-sigma"])
+def test_non_finite_tuple_has_infinite_residual(defect):
+    t = random_tensor(3, 3)
+    arr = t.as_array().astype(complex)
+    spec = solve_222(t, seed=1)
+    vecs, sigma = [list(v) for v in spec.data[0].vectors], spec.data[0].sigma
+    if defect == "nan-sigma":
+        sigma = complex(math.nan, 0.0)
+    elif defect == "nan-vector":
+        vecs[1][0] = complex(math.nan, 0.0)
+    else:
+        sigma = complex(math.inf, 0.0)
+    res = bts.spectral.tuple_residual(arr, t.mu, vecs, sigma)
+    assert res == math.inf
+    tols = (bts.spectral.RESIDUAL_REL_TOL, bts.spectral.CHART_FILTER_TOL, bts.spectral.PREFILTER_TOL)
+    assert all(res > tol * t.norm() for tol in tols)
 
 
 @pytest.mark.parametrize("seed", range(4))
