@@ -1,11 +1,13 @@
-"""Exact polynomial arithmetic, resultants, and complex root finding.
+"""Polynomials, resultants, and complex root finding.
 
-The elimination pipeline runs entirely over the rationals: sparse multivariate
-polynomials with Fraction coefficients (the solvers' chart resultants are
-closed forms in ``spectral``), and univariate resultants as fraction-free
-(Bareiss) determinants of the Sylvester matrix.  Root finding is the one
-inexact step: the eigenvalues of the companion matrix (one LAPACK call,
-backward stable), followed by Newton polishing and multiplicity clustering.
+Sparse multivariate polynomials with exact rational coefficients carry the
+solvers' critical equations (their coefficients fill the hidden-variable
+pencil of ``spectral``); dense univariate ones carry the distance
+polynomials; univariate resultants, for the discriminants of binary forms,
+are fraction-free (Bareiss) determinants of the Sylvester matrix.  Root
+finding works in double precision: the eigenvalues of the companion matrix
+(one LAPACK call, backward stable), followed by Newton polishing and
+multiplicity clustering.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -23,7 +25,6 @@ from .tensor import MuTensor
 
 ROOT_RESIDUAL_TOL = 1e-10
 CLUSTER_REL_TOL = 1e-7
-SQUARE_FREE_PRIME = 2**61 - 1
 
 
 class RootFindingError(RuntimeError):
@@ -59,24 +60,11 @@ class UniPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else -1
 
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(c, (Fraction, int)) for c in self.coeffs)
-
     def __call__(self, x: Scalar) -> Scalar:
         acc: Scalar = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0), self.var)
-
-    def monic(self) -> "UniPoly":
-        if not self.coeffs:
-            return self
-        lead = self.coeffs[-1]
-        return UniPoly(tuple(c / lead for c in self.coeffs), self.var)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not self.coeffs or not other.coeffs:
@@ -95,114 +83,6 @@ class UniPoly:
         return p
 
 
-def _divmod(u: list[Fraction], v: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of u by v, ascending coefficients; v's last one is nonzero.
-
-    The remainder has its trailing zeros stripped.
-    """
-    r = u[:]
-    q = [Fraction(0)] * max(len(u) - len(v) + 1, 0)
-    for k in range(len(q) - 1, -1, -1):
-        f = r[k + len(v) - 1] / v[-1]
-        q[k] = f
-        for i, cv in enumerate(v):
-            r[k + i] -= f * cv
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic gcd over the rationals (Euclid)."""
-    a = [Fraction(c) for c in p.coeffs]
-    b = [Fraction(c) for c in q.coeffs]
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    if not a:
-        return UniPoly(())
-    lead = a[-1]
-    return UniPoly(tuple(c / lead for c in a))
-
-
-def _poly_divide_exact(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Exact quotient a / b over the rationals (remainder must vanish)."""
-    quot, rem = _divmod([Fraction(c) for c in a.coeffs], [Fraction(c) for c in b.coeffs])
-    if rem:
-        raise ValueError("inexact polynomial division")
-    return UniPoly(tuple(quot), a.var)
-
-
-def _square_free_mod_prime(p: UniPoly) -> bool:
-    """True if gcd(u, u') is constant mod SQUARE_FREE_PRIME, where u is p with denominators cleared.
-
-    When the prime does not divide the leading coefficient of u, reduction
-    keeps the degrees of u and u', so a constant gcd mod the prime means
-    Res(u, u') is nonzero mod the prime, hence nonzero: a proof that p is
-    square-free over the rationals.  False proves nothing.
-    """
-    P = SQUARE_FREE_PRIME
-    coeffs = [Fraction(c) for c in p.coeffs]
-    den = lcm(*(c.denominator for c in coeffs))
-    u = [c.numerator * (den // c.denominator) % P for c in coeffs]
-    if u[-1] == 0:
-        return False
-    a, b = u, [k * c % P for k, c in enumerate(u)][1:]
-    while b:
-        inv = pow(b[-1], -1, P)
-        while len(a) >= len(b):
-            f = a[-1] * inv % P
-            shift = len(a) - len(b)
-            for i, cb in enumerate(b):
-                a[shift + i] = (a[shift + i] - f * cb) % P
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
-def square_free_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun's decomposition p = prod f_k^k with the f_k square-free and coprime.
-
-    A square-free p is recognized first by ``_square_free_mod_prime`` on
-    the monic p and returned as ``[(p.monic(), 1)]``, which is what Yun gives
-    for it; exact Yun runs only when that certificate fails (a repeated
-    factor, or the prime dividing the cleared leading coefficient).
-    """
-    if not p.exact:
-        raise ValueError("square-free decomposition needs exact coefficients")
-    if p.degree < 1:
-        return []
-    p = p.monic()
-    if _square_free_mod_prime(p):
-        return [(p, 1)]
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    if a.degree <= 0:
-        return [(p, 1)]
-    b = _poly_divide_exact(p, a)
-    c = _poly_divide_exact(dp, a)
-    out: list[tuple[UniPoly, int]] = []
-    k = 1
-    while b.degree >= 1:
-        d = UniPoly(
-            tuple(Fraction(x) - Fraction(y) for x, y in _zip_pad(c.coeffs, b.derivative().coeffs)), p.var
-        )
-        a = poly_gcd(b, d)
-        if a.degree >= 1:
-            out.append((a.monic(), k))
-            b, c = _poly_divide_exact(b, a), _poly_divide_exact(d, a)
-        else:
-            c = d
-        k += 1
-    return out
-
-
-def _zip_pad(a: Sequence[Scalar], b: Sequence[Scalar]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-
-
 # --- sparse multivariate polynomials ------------------------------------------
 
 
@@ -216,30 +96,6 @@ class MultiPoly:
     def __post_init__(self) -> None:
         clean = {e: Fraction(c) for e, c in self.terms.items() if c != 0}
         object.__setattr__(self, "terms", clean)
-
-    def _check(self, other: "MultiPoly") -> None:
-        if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return MultiPoly(self.vars, out)
-
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.vars, out)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)
@@ -257,17 +113,6 @@ class MultiPoly:
             re = tuple(x for j, x in enumerate(e) if j != i)
             buckets[e[i]][re] = buckets[e[i]].get(re, Fraction(0)) + c
         return [MultiPoly(rest, b) for b in buckets]
-
-    def to_unipoly(self, name: str, var_label: str | None = None) -> UniPoly:
-        i = self.vars.index(name)
-        for e in self.terms:
-            if any(x != 0 for j, x in enumerate(e) if j != i):
-                raise ValueError(f"polynomial is not univariate in {name}")
-        deg = self.degree_in(name)
-        coeffs = [Fraction(0)] * (deg + 1)
-        for e, c in self.terms.items():
-            coeffs[e[i]] = c
-        return UniPoly(tuple(coeffs), var_label or name)
 
     def __call__(self, **values: Fraction | int | float | complex) -> Scalar:
         """Exact at rational values; otherwise each coefficient is first made a float."""
@@ -366,28 +211,13 @@ def _cluster(roots: Sequence[complex]) -> list[tuple[complex, int]]:
 def all_roots(p: UniPoly | Sequence[Scalar]) -> list[tuple[complex, int]]:
     """All complex roots with multiplicities, deterministically ordered.
 
-    Exact coefficients go through ``square_free_decomposition`` first (a gcd
-    mod a large prime proves the usual square-free case, exact Yun handles
-    the rest), so multiplicities are rigorous and each factor has only
-    simple roots.  Float coefficients take their roots as the eigenvalues of
-    the companion matrix, clustered at CLUSTER_REL_TOL; every root is
-    Newton-polished (clusters of multiplicity m on the (m-1)-th derivative)
-    and checked against a backward-error bound of ROOT_RESIDUAL_TOL.
+    The coefficients are taken as complex floats.  The roots are the
+    eigenvalues of the companion matrix, Newton-polished and clustered at
+    CLUSTER_REL_TOL (a cluster of multiplicity m is polished again on the
+    (m-1)-th derivative), and each is checked against a backward-error bound
+    of ROOT_RESIDUAL_TOL; RootFindingError names the ones that fail it.
     """
-    coeffs = tuple(p.coeffs) if isinstance(p, UniPoly) else tuple(p)
-    if all(isinstance(c, (Fraction, int)) for c in coeffs) and len(coeffs) > 2:
-        exact = UniPoly(tuple(Fraction(c) for c in coeffs))
-        if exact.degree >= 2:
-            out: list[tuple[complex, int]] = []
-            for factor, mult in square_free_decomposition(exact):
-                for root, m in _all_roots_float(factor.coeffs):
-                    out.append((root, m * mult))
-            out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-            return out
-    return _all_roots_float(coeffs)
-
-
-def _all_roots_float(coeffs: Sequence[Scalar]) -> list[tuple[complex, int]]:
+    coeffs = p.coeffs if isinstance(p, UniPoly) else p
     c = np.array([complex(x) for x in coeffs], dtype=complex)
     if len(c) == 0 or not np.any(c != 0):
         raise ValueError("zero polynomial has no well-defined roots")

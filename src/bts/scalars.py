@@ -1,9 +1,10 @@
 """Scalar backends shared by the tensor and polynomial layers.
 
 Two pipelines coexist: an exact one over the rationals (``fractions.Fraction``
-plus the Gaussian rationals below, used for elimination and for the printed
-invariant formulas) and a double-precision one (floats / numpy complex, used
-for root finding and anything transcendental).  Values are converted between
+plus the Gaussian rationals below, used for the critical equations and the
+printed invariant formulas) and a double-precision one (floats / numpy
+complex, used for the solvers' eigenvalue problems, root finding and
+anything transcendental).  Values are converted between
 the two only at explicit boundaries.
 """
 

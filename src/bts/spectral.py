@@ -14,25 +14,18 @@ attempt fails the error names the reason of each.
 Full 2x2x2 tensors, (2,1)-symmetric tensors and 2x2 matrices share the
 elimination chart, ``_solve_by_elimination``.  A rank-one tensor (its
 zero-value critical set is a curve, not isolated points) is answered at
-once by a closed form.  Otherwise the dehomogenized equations are
-eliminated exactly over the rationals by closed-form resultants
-(``_resultant``: every elimination step takes two linear or two quadratic
-equations), the univariate eliminant is split square-free (a gcd mod a
-large prime proves the usual square-free case) and root-found in double
-precision, and the last variable is back-substituted in floats.  One call
-of the batched kernel pairs every candidate and scores its residual on the
-rotated tensor; only the candidates whose residual is already small
-(PREFILTER_TOL) are Newton-polished first; when they do not give exactly
-ed_degree(mu) tuples, every candidate is polished in order.  The polished
-tuples are residual-filtered and deduplicated on the rotated tensor.
-Extraneous elimination roots are removed by residual filtering, never by
-symbolic division.  The critical equations are built from mu alone
-(``_critical_equations``), and the expected count and the least eliminant
-degree are both ed_degree(mu); each shape supplies only its RNG salt, its
-elimination chain (z3 then z2 for 2x2x2, z2 for the two-group shapes) and
-an optional rank-one closed form.  Fully symmetric tensors use the
-critical binary form chart of ``eigen_symmetric``, whose attempt 0 does
-not rotate.
+once by a closed form.  Otherwise the dehomogenized critical equations
+(``_critical_equations``, one variable z_k per group) are linear in the last
+variable z_s; multiplied by powers of z1 they give a square hidden-variable
+pencil M0 + z_s M1 of size ed_degree(mu) over the monomials in z1..z_{s-1}
+(``_pencil``), whose determinant is the resultant of the equations.  Its
+eigenvalues are the values of z_s (``_pencil_values``); the null space of
+M0 + z_s M1 at each one holds the monomial vectors of the tuples sharing
+that z_s, and a shift in z1 separates them (``_pencil_points``).  The
+candidates are paired by one call of the batched kernel, Newton-polished,
+residual-filtered and deduplicated on the rotated tensor.  Fully symmetric
+tensors use the critical binary form chart of ``eigen_symmetric``, whose
+attempt 0 does not rotate.
 
 The critical equations are scored by one batched kernel,
 ``_contract_batch``: it takes the group vectors of n tuples as an (n, s, 2)
@@ -55,6 +48,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,6 +59,7 @@ from .polys import (
     MultiPoly,
     RootFindingError,
     UniPoly,
+    _cluster,
     all_roots,
     reflect_edpoly,
 )
@@ -82,7 +77,6 @@ from .tensor import (
 
 RESIDUAL_REL_TOL = 1e-9
 CHART_FILTER_TOL = 1e-8
-PREFILTER_TOL = 1e-4
 DEDUP_TOL = 1e-6
 MAX_ROTATION_ATTEMPTS = 3
 
@@ -285,7 +279,7 @@ def _newton_polish_tuple(
     return [tuple(row) for row in x], sig
 
 
-# --- exact multilinear equations and elimination --------------------------------
+# --- the critical equations -------------------------------------------------------
 
 
 def _critical_equations(entries: Sequence[Fraction], mu: Partition) -> tuple[MultiPoly, ...]:
@@ -311,110 +305,6 @@ def _critical_equations(entries: Sequence[Fraction], mu: Partition) -> tuple[Mul
             key = tuple(e)
             eqs[k][key] = eqs[k].get(key, Fraction(0)) + (v if bits[first] == 0 else -v)
     return tuple(MultiPoly(vars_, terms) for terms in eqs)
-
-
-def _to_float_coeff_polys(p: MultiPoly, outer: str, inner: str) -> list[np.ndarray]:
-    """Coefficients of p in ``inner`` as float coefficient arrays in ``outer``."""
-    out = []
-    for coeff in p.coefficients_in(inner):
-        deg = coeff.degree_in(outer)
-        arr = np.zeros(max(deg, 0) + 1, dtype=float)
-        for e, c in coeff.terms.items():
-            arr[e[0]] = float(c)
-        out.append(arr)
-    return out
-
-
-def _eval_poly(arr: np.ndarray, z: complex) -> complex:
-    acc = 0j
-    for c in arr[::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def _common_root_of_quadratics(p: Sequence[complex], q: Sequence[complex]) -> list[complex]:
-    """Candidate common roots of two (at most) quadratics, robustly."""
-    cands: list[complex] = []
-    p = list(p) + [0j] * (3 - len(p))
-    q = list(q) + [0j] * (3 - len(q))
-    den = p[1] * q[2] - q[1] * p[2]
-    num = p[0] * q[2] - q[0] * p[2]
-    scale = max(abs(x) for x in p + q) or 1.0
-    if abs(den) > 1e-12 * scale * scale:
-        cands.append(-num / den)
-    for coeffs in (p, q):
-        a, b, c = coeffs[2], coeffs[1], coeffs[0]
-        if abs(a) > 1e-14 * scale:
-            disc = cmath.sqrt(b * b - 4 * a * c)
-            cands.extend([(-b + disc) / (2 * a), (-b - disc) / (2 * a)])
-        elif abs(b) > 1e-14 * scale:
-            cands.append(-c / b)
-    return cands
-
-
-def _resultant(p: MultiPoly, q: MultiPoly, name: str) -> MultiPoly:
-    """Res_name(p, q), exact, for two polynomials both linear or both quadratic in ``name``.
-
-    Degree 1 gives the 2x2 Sylvester determinant p1 q0 - p0 q1, degree 2 its
-    Bezout form (p2 q0 - p0 q2)^2 - (p2 q1 - p1 q2)(p1 q0 - p0 q1); any other
-    pair of degrees raises ValueError.
-    """
-    pc, qc = p.coefficients_in(name), q.coefficients_in(name)
-    if len(pc) != len(qc) or len(pc) not in (2, 3):
-        raise ValueError(f"no closed-form resultant in {name} for degrees {len(pc) - 1} and {len(qc) - 1}")
-    if len(pc) == 2:
-        return pc[1] * qc[0] - pc[0] * qc[1]
-    (p0, p1, p2), (q0, q1, q2) = pc, qc
-    a, b, c = p2 * q0 - p0 * q2, p2 * q1 - p1 * q2, p1 * q0 - p0 * q1
-    return a * a - b * c
-
-
-def _eliminate_222(gs: tuple[MultiPoly, ...]) -> tuple[MultiPoly, Callable]:
-    """z3 from (g1, g2) and from (g1, g3), then z2; z1 lifts through both quadratics in z2."""
-    g1, g2, g3 = gs
-    r12 = _resultant(g1, g2, "z3")
-    r13 = _resultant(g1, g3, "z3")
-    if r12.is_zero or r13.is_zero:
-        raise ValueError("intermediate resultant vanished")
-
-    def lift(roots: list[complex]) -> list[tuple[complex, complex]]:
-        r12z = _to_float_coeff_polys(r12, "z1", "z2")
-        r13z = _to_float_coeff_polys(r13, "z1", "z2")
-        return [
-            (z1, z2)
-            for z1 in roots
-            for z2 in _common_root_of_quadratics(
-                [_eval_poly(cz, z1) for cz in r12z], [_eval_poly(cz, z1) for cz in r13z]
-            )
-        ]
-
-    return _resultant(r12, r13, "z2"), lift
-
-
-def _eliminate_pair(gs: tuple[MultiPoly, ...]) -> tuple[MultiPoly, Callable]:
-    """The last of two variables, by one resultant; the lift keeps each root as it is."""
-    g1, g2 = gs
-    return _resultant(g1, g2, g1.vars[-1]), lambda roots: [(z,) for z in roots]
-
-
-def _solve_linear_last(coeffs: list[list[MultiPoly]], point: dict[str, complex]) -> list[complex]:
-    """Values of the last variable from equations linear in it, at ``point``.
-
-    ``coeffs`` holds each equation's ``coefficients_in`` the last variable.
-    An equation whose linear coefficient nearly vanishes gives no value, and
-    a value within 1e-8 of an earlier one is dropped.
-    """
-    out: list[complex] = []
-    for cs in coeffs:
-        if len(cs) < 2:
-            continue
-        a = complex(cs[1](**point))
-        b = complex(cs[0](**point))
-        if abs(a) > 1e-10 * (1.0 + abs(b)):
-            z = -b / a
-            if not any(abs(z - w) <= 1e-8 * (1.0 + abs(z)) for w in out):
-                out.append(z)
-    return out
 
 
 def _keys_close(k1: tuple, k2: tuple) -> bool:
@@ -616,29 +506,88 @@ def _polish_candidates(
     return found
 
 
+def _pencil(gs: Sequence[MultiPoly], mu: Partition) -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]:
+    """The hidden-variable pencil M0 + z_s M1 of the critical equations ``gs``, and its columns.
+
+    Each equation, linear in the last variable z_s, is multiplied by z1^a for
+    a < (s - 1) * mu.parts[0] (its degree in z1); its coefficients of z_s^0
+    and z_s^1 give a row of M0 and of M1 over the monomials z1^i z2^j ...
+    z_{s-1}^m (i < s * mu.parts[0], every other exponent at most the
+    variable's degree), listed as exponent tuples.  The pencil is square of
+    size ed_degree(mu), its determinant is the equations' resultant, and both
+    matrices are scaled by their largest entry.
+    """
+    p = mu.parts[0]
+    monomials = list(product(range(mu.s * p), *(range(part + 1) for part in mu.parts[1:-1])))
+    column = {m: i for i, m in enumerate(monomials)}
+    mats = np.zeros((2, len(monomials), len(monomials)))
+    rows = ((g, a) for g in gs for a in range((mu.s - 1) * p))
+    for row, (g, a) in enumerate(rows):
+        for power, coeff in enumerate(g.coefficients_in(g.vars[-1])):
+            for e, c in coeff.terms.items():
+                mats[power, row, column[(e[0] + a, *e[1:])]] = float(c)
+    mats /= np.max(np.abs(mats)) or 1.0
+    return mats[0], mats[1], monomials
+
+
+def _pencil_values(m0: np.ndarray, m1: np.ndarray) -> list[tuple[complex, int]]:
+    """The values z of det(M0 + z M1) = 0, the eigenvalues of -M1^-1 M0, clustered with multiplicities.
+
+    A singular M1 means a root at infinity, and the attempt fails.
+    """
+    try:
+        companion = np.linalg.solve(m1, m0)
+    except np.linalg.LinAlgError as exc:
+        raise _AttemptFailed("root at infinity (singular pencil)") from exc
+    values = np.linalg.eigvals(-companion)
+    if not np.all(np.isfinite(values)):
+        raise _AttemptFailed("root at infinity (singular pencil)")
+    return _cluster(values.tolist())
+
+
+def _pencil_points(
+    m0: np.ndarray, m1: np.ndarray, monomials: list[tuple[int, ...]], z: complex, k: int
+) -> list[tuple[complex, ...]]:
+    """The values of (z1, ..., z_{s-1}) at the k tuples whose last variable is ``z``.
+
+    The k smallest right singular vectors V of M0 + z M1 span the monomial
+    vectors of those tuples.  Shifting monomial m to z1 m is multiplication
+    by z1 on each of them, so the k x k least-squares solution B of
+    V[m] B = V[z1 m] has their z1 as eigenvalues, and each eigenvector c gives
+    one monomial vector v = V c, whose other variables are v[z_j] / v[1].
+    """
+    _, _, vh = np.linalg.svd(m0 + z * m1)
+    basis = vh[-k:].conj().T
+    column = {m: i for i, m in enumerate(monomials)}
+    shifts = [(i, column[up]) for i, m in enumerate(monomials) if (up := (m[0] + 1, *m[1:])) in column]
+    rows, shifted = (list(ix) for ix in zip(*shifts))
+    step, *_ = np.linalg.lstsq(basis[rows], basis[shifted], rcond=None)
+    z1s, coords = np.linalg.eig(step)
+    n = len(monomials[0])
+    units = [column[tuple(int(j == i) for j in range(n))] for i in range(1, n)]
+    # monomials[0] is the monomial 1
+    return [(z1, *(v[u] / v[0] for u in units)) for z1, v in zip(z1s.tolist(), (basis @ coords).T)]
+
+
 def _solve_by_elimination(
     t: BinaryTensor | MuTensor,
     seed: int,
     salt: int,
-    eliminate: Callable,
     rank_one: Callable | None,
 ) -> Spectrum:
-    """All ed_degree(mu) singular tuples of ``t``, from a rotated elimination chart.
+    """All ed_degree(mu) singular tuples of ``t``, from a rotated hidden-variable pencil.
 
     A rank-one ``t`` goes straight to ``rank_one``, which takes the tensor
     and its fiber vectors; only the matrix shape has none.  Otherwise each
     of MAX_ROTATION_ATTEMPTS attempts of ``_first_certified`` rotates ``t``
-    by mu.s seeded angles, mu = t.mu, and builds its dehomogenized critical
+    by mu.s seeded angles, mu = t.mu, builds its dehomogenized critical
     equations with ``_critical_equations``, in one variable z_k per group
-    (x_k = (1, z_k)).  ``eliminate`` reduces them exactly to an eliminant in
-    the first variable, and returns it with a lift from its roots to values
-    of every variable but the last.  The equations are linear in the last
-    variable, which is solved from them in floats.  When there are more
-    candidates than ed_degree(mu), those whose residual on the rotated
-    tensor is at most PREFILTER_TOL * |t| are polished first; unless that
-    gives exactly ed_degree(mu) distinct tuples, every candidate is polished
-    in its original order.  The polished ones are residual-filtered and
-    deduplicated before ``_first_certified`` unrotates and certifies them.
+    (x_k = (1, z_k)), and their pencil M0 + z_s M1 (``_pencil``).  Each
+    eigenvalue cluster (``_pencil_values``) gives the last variable of as
+    many tuples as its multiplicity, and ``_pencil_points`` the other
+    variables of each.  The ed_degree(mu) candidates are Newton-polished,
+    residual-filtered and deduplicated on the rotated tensor before
+    ``_first_certified`` unrotates and certifies them.
     """
     dense = expand(t)
     if rank_one is not None:
@@ -652,38 +601,17 @@ def _solve_by_elimination(
     def chart(rng: np.random.Generator, attempt: int):
         cs = _rotation_pairs(rng, mu.s)
         dense_rot = expand(rotate_cs(t, cs))
-        gs = _critical_equations([Fraction(float(v)) for v in dense_rot.entries], mu)
-        try:
-            e_poly, lift = eliminate(gs)
-        except ValueError as exc:
-            raise _AttemptFailed(str(exc)) from exc
-        if e_poly.is_zero:
-            raise _AttemptFailed("eliminant vanished identically")
-        e_uni = e_poly.to_unipoly(gs[0].vars[0])
-        if e_uni.degree < expected:
-            raise _AttemptFailed(f"eliminant degree {e_uni.degree} < {expected}")
-        roots = all_roots(e_uni)
-
-        arr_rot = dense_rot.as_array().astype(complex)
-        linear = [g.coefficients_in(g.vars[-1]) for g in gs]
+        m0, m1, monomials = _pencil(_critical_equations([Fraction(float(v)) for v in dense_rot.entries], mu), mu)
         tuples: list[list[tuple[complex, complex]]] = []
-        # far from unit scale the lift overflows to inf/nan candidates, which the residual filter drops
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for head in lift([z for z, _mult in roots]):
-                for z_last in _solve_linear_last(linear, dict(zip(gs[0].vars, head))):
-                    try:
-                        tuples.append([q_normalize((1.0 + 0j, z)) for z in (*head, z_last)])
-                    except IsotropicVectorError:
-                        continue
-            _, pairings, residuals = _contract_batch(arr_rot, mu, _stack(mu, tuples))
-        cands = list(zip(tuples, pairings.tolist()))
-        found: list[tuple[list[tuple[complex, complex]], complex]] = []
-        if len(cands) > expected:
-            close = [c for c, r in zip(cands, residuals.tolist()) if r <= PREFILTER_TOL * norm]
-            if expected <= len(close) < len(cands):
-                found = _polish_candidates(arr_rot, mu, close, norm)
-        if len(found) != expected:
-            found = _polish_candidates(arr_rot, mu, cands, norm)
+        for z, k in _pencil_values(m0, m1):
+            for head in _pencil_points(m0, m1, monomials, z, k):
+                try:
+                    tuples.append([q_normalize((1.0 + 0j, w)) for w in (*head, z)])
+                except IsotropicVectorError:
+                    continue
+        arr_rot = dense_rot.as_array().astype(complex)
+        _, pairings, _ = _contract_batch(arr_rot, mu, _stack(mu, tuples))
+        found = _polish_candidates(arr_rot, mu, list(zip(tuples, pairings.tolist())), norm)
         if len(found) != expected:
             raise _AttemptFailed(f"{len(found)} survivors (expected {expected})")
         return cs, found, "elimination chart"
@@ -694,34 +622,34 @@ def _solve_by_elimination(
 def solve_222(t: BinaryTensor, seed: int = 0) -> Spectrum:
     """All six singular tuples of a real 2x2x2 tensor.
 
-    Rotation for general position, exact resultant elimination z3 then z2,
-    degree <= 8 univariate solve, residual-filtered back-substitution, Newton
+    Rotation for general position, the 6 x 6 hidden-variable pencil of the
+    three bilinear critical equations in (z1, z2) with z3 hidden, Newton
     polish on the unrotated tensor.  Rank-one inputs take a closed-form path
     before any rotation (their zero-value critical set is a curve, not six
     points).
     """
     if t.d != 3:
         raise ValueError("solve_222 needs an order-3 tensor")
-    return _solve_by_elimination(t, seed, 0x222, _eliminate_222, _rank_one_spectrum_222)
+    return _solve_by_elimination(t, seed, 0x222, _rank_one_spectrum_222)
 
 
 def solve_21(c: MuTensor, seed: int = 0) -> Spectrum:
     """The four singular tuples (x, x, w) of a (2,1)-symmetric tensor.
 
-    Same scheme as the full solver with one elimination step: the two group
-    equations have multidegree (2,1) in (z1, z2); eliminating z2 by a 2x2
-    Sylvester determinant leaves a quartic in z1.
+    Same scheme as the full solver: the two group equations have multidegree
+    (2,1) in (z1, z2), and with z2 hidden their pencil is the 4 x 4 Sylvester
+    matrix of two quadratics in z1.
     """
     if c.mu.parts != (2, 1):
         raise ValueError(f"need mu = (2,1), got {c.mu}")
-    return _solve_by_elimination(c, seed, 0x21, _eliminate_pair, _rank_one_spectrum_21)
+    return _solve_by_elimination(c, seed, 0x21, _rank_one_spectrum_21)
 
 
 def solve_matrix(t: BinaryTensor, seed: int = 0) -> Spectrum:
-    """The two singular pairs of a 2x2 matrix, by the same elimination scheme."""
+    """The two singular pairs of a 2x2 matrix, by the same pencil scheme (2 x 2)."""
     if t.d != 2:
         raise ValueError("solve_matrix needs an order-2 tensor")
-    return _solve_by_elimination(t, seed, 0x11, _eliminate_pair, None)
+    return _solve_by_elimination(t, seed, 0x11, None)
 
 
 def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
@@ -919,11 +847,17 @@ def assemble_edpoly(spec: Spectrum, t: BinaryTensor | MuTensor) -> UniPoly:
     The leading coefficient is a_top from ``_edpoly_extremes`` for the shapes
     in SUPPORTED_PRODUCT_MU and 1 otherwise; the primal-variety polynomial is
     the reflection of this one at q~(t).  The result is cached on the spectrum.
-    A coefficient that leaves the float range raises OverflowError.
+    A coefficient that leaves the float range raises OverflowError, and so
+    does one that underflows: a leading coefficient 0.0, or a constant
+    coefficient 0.0 although no sigma^2 is 0.
     """
     roots = spec.sigma_sq()
     lead = _edpoly_extremes(t, spec.mu)[1] if tuple(spec.mu.parts) in SUPPORTED_PRODUCT_MU else 1.0
+    if lead == 0.0:
+        raise OverflowError("dual distance polynomial: the leading coefficient underflows to 0.0")
     poly_c = _require_finite(UniPoly.from_roots(roots, lead=complex(lead)), "dual distance polynomial")
+    if complex(poly_c.coeffs[0]) == 0 and all(r != 0 for r in roots):
+        raise OverflowError("dual distance polynomial: the constant coefficient underflows to 0.0")
     coeffs = []
     scale = max((abs(complex(c)) for c in poly_c.coeffs), default=1.0)
     for c in poly_c.coeffs:
@@ -968,7 +902,7 @@ def best_rank_one(
     dist_sq = qt - best.sigma_sq.real
     diff = expand(t).as_array().astype(float) - approx.as_array().real
     check = float(np.sum(diff * diff))
-    if abs(check - dist_sq) > 1e-7 * (1.0 + abs(qt)):
+    if abs(check - dist_sq) > 1e-7 * qt:
         raise SolverFailureError(
             f"Pythagorean check failed: q(t - s x) = {check}, q(t) - s^2 = {dist_sq}"
         )

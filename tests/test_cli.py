@@ -210,10 +210,10 @@ def test_verify_product_unsupported_mu(capsys):
 
 
 def test_svals_exit_3_names_every_attempt(capsys, tmp_path, monkeypatch):
-    def failing_roots(_p):
-        raise RootFindingError("no convergence", [])
+    def failing_values(_m0, _m1):
+        raise bts.spectral._AttemptFailed("no convergence")
 
-    monkeypatch.setattr(bts.spectral, "all_roots", failing_roots)
+    monkeypatch.setattr(bts.spectral, "_pencil_values", failing_values)
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"d": 3, "mu": None, "entries": {"000": "1", "001": "2", "010": "-3", "111": "-1"}}))
     code, _, err = run(capsys, "svals", "--input", str(path))
@@ -267,8 +267,9 @@ def test_invariants_float_overflow_exits_3(capsys, tmp_path):
 
 
 def test_svals_float_1e150_exits_3_without_runtime_warnings(capsys, tmp_path):
-    # every chart attempt overflows to inf/nan candidates and keeps none; that
-    # is the named exit 3, with nothing from numpy before it
+    # the chart certifies all six tuples; the invariants of the distance
+    # polynomial then leave the float range, which is the named exit 3, with
+    # nothing from numpy before it
     base = [3, -1, 2, 5, -4, 1, 2, -3]
     entries = {format(i, "03b"): v * 1e150 for i, v in enumerate(base)}
     path = tmp_path / "t.json"
@@ -277,6 +278,24 @@ def test_svals_float_1e150_exits_3_without_runtime_warnings(capsys, tmp_path):
         warnings.simplefilter("always")
         code, out, err = run(capsys, "svals", "--input", str(path))
     assert code == 3 and out == ""
-    attempts = "; ".join(f"attempt {k}: 0 survivors (expected 6)" for k in range(3))
-    assert err.splitlines() == [f"error: solver failure: no rotation certified 6 singular tuples: {attempts}"]
+    assert len(err.splitlines()) == 1 and err.startswith("error: overflow: ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param({"d": 3, "mu": None,
+                  "entries": {format(i, "03b"): v * 1e-150 for i, v in enumerate([3, -1, 2, 5, -4, 1, 2, -3])}},
+                 id="2x2x2"),
+    pytest.param({"d": 3, "mu": [3], "entries": {"0": 3e-150, "1": -1e-150, "2": 2e-150, "3": 5e-150}}, id="(3,)"),
+])
+def test_svals_1e_150_exits_3_on_underflow(capsys, tmp_path, doc):
+    # the singular values certify, but a distance-polynomial coefficient
+    # underflows to 0.0: printing it would claim false zero roots
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "svals", "--input", str(path), "--format", "json")
+    assert code == 3 and out == ""
+    assert "underflow" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -8,18 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bts.polys
 from bts.combinatorics import Partition
 from bts.polys import (
-    SQUARE_FREE_PRIME,
     MultiPoly,
     UniPoly,
     all_roots,
     discriminant_binary_form,
-    poly_gcd,
     reflect_edpoly,
     resultant_univariate,
-    square_free_decomposition,
 )
 from bts.tensor import MuTensor
 
@@ -97,17 +93,15 @@ def test_float_roots_with_multiplicities(coeffs, expected):
         assert abs(z - want) < 1e-9
 
 
-def test_roots_structured_multiplicity():
-    # the dual distance polynomial of the diagonal tensor (1,2): 625(e-1)(e-4)(e-4/5)^4
-    p = UniPoly((Fraction(625),))
-    for r in (Fraction(1), Fraction(4)) + (Fraction(4, 5),) * 4:
-        p = p * UniPoly((-r, Fraction(1)))
+def test_roots_double_root_multiplicity():
+    # (x-1)^2 (x+2) (x^2+1), exact coefficients taken as floats
+    p = UniPoly((Fraction(1),))
+    for factor in ((-1, 1), (-1, 1), (2, 1), (1, 0, 1)):
+        p = p * UniPoly(tuple(Fraction(c) for c in factor))
     found = all_roots(p)
-    mults = sorted((round(r.real, 9), m) for r, m in found)
-    assert mults == [(0.8, 4), (1.0, 1), (4.0, 1)]
-    assert [c for c, _ in found] == sorted(
-        (c for c, _ in found), key=lambda z: (z.real, z.imag)
-    )
+    assert sorted(m for _, m in found) == [1, 1, 1, 2]
+    assert [z for z, m in found if m == 2] == [pytest.approx(1.0, abs=1e-9)]
+    assert [c for c, _ in found] == sorted((c for c, _ in found), key=lambda z: (z.real, z.imag))
 
 
 @given(st.lists(fracs, min_size=3, max_size=6))
@@ -197,65 +191,3 @@ def test_discriminant_homogeneity():
     d1 = discriminant_binary_form(sym(base)).value
     d2 = discriminant_binary_form(sym([3 * v for v in base])).value
     assert d2 == 3 ** (2 * (3 - 1)) * d1  # degree 2(d-1) in the coefficients
-
-
-# --- gcd helpers ------------------------------------------------------------------
-
-
-def test_poly_gcd():
-    a = UniPoly((Fraction(-1), Fraction(0), Fraction(1)))  # z^2 - 1
-    b = UniPoly((Fraction(1), Fraction(1)))  # z + 1
-    g = poly_gcd(a, b)
-    assert g.coeffs == (Fraction(1), Fraction(1))
-
-
-# --- square-free decomposition ------------------------------------------------------
-
-
-def from_roots_exact(roots):
-    p = UniPoly((Fraction(1),))
-    for r in roots:
-        p = p * UniPoly((-Fraction(r), Fraction(1)))
-    return p
-
-
-def test_square_free_certificate_skips_exact_gcd(monkeypatch):
-    # dyadic roots, distinct: the gcd mod the prime proves square-freeness alone
-    p = UniPoly((Fraction(3, 64),)) * from_roots_exact(["1/2", "-3/4", "5/8", "7/16", "-1", "3", "-5/32", "9/4"])
-    assert p.degree == 8
-
-    def no_gcd(*_args):
-        raise AssertionError("exact gcd should not run on a certified square-free input")
-
-    monkeypatch.setattr(bts.polys, "poly_gcd", no_gcd)
-    assert square_free_decomposition(p) == [(p.monic(), 1)]
-
-
-def test_square_free_decomposition_multiplicities():
-    # (x-1)^2 (x+2) (x^2+1)
-    x2p1 = UniPoly((Fraction(1), Fraction(0), Fraction(1)))
-    p = from_roots_exact([1, 1, -2]) * x2p1
-    assert square_free_decomposition(p) == [(from_roots_exact([-2]) * x2p1, 1), (from_roots_exact([1]), 2)]
-    mults = sorted(m for _, m in all_roots(p))
-    assert mults == [1, 1, 1, 2]
-
-
-def test_square_free_prime_in_leading_coefficient_falls_back_to_yun(monkeypatch):
-    # the monic (x - 1/P)^2 (x + 3) clears to a leading coefficient P^2: no certificate mod P
-    r = Fraction(1, SQUARE_FREE_PRIME)
-    p = UniPoly((Fraction(5),)) * from_roots_exact([r, r, -3])
-    calls = []
-    real_gcd = bts.polys.poly_gcd
-
-    def counting_gcd(a, b):
-        calls.append(1)
-        return real_gcd(a, b)
-
-    monkeypatch.setattr(bts.polys, "poly_gcd", counting_gcd)
-    assert square_free_decomposition(p) == [(from_roots_exact([-3]), 1), (from_roots_exact([r]), 2)]
-    assert calls
-    # square-free, but the same prime in the leading coefficient: Yun still decides
-    calls.clear()
-    q = UniPoly((Fraction(1), Fraction(1), Fraction(0), Fraction(SQUARE_FREE_PRIME)))
-    assert square_free_decomposition(q) == [(q.monic(), 1)]
-    assert calls

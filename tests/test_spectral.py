@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -11,9 +12,9 @@ import pytest
 from conftest import diagonal_sigma_sq, multiset_close, multiset_subtract
 
 import bts.spectral
-from bts.combinatorics import Partition
+from bts.combinatorics import Partition, ed_degree
 from bts.invariants import extra_root_21, extra_root_3, extreme_coeffs_222
-from bts.polys import MultiPoly, UniPoly, resultant_univariate
+from bts.polys import UniPoly
 from bts.spectral import (
     SolverFailureError,
     assemble_edpoly,
@@ -138,59 +139,6 @@ def test_rank_one_input_degenerate_with_zero():
     assert min(abs(v) for v in vals) < 1e-10
     qt = float(bombieri_norm_sq(t))
     assert abs(max(vals) - qt) < 1e-8 * qt
-
-
-def test_prefilter_fallback_polishes_every_candidate(monkeypatch):
-    t = random_tensor(17, 3)
-    want = solve_222(t, seed=2).sigma_sq()
-    # no candidate passes a zero tolerance, so every one is polished as before the pre-filter
-    monkeypatch.setattr(bts.spectral, "PREFILTER_TOL", 0.0)
-    spec = solve_222(t, seed=2)
-    assert len(spec.data) == 6
-    assert multiset_subtract(spec.sigma_sq(), want, tol=1e-12) == []
-
-
-def test_prefilter_polishes_the_rest_when_a_true_tuple_is_skipped(monkeypatch):
-    # Hide the largest real tuple from the pre-filter: its duplicates among the
-    # candidates still leave more than six passing, so the fallback has to be
-    # triggered by the five survivors, not by the count of passing candidates.
-    t = random_tensor(17, 3)
-    want = solve_222(t, seed=2).sigma_sq()
-    target = max(z.real for z in want if abs(z.imag) <= 1e-9)
-    norm = t.norm()
-    batch, polish, rotate_cs = bts.spectral._contract_batch, bts.spectral._newton_polish_tuple, bts.spectral.rotate_cs
-    state = {"polishing": False, "hidden": 0, "passed": 0}
-
-    def filtered_batch(arr, mu, vecs, sigma=None):
-        ys, pairings, residuals = batch(arr, mu, vecs, sigma)
-        if state["polishing"]:
-            return ys, pairings, residuals
-        residuals = residuals.copy()
-        for i, (sg, r) in enumerate(zip(pairings, residuals)):
-            if r > bts.spectral.PREFILTER_TOL * norm:
-                continue
-            if abs(sg * sg - target) <= 1e-3 * target:
-                state["hidden"] += 1
-                residuals[i] = math.inf
-            else:
-                state["passed"] += 1
-        return ys, pairings, residuals
-
-    def start_polishing(*args, **kwargs):
-        state["polishing"] = True
-        return polish(*args, **kwargs)
-
-    def new_attempt(*args):
-        state["polishing"] = False
-        return rotate_cs(*args)
-
-    monkeypatch.setattr(bts.spectral, "_contract_batch", filtered_batch)
-    monkeypatch.setattr(bts.spectral, "_newton_polish_tuple", start_polishing)
-    monkeypatch.setattr(bts.spectral, "rotate_cs", new_attempt)
-    spec = solve_222(t, seed=2)
-    assert state["hidden"] > 0 and state["passed"] >= 6
-    assert all(d.chart_note.endswith("attempt=0") for d in spec.data)
-    assert multiset_subtract(spec.sigma_sq(), want, tol=1e-12) == []
 
 
 def test_rank_one_answered_before_any_rotation(monkeypatch):
@@ -637,38 +585,92 @@ def test_non_finite_tuple_has_infinite_residual(defect):
         sigma = complex(math.inf, 0.0)
     res = bts.spectral.tuple_residual(arr, t.mu, vecs, sigma)
     assert res == math.inf
-    tols = (bts.spectral.RESIDUAL_REL_TOL, bts.spectral.CHART_FILTER_TOL, bts.spectral.PREFILTER_TOL)
+    tols = (bts.spectral.RESIDUAL_REL_TOL, bts.spectral.CHART_FILTER_TOL)
     assert all(res > tol * t.norm() for tol in tols)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_chart_resultants_match_specialized_sylvester_determinants(seed):
-    # every closed-form step of the 2x2x2 elimination, specialized at rational
-    # points, equals the Sylvester determinant of the specialized equations
+def _pencil_of(t):
+    """The hidden-variable pencil of a tensor's critical equations, unrotated."""
+    eqs = bts.spectral._critical_equations([Fraction(v) for v in expand(t).entries], t.mu)
+    return bts.spectral._pencil(eqs, t.mu)
+
+
+@pytest.mark.parametrize("shape", [2, (2, 1), 3], ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_pencil_is_square_of_ed_degree(shape, seed):
+    t = _seeded(np.random.default_rng(seed), shape, lambda rng: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))))
+    m0, m1, monomials = _pencil_of(t)
+    n = ed_degree(t.mu)
+    assert m0.shape == m1.shape == (n, n) and len(monomials) == n
+    values = bts.spectral._pencil_values(m0, m1)
+    assert sum(k for _, k in values) == n
+    assert all(np.isfinite(z) for z, _ in values)
+
+
+@pytest.mark.parametrize("shape", [2, (2, 1), 3], ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_certified_tuples_are_null_vectors_of_the_pencil(shape, seed):
+    # rotate the tensor and its certified tuples into one seeded chart: there
+    # the monomial vector of each tuple's coordinates z_k = x_k1 / x_k0 is a
+    # null vector of M0 + z_s M1
     rng = np.random.default_rng(seed)
-    t = _seeded(rng, 3, lambda rng: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))))
-    g1, g2, g3 = bts.spectral._critical_equations(list(t.entries), t.mu)
-    r12 = bts.spectral._resultant(g1, g2, "z3")
-    r13 = bts.spectral._resultant(g1, g3, "z3")
-    eliminant = bts.spectral._resultant(r12, r13, "z2")
-    assert eliminant.degree_in("z1") >= 6
-    checked = 0
-    for _ in range(12):
-        z1, z2 = (Fraction(int(rng.integers(-7, 8)), int(rng.integers(1, 4))) for _ in range(2))
-        at = {"z1": z1, "z2": z2}
-        lin = [[c(**at) for c in g.coefficients_in("z3")] for g in (g1, g2, g3)]
-        quad = [[c(z1=z1) for c in r.coefficients_in("z2")] for r in (r12, r13)]
-        if any(cs[-1] == 0 for cs in lin + quad):
-            continue
-        assert r12(**at) == resultant_univariate(lin[0], lin[1])
-        assert r13(**at) == resultant_univariate(lin[0], lin[2])
-        assert eliminant(z1=z1) == resultant_univariate(quad[0], quad[1])
-        checked += 1
-    assert checked >= 6
+    t = _seeded(rng, shape, lambda rng: float(rng.uniform(-1.0, 1.0)))
+    cs = [(math.cos(a), math.sin(a)) for a in rng.uniform(0.0, 2.0 * math.pi, size=t.mu.s)]
+    m0, m1, monomials = _pencil_of(bts.spectral.rotate_cs(t, cs))
+    spec = singular_values(t, seed=seed)
+    assert len(spec.data) == spec.ed_degree
+    for datum in spec.data:
+        zs = [(s * x[0] + c * x[1]) / (c * x[0] - s * x[1]) for x, (c, s) in zip(datum.vectors, cs)]
+        v = np.array([math.prod(z**e for z, e in zip(zs, m)) for m in monomials])
+        defect = np.linalg.norm((m0 + zs[-1] * m1) @ v)
+        size = (np.linalg.norm(m0) + abs(zs[-1]) * np.linalg.norm(m1)) * np.linalg.norm(v)
+        assert defect <= 1e-9 * size
 
 
-def test_chart_resultant_rejects_other_degrees():
-    linear = MultiPoly(("z1", "z2"), {(0, 1): Fraction(1), (1, 0): Fraction(2)})
-    quadratic = MultiPoly(("z1", "z2"), {(0, 2): Fraction(1), (0, 0): Fraction(-1)})
-    with pytest.raises(ValueError, match="z2 for degrees 1 and 2"):
-        bts.spectral._resultant(linear, quadratic, "z2")
+@pytest.mark.parametrize("shape", [(2, 1), (3,)], ids=str)
+@pytest.mark.parametrize("seed", range(4))
+def test_pencil_recovers_tuples_that_share_the_last_variable(monkeypatch, shape, seed):
+    # the dense view of a (2,1) or (3,) tensor has pairs of tuples (x, y, w)
+    # and (y, x, w): a double eigenvalue, split by the shift in z1
+    points, sizes = bts.spectral._pencil_points, []
+
+    def spy(m0, m1, monomials, z, k):
+        sizes.append(k)
+        return points(m0, m1, monomials, z, k)
+
+    monkeypatch.setattr(bts.spectral, "_pencil_points", spy)
+    spec = solve_222(expand(random_tensor(seed + 40, shape)), seed=seed)
+    assert len(spec.data) == 6
+    assert all(d.chart_note.endswith("attempt=0") for d in spec.data)
+    assert max(sizes) >= 2 and sum(sizes) == 6
+
+
+def _scaled(t, factor):
+    if isinstance(t, MuTensor):
+        return MuTensor(t.mu, {k: float(v) * factor for k, v in t.c.items()})
+    return BinaryTensor(t.d, tuple(float(v) * factor for v in t.entries))
+
+
+@pytest.mark.parametrize("shape", [3, (2, 1), 2], ids=str)
+@pytest.mark.parametrize("factor", [1e100, 1e-100, 1e150, 1e-150])
+def test_float_tensors_certify_at_extreme_scales(shape, factor):
+    t = _scaled(random_tensor(9, shape), 1.0)
+    want = singular_values(t, seed=1).sigma_sq()
+    scaled = _scaled(t, factor)
+    spec = singular_values(scaled, seed=1)
+    assert len(spec.data) == spec.ed_degree
+    assert max(d.residual for d in spec.data) <= 1e-9 * expand(scaled).norm()
+    for v in spec.sigma_sq():
+        w = min(want, key=lambda w: abs(w - v / factor**2))
+        assert abs(v / factor**2 - w) <= 1e-12 * abs(w)
+
+
+@pytest.mark.parametrize("factor", [1, Fraction(1, 1000)])
+def test_best_rank_one_rejects_a_wrong_sigma_at_any_scale(factor):
+    t = random_tensor(5, 3, scale=factor)
+    spec = singular_values(t, seed=0)
+    best = max(spec.real_data(), key=lambda d: d.sigma_sq.real)
+    wrong = dataclasses.replace(best, sigma=best.sigma * 1.01, sigma_sq=(best.sigma * 1.01) ** 2)
+    spec.data = [wrong if d is best else d for d in spec.data]
+    with pytest.raises(SolverFailureError, match="Pythagorean"):
+        best_rank_one(t, spec=spec)
