@@ -7,8 +7,9 @@ The solvers find every solution of the critical equations
 where y_j contracts the tensor against all vectors but the j-th.  Every
 solver runs one attempt loop, ``_first_certified``: each attempt works in
 a chart (a seeded random rotation of the tensor; the squared singular
-values are rotation invariants), the chart's tuples are unrotated, Newton
-polished and residual-certified on the original tensor, and when every
+values are rotation invariants) that yields candidate tuples with
+multiplicities.  ``_finalize_spectrum`` alone polishes (once, on the
+original tensor), deduplicates, counts and certifies them, and when every
 attempt fails the error names the reason of each.
 
 Full 2x2x2 tensors, (2,1)-symmetric tensors and 2x2 matrices share the
@@ -21,11 +22,10 @@ pencil M0 + z_s M1 of size ed_degree(mu) over the monomials in z1..z_{s-1}
 (``_pencil``), whose determinant is the resultant of the equations.  Its
 eigenvalues are the values of z_s (``_pencil_values``); the null space of
 M0 + z_s M1 at each one holds the monomial vectors of the tuples sharing
-that z_s, and a shift in z1 separates them (``_pencil_points``).  The
-candidates are paired by one call of the batched kernel, Newton-polished,
-residual-filtered and deduplicated on the rotated tensor.  Fully symmetric
-tensors use the critical binary form chart of ``eigen_symmetric``, whose
-attempt 0 does not rotate.
+that z_s, and a shift in z1 separates them (``_pencil_points``).  One call
+of the batched kernel pairs the candidates.  Fully symmetric tensors use
+the critical binary form chart of ``eigen_symmetric``, whose attempt 0 does
+not rotate.
 
 The critical equations are scored by one batched kernel,
 ``_contract_batch``: it takes the group vectors of n tuples as an (n, s, 2)
@@ -76,7 +76,6 @@ from .tensor import (
 )
 
 RESIDUAL_REL_TOL = 1e-9
-CHART_FILTER_TOL = 1e-8
 DEDUP_TOL = 1e-6
 MAX_ROTATION_ATTEMPTS = 3
 
@@ -222,9 +221,8 @@ def _newton_polish_tuple(
     mu: Partition,
     group_vecs: list[tuple[complex, complex]],
     sigma: complex,
-    steps: int = 50,
 ) -> tuple[list[tuple[complex, complex]], complex]:
-    """Damped Gauss-Newton on (vectors, sigma) with the normalizations q(x_k) = 1."""
+    """At most 50 damped Gauss-Newton steps on (vectors, sigma) with the normalizations q(x_k) = 1."""
     s, firsts, group_of = mu.s, mu.firsts, list(mu.group_of)
     x = np.array([list(v) for v in group_vecs], dtype=complex)  # (s, 2)
     sig = complex(sigma)
@@ -257,7 +255,7 @@ def _newton_polish_tuple(
     f = system(x, sig)
     best = float(np.linalg.norm(f))
     converged = 1e-14 * (1.0 + float(np.max(np.abs(arr))))
-    for _ in range(steps):
+    for _ in range(50):
         if best < converged:
             break
         jac = jacobian(x, sig)
@@ -321,41 +319,57 @@ def _keys_close(k1: tuple, k2: tuple) -> bool:
 
 def _finalize_spectrum(
     t_orig: BinaryTensor | MuTensor,
-    raw: list[tuple[list[tuple[complex, complex]], complex]],
+    raw: list[tuple[list[tuple[complex, complex]], complex, int]],
     chart_note: str,
     notes: tuple[str, ...] = (),
     degenerate: bool = False,
 ) -> Spectrum:
-    """Polish each tuple on the original tensor, certify residuals, fix conventions."""
+    """Polish, deduplicate, count and certify candidates (vectors, sigma, multiplicity) on ``t_orig``.
+
+    Isotropic candidates and repeats (``_keys_close``) are dropped; the rest,
+    counted with multiplicity, must number ed_degree(mu), each with residual
+    at most RESIDUAL_REL_TOL * |t|, or SolverFailureError.  Real sigma < 0
+    flips the first odd group's vector.
+    """
     mu = t_orig.mu
     dense = expand(t_orig)
     arr = dense.as_array().astype(complex)
     norm = dense.norm() or 1.0
     odd_groups = [k for k, p in enumerate(mu.parts) if p % 2 == 1]
 
-    data = []
-    for vecs, sigma in raw:
-        vecs, sigma = _newton_polish_tuple(arr, mu, list(vecs), sigma)
-        vecs = [q_normalize(v) for v in vecs]
+    data: list[SingularDatum] = []
+    keys: list[tuple] = []
+    for vecs, sigma, mult in raw:
+        vecs, _ = _newton_polish_tuple(arr, mu, list(vecs), sigma)
+        try:
+            vecs = [q_normalize(v) for v in vecs]
+        except IsotropicVectorError:
+            continue
         sigma = _pairing(arr, mu, vecs)
+        key = (sigma * sigma, tuple(vecs))
+        if any(_keys_close(key, k) for k in keys):
+            continue
+        keys.append(key)
         res = tuple_residual(arr, mu, vecs, sigma)
         imag_scale = max(max(abs(x[0].imag), abs(x[1].imag)) for x in vecs)
         is_real = bool(imag_scale <= 1e-8 and abs(sigma.imag) <= 1e-8 * (1.0 + abs(sigma)))
         if is_real and sigma.real < 0 and odd_groups:
+            # exact negation, same residual; 0j - sigma keeps an imaginary 0.0 positive
             k = odd_groups[0]
             vecs[k] = (-vecs[k][0], -vecs[k][1])
-            sigma = _pairing(arr, mu, vecs)
-            res = tuple_residual(arr, mu, vecs, sigma)
-        data.append(
-            SingularDatum(
-                vectors=tuple(vecs),
-                sigma=sigma,
-                sigma_sq=sigma * sigma,
-                residual=res,
-                is_real=is_real,
-                chart_note=chart_note,
-            )
+            sigma = 0j - sigma
+        datum = SingularDatum(
+            vectors=tuple(vecs),
+            sigma=sigma,
+            sigma_sq=sigma * sigma,
+            residual=res,
+            is_real=is_real,
+            chart_note=chart_note,
         )
+        data += [datum] * mult
+    expected = ed_degree(mu)
+    if len(data) != expected:
+        raise SolverFailureError(f"{len(data)} survivors (expected {expected})")
     worst = max((d.residual for d in data), default=0.0)
     if worst > RESIDUAL_REL_TOL * norm:
         raise SolverFailureError(
@@ -365,7 +379,7 @@ def _finalize_spectrum(
     data.sort(key=lambda d: (d.sigma_sq.real, d.sigma_sq.imag))
     sq = [d.sigma_sq for d in data]
     collide = any(
-        abs(sq[i] - sq[i + 1]) <= 1e-7 * (1.0 + abs(sq[i])) for i in range(len(sq) - 1)
+        abs(sq[i] - sq[i + 1]) <= 1e-7 * (norm * norm + abs(sq[i])) for i in range(len(sq) - 1)
     )
     if collide:
         notes = notes + ("collisions",)
@@ -410,7 +424,7 @@ def _rank_one_spectrum(
         raise SolverFailureError(f"isotropic rank-one tensor: {exc}") from exc
     top, *zeros = table(*(hats[first] for first in mu.firsts))
     arr = expand(t).as_array().astype(complex)
-    raw = [(top, _pairing(arr, mu, top))] + [(vecs, 0j) for vecs in zeros]
+    raw = [(top, _pairing(arr, mu, top), 1)] + [(vecs, 0j, 1) for vecs in zeros]
     return _finalize_spectrum(
         t, raw, chart_note="rank-one fast path",
         notes=("rank-one input; zero-value critical set is positive-dimensional", "det zero"),
@@ -449,11 +463,13 @@ def _first_certified(
     """The spectrum from the first of ``attempts`` chart attempts that certifies on ``t``.
 
     ``chart(rng, attempt)`` draws its rotation from the seeded ``rng`` and
-    returns the (cos, sin) pair it applied to each group, the critical tuples
-    it found on the rotated tensor, and its name; it raises _AttemptFailed,
-    or RootFindingError from ``all_roots``, when it finds none.  The tuples
-    are unrotated and certified on ``t`` by ``_finalize_spectrum``.  When no
-    attempt certifies, SolverFailureError names each attempt's reason.
+    returns the (cos, sin) pair it applied to each group, its candidate
+    tuples on the rotated tensor as (vectors, sigma, multiplicity), and its
+    name; it raises _AttemptFailed, or RootFindingError from ``all_roots``,
+    when it finds none.  The candidates are unrotated, then polished,
+    deduplicated, counted and certified on ``t`` by ``_finalize_spectrum``.
+    When no attempt certifies, SolverFailureError names each attempt's
+    reason.
     """
     norm = expand(t).norm()
     if norm == 0.0:
@@ -466,7 +482,7 @@ def _first_certified(
         except (_AttemptFailed, RootFindingError) as exc:
             failures.append(f"attempt {attempt}: {exc}")
             continue
-        unrot = [([_unrotate(x, cs[k]) for k, x in enumerate(vecs)], sigma) for vecs, sigma in found]
+        unrot = [([_unrotate(x, cs[k]) for k, x in enumerate(vecs)], sigma, mult) for vecs, sigma, mult in found]
         try:
             spec = _finalize_spectrum(t, unrot, chart_note=f"{name}, seed={seed}, attempt={attempt}")
         except SolverFailureError as exc:
@@ -479,31 +495,6 @@ def _first_certified(
         f"no rotation certified {ed_degree(t.mu)} singular tuples: " + "; ".join(failures),
         {"failures": failures},
     )
-
-
-def _polish_candidates(
-    arr: np.ndarray, mu: Partition, cands: list[tuple[list[tuple[complex, complex]], complex]], norm: float
-) -> list[tuple[list[tuple[complex, complex]], complex]]:
-    """Newton-polish ``cands`` on ``arr`` in order; keep the distinct ones with residual <= CHART_FILTER_TOL * norm."""
-    polished: list[list[tuple[complex, complex]]] = []
-    for vecs, sigma in cands:
-        vecs, _ = _newton_polish_tuple(arr, mu, vecs, sigma, steps=40)
-        try:
-            polished.append([q_normalize(v) for v in vecs])
-        except IsotropicVectorError:
-            continue
-    _, sigmas, residuals = _contract_batch(arr, mu, _stack(mu, polished))
-    found: list[tuple[list[tuple[complex, complex]], complex]] = []
-    keys: list[tuple] = []
-    for vecs, sigma, res in zip(polished, sigmas.tolist(), residuals.tolist()):
-        if res > CHART_FILTER_TOL * norm:
-            continue
-        key = (sigma * sigma, tuple(vecs))
-        if any(_keys_close(key, k) for k in keys):
-            continue
-        keys.append(key)
-        found.append((vecs, sigma))
-    return found
 
 
 def _pencil(gs: Sequence[MultiPoly], mu: Partition) -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]:
@@ -585,9 +576,10 @@ def _solve_by_elimination(
     (x_k = (1, z_k)), and their pencil M0 + z_s M1 (``_pencil``).  Each
     eigenvalue cluster (``_pencil_values``) gives the last variable of as
     many tuples as its multiplicity, and ``_pencil_points`` the other
-    variables of each.  The ed_degree(mu) candidates are Newton-polished,
-    residual-filtered and deduplicated on the rotated tensor before
-    ``_first_certified`` unrotates and certifies them.
+    variables of each.  The chart pairs its ed_degree(mu) candidates on the
+    rotated tensor in one ``_contract_batch`` call and returns each with
+    multiplicity 1; ``_first_certified`` unrotates them and
+    ``_finalize_spectrum`` polishes, deduplicates, counts and certifies them.
     """
     dense = expand(t)
     if rank_one is not None:
@@ -595,8 +587,6 @@ def _solve_by_elimination(
         if fibers is not None:
             return rank_one(t, fibers)
     mu = t.mu
-    expected = ed_degree(mu)
-    norm = dense.norm()
 
     def chart(rng: np.random.Generator, attempt: int):
         cs = _rotation_pairs(rng, mu.s)
@@ -611,10 +601,7 @@ def _solve_by_elimination(
                     continue
         arr_rot = dense_rot.as_array().astype(complex)
         _, pairings, _ = _contract_batch(arr_rot, mu, _stack(mu, tuples))
-        found = _polish_candidates(arr_rot, mu, list(zip(tuples, pairings.tolist())), norm)
-        if len(found) != expected:
-            raise _AttemptFailed(f"{len(found)} survivors (expected {expected})")
-        return cs, found, "elimination chart"
+        return cs, [(vecs, sigma, 1) for vecs, sigma in zip(tuples, pairings.tolist())], "elimination chart"
 
     return _first_certified(t, seed, salt, MAX_ROTATION_ATTEMPTS, chart)
 
@@ -700,10 +687,8 @@ def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
         except IsotropicVectorError as exc:
             raise _AttemptFailed(str(exc)) from exc
         _, pairings, _ = _contract_batch(arr_rot, mu, _stack(mu, normalized))
-        fixed = []
-        for xn, sigma, (_x, mult) in zip(normalized, pairings.tolist(), directions):
-            fixed += [(xn, sigma)] * mult
-        return cs, fixed, "critical form chart"
+        mults = [mult for _x, mult in directions]
+        return cs, list(zip(normalized, pairings.tolist(), mults)), "critical form chart"
 
     return _first_certified(c, seed, 0xD, MAX_ROTATION_ATTEMPTS + 1, chart)
 
@@ -746,10 +731,11 @@ class VerificationReport:
 SUPPORTED_PRODUCT_MU = ((1, 1), (2,), (3,), (2, 1), (1, 1, 1))
 
 
-def _product_of_sigma_sq(spec: Spectrum) -> float:
+def _product_of_sigma_sq(spec: Spectrum, k: int) -> float:
+    """The product of the sigma^2 * 4^-k, each scaled exactly before it is multiplied in."""
     prod = 1.0 + 0j
     for v in spec.sigma_sq():
-        prod *= v
+        prod *= complex(math.ldexp(v.real, -2 * k), math.ldexp(v.imag, -2 * k))
     if abs(prod.imag) > 1e-8 * (1.0 + abs(prod)):
         raise SolverFailureError(f"product of squared singular values not real: {prod}")
     return prod.real
@@ -796,27 +782,37 @@ def verify_product(t: BinaryTensor | MuTensor, seed: int = 0) -> VerificationRep
     polynomial, both from closed-form invariants (``_edpoly_extremes``).  With
     the printed 1/64 and 1/16 normalizations the constant is exactly 1 for
     every supported shape; for matrices and symmetric quadratics the RHS is
-    the squared determinant.
+    the squared determinant.  Both sides are compared on t * 2^-k, 2^k the
+    binary exponent of |t| (each sigma^2 times 4^-k): exact, and it makes the
+    degeneracy floors relative.  The report carries the sides of t itself.
     """
     mu = t.mu
     if tuple(mu.parts) not in SUPPORTED_PRODUCT_MU:
         raise ValueError(f"product verification supports {SUPPORTED_PRODUCT_MU}, got {mu}")
     spec = singular_values(t, seed=seed)
-    lhs = _product_of_sigma_sq(spec)
+    k = math.frexp(expand(t).norm())[1]
+    lhs = _product_of_sigma_sq(spec, k)
     sigma_sq = tuple(spec.sigma_sq())
-    a0, a_top = _edpoly_extremes(t, mu)
+
+    def unscaled(x: float) -> float:
+        try:
+            return math.ldexp(x, 2 * k * len(sigma_sq))
+        except OverflowError:
+            return math.copysign(math.inf, x)
+
+    a0, a_top = _edpoly_extremes(t.scale(Fraction(2) ** -k), mu)
     if abs(a_top) < 1e-300:
-        return VerificationReport(mu, lhs, math.nan, 1.0, math.nan, True, sigma_sq,
+        return VerificationReport(mu, unscaled(lhs), math.nan, 1.0, math.nan, True, sigma_sq,
                                   "top coefficient vanished (isotropic structure)")
     note = "rhs is the squared determinant (exact in the rational pipeline)" if mu.d == 2 else ""
     rhs = a0 / a_top
     if not math.isfinite(rhs) or rhs == 0.0:
         return VerificationReport(
-            mu, lhs, rhs, 1.0, 0.0 if abs(lhs) <= 1e-8 else math.nan, True,
+            mu, unscaled(lhs), unscaled(rhs), 1.0, 0.0 if abs(lhs) <= 1e-8 else math.nan, True,
             sigma_sq, note or "degenerate: rhs vanished",
         )
     rel = abs(lhs / rhs - 1.0)
-    return VerificationReport(mu, lhs, rhs, 1.0, rel, spec.degenerate, sigma_sq, note)
+    return VerificationReport(mu, unscaled(lhs), unscaled(rhs), 1.0, rel, spec.degenerate, sigma_sq, note)
 
 
 def verify_trial(mu: Partition, seed: int, trial: int) -> VerificationReport:

@@ -121,6 +121,9 @@ class MuTensor:
     def norm(self) -> float:
         return math.sqrt(abs(complex(bombieri(self, self))))
 
+    def scale(self, factor: Scalar) -> "MuTensor":
+        return MuTensor(self.mu, {om: factor * v for om, v in self.c.items()})
+
 
 def mu_box(mu: Partition) -> list[tuple[int, ...]]:
     return list(product(*[range(p + 1) for p in mu.parts]))

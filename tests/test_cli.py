@@ -222,6 +222,24 @@ def test_svals_exit_3_names_every_attempt(capsys, tmp_path, monkeypatch):
         assert f"attempt {k}: no convergence" in err
 
 
+def test_svals_exit_3_counts_survivors_on_every_attempt(capsys, tmp_path, monkeypatch):
+    # the second eigenvalue is replaced by the first: its candidate polishes
+    # onto the first one's tuple, so five distinct tuples are left of six
+    values = bts.spectral._pencil_values
+
+    def repeated_values(m0, m1):
+        found = values(m0, m1)
+        return [found[0], found[0], *found[2:]]
+
+    monkeypatch.setattr(bts.spectral, "_pencil_values", repeated_values)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"d": 3, "mu": None, "entries": {"000": "1", "001": "2", "010": "-3", "111": "-1"}}))
+    code, out, err = run(capsys, "svals", "--input", str(path))
+    assert code == 3 and out == ""
+    for k in range(3):
+        assert f"attempt {k}: 5 survivors (expected 6)" in err
+
+
 def test_svals_symmetric_exit_3_names_every_attempt(capsys, cubic_file, monkeypatch):
     def failing_roots(_p):
         raise RootFindingError("no convergence", [])

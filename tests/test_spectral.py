@@ -184,6 +184,14 @@ def test_eigen_pure_power():
     assert "collisions" in spec.notes
 
 
+@pytest.mark.parametrize("factor", [1e-4, 1e-100])
+def test_collision_note_is_scale_free(factor):
+    entries = [3, -1, 2, 5, -4, 1, 2, -3]
+    want = singular_values(BinaryTensor(3, tuple(float(v) for v in entries)), seed=1).notes
+    spec = singular_values(BinaryTensor(3, tuple(v * factor for v in entries)), seed=1)
+    assert want == () and spec.notes == want
+
+
 def test_eigen_sum_of_cubes():
     spec = eigen_symmetric(sym_tensor([1, 0, 0, 1]), seed=1)
     multiset_close(sorted(d.sigma.real for d in spec.data), [2 ** -0.5, 1, 1], tol=1e-9)
@@ -468,6 +476,28 @@ def test_verify_degenerate_rank_one_both_sides_vanish():
     assert rep.degenerate and rep.lhs == 0.0 and rep.rhs == 0.0 and rep.rel_error == 0.0
 
 
+@pytest.mark.parametrize("factor", [1e-30, 1e-40])
+def test_verify_product_is_scale_free(factor):
+    # both sides are compared at unit scale, so a tiny tensor is checked, not
+    # waved through as degenerate when its a_0 or a_top underflows
+    t = random_tensor(3, 3)
+    rep = verify_product(BinaryTensor(3, tuple(float(v) * factor for v in t.entries)), seed=1)
+    assert not rep.degenerate and rep.rel_error < 1e-8
+
+
+def test_solve_222_polishes_each_candidate_once(monkeypatch):
+    polish, calls = bts.spectral._newton_polish_tuple, []
+
+    def spy(*args):
+        calls.append(args)
+        return polish(*args)
+
+    monkeypatch.setattr(bts.spectral, "_newton_polish_tuple", spy)
+    spec = solve_222(random_tensor(3, 3), seed=1)
+    assert all(d.chart_note.endswith("attempt=0") for d in spec.data)
+    assert len(calls) == 6
+
+
 def test_dispatch_mu_11_matrix():
     c = MuTensor(
         Partition((1, 1)),
@@ -585,8 +615,7 @@ def test_non_finite_tuple_has_infinite_residual(defect):
         sigma = complex(math.inf, 0.0)
     res = bts.spectral.tuple_residual(arr, t.mu, vecs, sigma)
     assert res == math.inf
-    tols = (bts.spectral.RESIDUAL_REL_TOL, bts.spectral.CHART_FILTER_TOL)
-    assert all(res > tol * t.norm() for tol in tols)
+    assert res > bts.spectral.RESIDUAL_REL_TOL * t.norm()
 
 
 def _pencil_of(t):
