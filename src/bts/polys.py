@@ -1,8 +1,8 @@
 """Polynomials, resultants, and complex root finding.
 
 Sparse multivariate polynomials with exact rational coefficients carry the
-solvers' critical equations (their coefficients fill the hidden-variable
-pencil of ``spectral``); dense univariate ones carry the distance
+critical equations, from which ``spectral`` derives its pencil map once per
+shape (no solve builds them); dense univariate ones carry the distance
 polynomials; univariate resultants, for the discriminants of binary forms,
 are fraction-free (Bareiss) determinants of the Sylvester matrix.  Root
 finding works in double precision: the eigenvalues of the companion matrix

@@ -18,9 +18,11 @@ zero-value critical set is a curve, not isolated points) is answered at
 once by a closed form.  Otherwise the dehomogenized critical equations
 (``_critical_equations``, one variable z_k per group) are linear in the last
 variable z_s; multiplied by powers of z1 they give a square hidden-variable
-pencil M0 + z_s M1 of size ed_degree(mu) over the monomials in z1..z_{s-1}
-(``_pencil``), whose determinant is the resultant of the equations.  Its
-eigenvalues are the values of z_s (``_pencil_values``); the null space of
+pencil M0 + z_s M1 of size ed_degree(mu) over the monomials in z1..z_{s-1},
+whose determinant is the resultant of the equations.  Being linear in the
+entries as well, the pencil is a fixed linear map of the rotated entries,
+built once per shape (``_pencil_map``) and applied per attempt (``_pencil``).
+Its eigenvalues are the values of z_s (``_pencil_values``); the null space of
 M0 + z_s M1 at each one holds the monomial vectors of the tuples sharing
 that z_s, and a shift in z1 separates them (``_pencil_points``).  One call
 of the batched kernel pairs the candidates.  Fully symmetric tensors use
@@ -48,6 +50,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Callable, Sequence
 
@@ -200,7 +203,8 @@ def _contract_batch(
     ys = _all_but_one(arr, slot_vecs, range(mu.d))
     pairings = np.einsum("nb,nb->n", ys[:, 0], slot_vecs[:, 0])
     sig = pairings if sigma is None else np.asarray(sigma, dtype=complex)
-    defects = np.abs(ys - sig[:, None, None] * slot_vecs).max(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        defects = np.abs(ys - sig[:, None, None] * slot_vecs).max(axis=(1, 2))
     residuals = np.where(np.isfinite(defects), defects, np.inf)
     return ys, pairings, residuals
 
@@ -280,7 +284,7 @@ def _newton_polish_tuple(
 # --- the critical equations -------------------------------------------------------
 
 
-def _critical_equations(entries: Sequence[Fraction], mu: Partition) -> tuple[MultiPoly, ...]:
+def _critical_equations(entries: Sequence[Fraction | int], mu: Partition) -> tuple[MultiPoly, ...]:
     """The dehomogenized critical equations of a mu-symmetric tensor, one per group.
 
     With x_l = (1, z_k) on every slot l of group k, group k's equation is
@@ -497,26 +501,36 @@ def _first_certified(
     )
 
 
-def _pencil(gs: Sequence[MultiPoly], mu: Partition) -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]:
-    """The hidden-variable pencil M0 + z_s M1 of the critical equations ``gs``, and its columns.
+@cache
+def _pencil_map(mu: Partition) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The read-only (2, n, n, 2^d) map from dense entries to the pencil M0 + z_s M1, and its columns.
 
-    Each equation, linear in the last variable z_s, is multiplied by z1^a for
-    a < (s - 1) * mu.parts[0] (its degree in z1); its coefficients of z_s^0
-    and z_s^1 give a row of M0 and of M1 over the monomials z1^i z2^j ...
-    z_{s-1}^m (i < s * mu.parts[0], every other exponent at most the
-    variable's degree), listed as exponent tuples.  The pencil is square of
-    size ed_degree(mu), its determinant is the equations' resultant, and both
-    matrices are scaled by their largest entry.
+    Each critical equation (``_critical_equations``), linear in the last
+    variable z_s, is multiplied by z1^a for a < (s - 1) * mu.parts[0] (its
+    degree in z1); its coefficients of z_s^0 and z_s^1 give a row of M0 and
+    of M1 over the monomials z1^i z2^j ... z_{s-1}^m (i < s * mu.parts[0],
+    every other exponent at most the variable's degree), listed as exponent
+    tuples; n = ed_degree(mu).  Slice u is the pencil of the u-th unit tensor.
     """
-    p = mu.parts[0]
-    monomials = list(product(range(mu.s * p), *(range(part + 1) for part in mu.parts[1:-1])))
+    p, size = mu.parts[0], 1 << mu.d
+    monomials = tuple(product(range(mu.s * p), *(range(part + 1) for part in mu.parts[1:-1])))
     column = {m: i for i, m in enumerate(monomials)}
-    mats = np.zeros((2, len(monomials), len(monomials)))
-    rows = ((g, a) for g in gs for a in range((mu.s - 1) * p))
-    for row, (g, a) in enumerate(rows):
-        for power, coeff in enumerate(g.coefficients_in(g.vars[-1])):
-            for e, c in coeff.terms.items():
-                mats[power, row, column[(e[0] + a, *e[1:])]] = float(c)
+    basis = np.zeros((2, len(monomials), len(monomials), size))
+    for unit in range(size):
+        gs = _critical_equations([int(i == unit) for i in range(size)], mu)
+        rows = ((g, a) for g in gs for a in range((mu.s - 1) * p))
+        for row, (g, a) in enumerate(rows):
+            for power, coeff in enumerate(g.coefficients_in(g.vars[-1])):
+                for e, c in coeff.terms.items():
+                    basis[power, row, column[(e[0] + a, *e[1:])], unit] = float(c)
+    basis.flags.writeable = False
+    return basis, monomials
+
+
+def _pencil(entries: Sequence[float], mu: Partition) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The pencil M0 + z_s M1 of dense ``entries`` (``_pencil_map``), scaled by its largest entry, and its columns."""
+    basis, monomials = _pencil_map(mu)
+    mats = basis @ np.asarray(entries, dtype=float)
     mats /= np.max(np.abs(mats)) or 1.0
     return mats[0], mats[1], monomials
 
@@ -537,7 +551,7 @@ def _pencil_values(m0: np.ndarray, m1: np.ndarray) -> list[tuple[complex, int]]:
 
 
 def _pencil_points(
-    m0: np.ndarray, m1: np.ndarray, monomials: list[tuple[int, ...]], z: complex, k: int
+    m0: np.ndarray, m1: np.ndarray, monomials: Sequence[tuple[int, ...]], z: complex, k: int
 ) -> list[tuple[complex, ...]]:
     """The values of (z1, ..., z_{s-1}) at the k tuples whose last variable is ``z``.
 
@@ -571,9 +585,10 @@ def _solve_by_elimination(
     A rank-one ``t`` goes straight to ``rank_one``, which takes the tensor
     and its fiber vectors; only the matrix shape has none.  Otherwise each
     of MAX_ROTATION_ATTEMPTS attempts of ``_first_certified`` rotates ``t``
-    by mu.s seeded angles, mu = t.mu, builds its dehomogenized critical
-    equations with ``_critical_equations``, in one variable z_k per group
-    (x_k = (1, z_k)), and their pencil M0 + z_s M1 (``_pencil``).  Each
+    by mu.s seeded angles, mu = t.mu, and applies to its dense entries the
+    shape's cached linear map (``_pencil_map``) to the pencil M0 + z_s M1 of
+    its dehomogenized critical equations, in one variable z_k per group
+    (x_k = (1, z_k)); no equation is rebuilt per attempt.  Each
     eigenvalue cluster (``_pencil_values``) gives the last variable of as
     many tuples as its multiplicity, and ``_pencil_points`` the other
     variables of each.  The chart pairs its ed_degree(mu) candidates on the
@@ -591,7 +606,7 @@ def _solve_by_elimination(
     def chart(rng: np.random.Generator, attempt: int):
         cs = _rotation_pairs(rng, mu.s)
         dense_rot = expand(rotate_cs(t, cs))
-        m0, m1, monomials = _pencil(_critical_equations([Fraction(float(v)) for v in dense_rot.entries], mu), mu)
+        m0, m1, monomials = _pencil(dense_rot.entries, mu)
         tuples: list[list[tuple[complex, complex]]] = []
         for z, k in _pencil_values(m0, m1):
             for head in _pencil_points(m0, m1, monomials, z, k):

@@ -207,42 +207,6 @@ def compress(t: BinaryTensor, mu: Partition | Iterable[int], tol: float = 1e-9) 
     return MuTensor(mu, c)
 
 
-def contract_all_but(
-    t: BinaryTensor, xs: Sequence[Sequence[Scalar]], j: int
-) -> tuple[Scalar, Scalar]:
-    """The pair (y_{j,0}, y_{j,1}) obtained by contracting every slot except j.
-
-    ``xs`` lists one length-2 vector per slot (the one at position j-1 is
-    ignored); j is 1-based.
-    """
-    if len(xs) != t.d:
-        raise ValueError(f"need {t.d} vectors, got {len(xs)}")
-    y = [0, 0]
-    for bits in all_bits(t.d):
-        v = t[bits]
-        if v == 0:
-            continue
-        w = v
-        for l, b in enumerate(bits):
-            if l != j - 1:
-                w = w * xs[l][b]
-        y[bits[j - 1]] = y[bits[j - 1]] + w
-    return (y[0], y[1])
-
-
-def pairing_rank_one(t: BinaryTensor, xs: Sequence[Sequence[Scalar]]) -> Scalar:
-    """q~(t, x_1 (x) ... (x) x_d), the full contraction."""
-    total: Scalar = 0
-    for bits in all_bits(t.d):
-        v = t[bits]
-        if v == 0:
-            continue
-        for l, b in enumerate(bits):
-            v = v * xs[l][b]
-        total = total + v
-    return total
-
-
 def permute_slots(t: BinaryTensor, perm: Sequence[int]) -> BinaryTensor:
     """Relabel slots: result[i_1..i_d] = t[i_perm(1) .. i_perm(d)], perm 0-based."""
     if sorted(perm) != list(range(t.d)):
@@ -379,7 +343,10 @@ def _scalar_to_json(v: Scalar) -> str | float:
 def _scalar_from_json(v: str | float | int) -> Scalar:
     if isinstance(v, (str, int)):
         return Fraction(v)
-    return float(v)
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"entry {v!r} is not finite")
+    return x
 
 
 def tensor_to_json_dict(t: BinaryTensor | MuTensor) -> dict:

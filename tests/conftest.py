@@ -6,6 +6,18 @@ from fractions import Fraction
 
 import pytest
 
+from bts.tensor import BinaryTensor, bombieri, rank_one_tensor
+
+
+def pairing(t, xs):
+    """q~(t, x_1 (x) ... (x) x_d), the full contraction of a dense tensor; exact on exact input."""
+    return bombieri(t, rank_one_tensor(xs))
+
+
+def contraction(t, xs, j):
+    """(y_0, y_1): t contracted with every x_l but the j-th (1-based), y_b the pairing with e_b at slot j."""
+    return tuple(pairing(t, [*xs[: j - 1], e, *xs[j:]]) for e in ((1, 0), (0, 1)))
+
 
 def diagonal_sigma_sq(a: float, b: float) -> list[float]:
     """Hand-solved squared singular values of the order-3 tensor with t000=a, t111=b.
@@ -41,8 +53,6 @@ def multiset_subtract(big, small, tol=1e-7):
 @pytest.fixture
 def diag_12():
     """The worked tensor t000 = 1, t111 = 2 in exact coordinates."""
-    from bts.tensor import BinaryTensor
-
     e = [Fraction(0)] * 8
     e[0], e[7] = Fraction(1), Fraction(2)
     return BinaryTensor(3, tuple(e))

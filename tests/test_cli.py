@@ -51,6 +51,10 @@ def test_svals_diagonal(capsys, diag_file):
     pytest.param('{"d": 3, "mu": null, "entries": {"000": [1]}}', "bad tensor document", id="entry-list"),
     pytest.param('{"d": 3, "mu": null, "entries": {"000": null}}', "bad tensor document", id="entry-null"),
     pytest.param('{"d": 3, "mu": [2, 1], "entries": {"00": {"x": 1}}}', "bad tensor document", id="entry-dict"),
+    pytest.param('{"d": 3, "mu": null, "entries": {"000": NaN}}', "not finite", id="entry-nan"),
+    pytest.param('{"d": 3, "mu": null, "entries": {"000": Infinity}}', "not finite", id="entry-infinity"),
+    pytest.param('{"d": 3, "mu": null, "entries": {"000": 1e400}}', "not finite", id="entry-1e400"),
+    pytest.param('{"d": 3, "mu": [2, 1], "entries": {"00": 1.5, "21": NaN}}', "not finite", id="mu-entry-nan"),
 ])
 def test_svals_malformed_json_exit_2(capsys, tmp_path, text, message):
     p = tmp_path / "bad.json"

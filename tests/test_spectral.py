@@ -5,11 +5,12 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from conftest import diagonal_sigma_sq, multiset_close, multiset_subtract
+from conftest import contraction, diagonal_sigma_sq, multiset_close, multiset_subtract, pairing
 
 import bts.spectral
 from bts.combinatorics import Partition, ed_degree
@@ -33,10 +34,8 @@ from bts.tensor import (
     MuTensor,
     bombieri_norm_sq,
     compress,
-    contract_all_but,
     expand,
     mu_box,
-    pairing_rank_one,
     permute_slots,
     random_tensor,
     rank_one_tensor,
@@ -564,12 +563,12 @@ def test_contraction_kernel_matches_exact_oracles(shape, seed):
     slot_vecs = [v for v, p in zip(group_vecs, mu.parts) for _ in range(p)]
     arr = t.as_array().astype(complex)
     batch = np.array([[[complex(v) for v in x] for x in slot_vecs]], dtype=complex)
-    assert bts.spectral._pairing(arr, mu, group_vecs) == pairing_rank_one(t, slot_vecs)
+    assert bts.spectral._pairing(arr, mu, group_vecs) == pairing(t, slot_vecs)
     sigma = Fraction(int(rng.integers(-8, 9)), 4)
     worst = Fraction(0)
     for slot in range(mu.d):
         y = bts.spectral._contract_except(arr, batch, keep=(slot,))[0]
-        oracle = contract_all_but(t, slot_vecs, slot + 1)
+        oracle = contraction(t, slot_vecs, slot + 1)
         assert list(y) == [complex(v) for v in oracle]
         worst = max(worst, *(abs(oracle[b] - sigma * slot_vecs[slot][b]) for b in (0, 1)))
     assert bts.spectral.tuple_residual(arr, mu, group_vecs, complex(sigma)) == worst
@@ -594,13 +593,14 @@ def test_batched_contractions_match_exact_oracles(shape, n):
     for i, (tup, sigma) in enumerate(zip(tuples, sigmas)):
         slot_vecs = [tup[k] for k in mu.group_of]
         for slot in range(mu.d):
-            assert list(ys[i, slot]) == [complex(v) for v in contract_all_but(t, slot_vecs, slot + 1)]
-        assert pairings[i] == pairing_rank_one(t, slot_vecs)
+            assert list(ys[i, slot]) == [complex(v) for v in contraction(t, slot_vecs, slot + 1)]
+        assert pairings[i] == pairing(t, slot_vecs)
         assert residuals[i] == bts.spectral.tuple_residual(arr, mu, tup, complex(sigma))
     _, _, own = bts.spectral._contract_batch(arr, mu, vecs)
     assert list(own) == [bts.spectral.tuple_residual(arr, mu, tup, p) for tup, p in zip(tuples, pairings)]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("defect", ["nan-sigma", "nan-vector", "inf-sigma"])
 def test_non_finite_tuple_has_infinite_residual(defect):
     t = random_tensor(3, 3)
@@ -620,8 +620,50 @@ def test_non_finite_tuple_has_infinite_residual(defect):
 
 def _pencil_of(t):
     """The hidden-variable pencil of a tensor's critical equations, unrotated."""
-    eqs = bts.spectral._critical_equations([Fraction(v) for v in expand(t).entries], t.mu)
-    return bts.spectral._pencil(eqs, t.mu)
+    return bts.spectral._pencil(expand(t).entries, t.mu)
+
+
+def _pencil_from_equations(entries, mu):
+    """The pencil assembled from the rational critical equations of dense ``entries``: the map's oracle."""
+    p = mu.parts[0]
+    monomials = list(product(range(mu.s * p), *(range(part + 1) for part in mu.parts[1:-1])))
+    column = {m: i for i, m in enumerate(monomials)}
+    mats = np.zeros((2, len(monomials), len(monomials)))
+    gs = bts.spectral._critical_equations([Fraction(v) for v in entries], mu)
+    for row, (g, a) in enumerate((g, a) for g in gs for a in range((mu.s - 1) * p)):
+        for power, coeff in enumerate(g.coefficients_in(g.vars[-1])):
+            for e, c in coeff.terms.items():
+                mats[power, row, column[(e[0] + a, *e[1:])]] = float(c)
+    mats /= np.max(np.abs(mats)) or 1.0
+    return mats[0], mats[1], monomials
+
+
+@pytest.mark.parametrize("shape", [2, (2, 1), 3], ids=str)
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150], ids=str)
+def test_pencil_map_matches_the_rational_critical_equations(monkeypatch, shape, scale):
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        t = _seeded(rng, shape, lambda rng: float(rng.uniform(-1.0, 1.0)) * scale)
+        mu = t.mu
+        cs = [(math.cos(a), math.sin(a)) for a in rng.uniform(0.0, 2.0 * math.pi, size=mu.s)]
+        entries = expand(bts.spectral.rotate_cs(t, cs)).entries
+        m0, m1, monomials = bts.spectral._pencil(entries, mu)
+        o0, o1, oracle_monomials = _pencil_from_equations(entries, mu)
+        assert m0.tobytes() == o0.tobytes() and m1.tobytes() == o1.tobytes()
+        assert list(monomials) == oracle_monomials
+    basis, _ = bts.spectral._pencil_map(mu)
+    assert not basis.flags.writeable
+    assert bts.spectral._pencil_map(mu) is bts.spectral._pencil_map(mu)
+
+    calls, equations = [], bts.spectral._critical_equations
+    monkeypatch.setattr(bts.spectral, "_critical_equations", lambda *a: calls.append(a) or equations(*a))
+    bts.spectral._pencil_map.cache_clear()
+    t = random_tensor(5, 3)
+    first = solve_222(t, seed=1)
+    built = len(calls)
+    second = solve_222(t, seed=2)
+    assert built == 8 and len(calls) == built
+    assert len(first.data) == len(second.data) == 6
 
 
 @pytest.mark.parametrize("shape", [2, (2, 1), 3], ids=str)

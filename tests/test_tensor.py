@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bts.combinatorics import Partition
 from bts.scalars import QQi
+from bts.spectral import _contract_batch, _contract_except
 from bts.tensor import (
     BinaryTensor,
     MuTensor,
@@ -21,11 +22,9 @@ from bts.tensor import (
     bombieri,
     bombieri_norm_sq,
     compress,
-    contract_all_but,
     expand,
     load_tensor,
     mu_box,
-    pairing_rank_one,
     permute_slots,
     rank_one_tensor,
     random_tensor,
@@ -60,7 +59,7 @@ def test_bombieri_flat_sum_of_squares():
 def test_bombieri_zero_distance_on_variety():
     xs = [(Fraction(3, 5), Fraction(4, 5))] * 3  # q(x) = 1 exactly
     t = rank_one_tensor(xs)
-    sigma = pairing_rank_one(t, xs)
+    sigma = bombieri(t, rank_one_tensor(xs))
     assert sigma == 1  # q(x)^3
     diff = BinaryTensor(3, tuple(a - sigma * b for a, b in zip(t.entries, t.entries)))
     assert bombieri(diff, diff) == 0
@@ -123,10 +122,16 @@ def test_dense_tensor_is_its_own_expansion():
 # --- contractions ----------------------------------------------------------------
 
 
+def contract(t, xs, j):
+    """The solver kernel's contraction of ``t`` with every x_l but the j-th (1-based), as a pair."""
+    batch = np.array([[[complex(v) for v in x] for x in xs]])
+    return tuple(_contract_except(t.as_array().astype(complex), batch, keep=(j - 1,))[0].tolist())
+
+
 def test_contract_rank_one_factorization():
     xs = [(Fraction(1), Fraction(2)), (Fraction(2), Fraction(-1)), (Fraction(1), Fraction(3))]
     t = rank_one_tensor(xs)
-    y = contract_all_but(t, xs, 1)
+    y = contract(t, xs, 1)
     q2 = xs[1][0] ** 2 + xs[1][1] ** 2
     q3 = xs[2][0] ** 2 + xs[2][1] ** 2
     assert y == (q2 * q3 * xs[0][0], q2 * q3 * xs[0][1])
@@ -134,13 +139,13 @@ def test_contract_rank_one_factorization():
 
 def test_contract_diagonal():
     t = frac_tensor([1, 0, 0, 0, 0, 0, 0, 2])
-    assert contract_all_but(t, [(1, 0)] * 3, 1) == (1, 0)
+    assert contract(t, [(1, 0)] * 3, 1) == (1, 0)
 
 
 def test_contract_matrix_transpose_product():
     t = frac_tensor([1, 2, 3, 4])  # [[1,2],[3,4]]
     x1 = (Fraction(5), Fraction(7))
-    y = contract_all_but(t, [x1, (0, 0)], 2)
+    y = contract(t, [x1, (0, 0)], 2)
     # y_2 = t^T x1
     assert y == (1 * 5 + 3 * 7, 2 * 5 + 4 * 7)
 
@@ -148,10 +153,14 @@ def test_contract_matrix_transpose_product():
 def test_contraction_associativity_with_pairing():
     t = random_tensor(9, 3)
     xs = [(0.3, 0.7), (-0.2, 1.1), (0.5, -0.4)]
+    ys, pairings, _ = _contract_batch(t.as_array().astype(complex), t.mu, np.array([xs], dtype=complex))
+    exact = float(bombieri(t, rank_one_tensor([tuple(map(Fraction, x)) for x in xs])))
+    assert abs(pairings[0] - exact) < 1e-12
     for j in (1, 2, 3):
-        y = contract_all_but(t, xs, j)
+        y = contract(t, xs, j)
+        assert list(y) == ys[0, j - 1].tolist()
         paired = y[0] * xs[j - 1][0] + y[1] * xs[j - 1][1]
-        assert abs(float(paired) - float(pairing_rank_one(t, xs))) < 1e-12
+        assert abs(paired - exact) < 1e-12
 
 
 # --- slices ---------------------------------------------------------------------

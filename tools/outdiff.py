@@ -1,12 +1,15 @@
-"""Compare `bts svals` and `bts invariants` (`--format json`) between two source trees.
+"""Compare `bts svals`, `bts invariants` and `bts verify-product` (`--format json`) between two source trees.
 
     python3 tools/outdiff.py OLD_TREE NEW_TREE INPUT_DIR
 
 Each tree's ``src/`` runs in its own interpreter over every ``*.json`` file of
 INPUT_DIR, calling ``bts.cli.main`` in-process once per command; an uncaught
-exception counts as the exit code ``uncaught <type>``.  Per command and kind
-(the file name after its first ``-``: ``00012-sym3-exact`` is ``sym3-exact``)
-it counts outputs that are identical (same exit code, same stdout), for
+exception counts as the exit code ``uncaught <type>``.  Each tree also runs
+``verify-product --mu M --trials 20 --seed 611 --jobs 1 --format json`` for
+every shape M of NEW_TREE's ``SUPPORTED_PRODUCT_MU``, one kind per shape,
+compared byte for byte.  Per command and kind (the file name after its
+first ``-``: ``00012-sym3-exact`` is ``sym3-exact``) it counts outputs that
+are identical (same exit code, same stdout), for
 ``svals`` numerically equal (both exit 0; same ``mu``, ``ed_degree``,
 ``degenerate``, ``notes``, data count and ``is_real`` multiset; sigma^2
 matched and the best rank-one squared distance within REL_TOL * q~(t);
@@ -34,29 +37,30 @@ from pathlib import Path
 REL_TOL = 1e-12
 COMMANDS = ("svals", "invariants")
 
+PRODUCT_ARGS = ("--trials", "20", "--seed", "611", "--jobs", "1", "--format", "json")
+
 RUNNER = r"""
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from bts.cli import main
-for path in sys.stdin.read().splitlines():
-    for command in sys.argv[2:]:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main([command, "--input", path, "--format", "json"])
-            except SystemExit as exc:
-                code = exc.code
-            except Exception as exc:
-                code = f"uncaught {type(exc).__name__}"
-        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
-        print(json.dumps({"code": code, "out": out.getvalue(), "error": errors[-1] if errors else None}), flush=True)
+for argv in sys.stdin.read().splitlines():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(json.loads(argv))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = f"uncaught {type(exc).__name__}"
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    print(json.dumps({"code": code, "out": out.getvalue(), "error": errors[-1] if errors else None}), flush=True)
 """
 
 
-def run_tree(tree: Path, files: list[Path]) -> list[dict]:
-    """One result per (file, command), files outer."""
-    proc = subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src"), *COMMANDS],
-                          input="\n".join(map(str, files)), capture_output=True, text=True, check=True)
+def run_tree(tree: Path, argvs: list[list[str]]) -> list[dict]:
+    """One result per ``bts`` argument list, in order."""
+    proc = subprocess.run([sys.executable, "-c", RUNNER, str(tree / "src")],
+                          input="\n".join(map(json.dumps, argvs)), capture_output=True, text=True, check=True)
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
@@ -116,19 +120,27 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("inputs", type=Path)
     args = ap.parse_args(argv)
     files = sorted(args.inputs.glob("*.json"))
-    old, new = run_tree(args.old, files), run_tree(args.new, files)
+    sys.path.insert(0, str(args.new / "src"))
+    from bts.spectral import SUPPORTED_PRODUCT_MU
+
+    # (command, kind, label, argv) per run
+    runs = [(command, f"{command} {kind_of(path)}", f"{command} {path.name}",
+             [command, "--input", str(path), "--format", "json"]) for path in files for command in COMMANDS]
+    for mu in (",".join(map(str, parts)) for parts in SUPPORTED_PRODUCT_MU):
+        runs.append(("verify-product", f"verify-product mu={mu}", f"verify-product --mu {mu}",
+                     ["verify-product", "--mu", mu, *PRODUCT_ARGS]))
+    argvs = [argv for *_, argv in runs]
+    old, new = run_tree(args.old, argvs), run_tree(args.new, argvs)
     counts: dict[str, Counter] = defaultdict(Counter)
     worst: dict[str, float] = defaultdict(float)
-    runs = [(command, path) for path in files for command in COMMANDS]
-    for (command, path), a, b in zip(runs, old, new):
-        kind = f"{command} {kind_of(path)}"
+    for (command, kind, label, _), a, b in zip(runs, old, new):
         tally = counts[kind]
         if a["code"] != b["code"]:
             tally[f"exit {a['code']}->{b['code']}"] += 1
-            print(f"exit {a['code']}->{b['code']}: {command} {path.name}")
+            print(f"exit {a['code']}->{b['code']}: {label}")
         elif a["out"] == b["out"] and a["code"] != 0 and a["error"] != b["error"]:
             tally["message changed"] += 1
-            print(f"message changed: {command} {path.name}")
+            print(f"message changed: {label}")
         elif a["out"] == b["out"]:
             tally["identical"] += 1
         else:
@@ -142,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 tally["different"] += 1
                 note = "" if gaps is None else f"  (worst sigma^2 gap {gaps[0]:.2e} q~(t), {gaps[1]:.2e} |sigma^2|)"
-                print(f"different: {command} {path.name}{note}")
+                print(f"different: {label}{note}")
     for kind in sorted(counts):
         note = f"  (worst sigma^2 gap {worst[kind]:.2e} q~(t))" if kind in worst else ""
         print(f"{kind:<35} " + ", ".join(f"{k} {n}" for k, n in sorted(counts[kind].items())) + note)
