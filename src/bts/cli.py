@@ -39,9 +39,9 @@ from .combinatorics import (
 from .invariants import (
     DegenerateInputError,
     FormulaCrossCheckError,
+    _extreme_coeffs,
     extra_root_21,
     extra_root_3,
-    extreme_coeffs_222,
     invariants_222,
     isotropic_factor_symmetric,
     pair_factor_4,
@@ -342,7 +342,7 @@ def cmd_invariants(args) -> int:
     try:
         if dense.d == 3:
             inv = invariants_222(dense)
-            a0, a5, a6 = extreme_coeffs_222(dense)
+            a0, a5, a6 = _extreme_coeffs(inv)
             doc.update(
                 {
                     "theta": [_num(v) for v in inv.theta],

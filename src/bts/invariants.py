@@ -5,6 +5,13 @@ cross-asserted at construction time (exact equality on rational input,
 1e-10 relative otherwise): a transcription slip in any of the long
 expressions fails loudly instead of corrupting downstream results.
 
+Rational input is evaluated over the integers: the entries are multiplied
+by their common denominator D once, both paths run on ``int`` and Gaussian
+integers (where a printed form divides, the cross-check is multiplied
+through), and each value is divided by D to the power of its degree once,
+at the end.  The polynomials are homogeneous, so the values are the same
+rationals, only without a gcd after every product.
+
 The four degree-two invariants theta_i and the quartic phi generate the
 rotation-invariant ring of the 2x2x2 format together with the conjugate pair
 phi_1, phi_2; the hyperdeterminant, the three quartic dual-variety factors
@@ -68,13 +75,12 @@ class InvariantSet222:
     exact: bool
 
 
-def _entries_222(t: BinaryTensor | MuTensor) -> tuple[BinaryTensor, tuple[Scalar, ...]]:
-    dense = expand(t)
-    if dense.d != 3:
-        raise ValueError(f"need order 3, got {dense.d}")
-    if dense.exact:
-        dense = BinaryTensor(3, tuple(Fraction(v) for v in dense.entries))
-    return dense, dense.entries
+def _cleared(t: BinaryTensor) -> tuple[BinaryTensor, int]:
+    """(D t, D): D the least common denominator of the rational entries, so D t has int entries."""
+    if not all(isinstance(v, (int, Fraction)) for v in t.entries):
+        raise TypeError("exact invariants need real rational entries")
+    den = math.lcm(*(v.denominator for v in t.entries))
+    return BinaryTensor(t.d, tuple(v.numerator * (den // v.denominator) for v in t.entries)), den
 
 
 def theta_t_forms(e: Sequence[Scalar]) -> tuple[Scalar, Scalar, Scalar, Scalar]:
@@ -122,8 +128,8 @@ def hyperdet_222(e: Sequence[Scalar]) -> Scalar:
 
 
 def _complexify(a: Sequence[Scalar], b: Sequence[Scalar], sign: int, exact: bool) -> list[Scalar]:
-    """Entrywise a + sign * i * b: Gaussian rationals on exact input, complex otherwise."""
-    i_unit: Scalar = QQi(Fraction(0), Fraction(sign)) if exact else sign * 1j
+    """Entrywise a + sign * i * b: Gaussian integers or rationals on exact input, complex otherwise."""
+    i_unit: Scalar = QQi(0, sign) if exact else sign * 1j
     return [i_unit * y + (x if exact else complex(x)) for x, y in zip(a, b)]
 
 
@@ -142,17 +148,11 @@ def _real_value(value: Scalar, t: BinaryTensor, degree: int, what: str) -> Scala
     return value.real
 
 
-def slice_factor(t: BinaryTensor | MuTensor, j: int) -> Scalar:
-    """f_{d,{j}} for d in {3, 4}: the conjugate product of determinants of complexified slices.
-
-    For d = 3 the 2x2 determinant, for d = 4 the 2x2x2 hyperdeterminant of
-    slice(j,0) +- i slice(j,1).  Real and nonnegative on real input.
-    """
-    dense = expand(t)
-    if dense.d not in (3, 4):
-        raise ValueError("slice factors implemented for orders 3 and 4")
+def _slice_factor(dense: BinaryTensor, j: int) -> Scalar:
+    """f_{d,{j}} of a dense order-3 or order-4 tensor, in the scalars of its entries."""
     a, b = (slice_tensor(dense, j, bit).entries for bit in (0, 1))
-    plus, minus = (_complexify(a, b, sign, dense.exact) for sign in (1, -1))
+    exact = dense.exact
+    plus, minus = (_complexify(a, b, sign, exact) for sign in (1, -1))
     if dense.d == 3:
         value = _det2(*plus) * _det2(*minus)
     else:
@@ -160,16 +160,44 @@ def slice_factor(t: BinaryTensor | MuTensor, j: int) -> Scalar:
     return _real_value(value, dense, 4 if dense.d == 3 else 8, f"slice factor {j}")
 
 
-def invariants_222(t: BinaryTensor | MuTensor) -> InvariantSet222:
-    """All printed invariants of a real 2x2x2 tensor, every value computed twice.
+def slice_factor(t: BinaryTensor | MuTensor, j: int) -> Scalar:
+    """f_{d,{j}} for d in {3, 4}: the conjugate product of determinants of complexified slices.
 
-    Path one uses the explicit entry formulas (squared sums, the 46-term
-    quartic, the minor form of the hyperdeterminant, determinants of
-    complexified slices); path two goes through the isotropic basis (products
-    of u-coordinates, the theta/phi forms with their 1/64 and 1/16 factors).
+    For d = 3 the 2x2 determinant, for d = 4 the 2x2x2 hyperdeterminant of
+    slice(j,0) +- i slice(j,1).  Real and nonnegative on real input.  Exact
+    input is evaluated on D t and divided by D^4 (d = 3) or D^8 (d = 4).
     """
-    dense, e = _entries_222(t)
+    dense = expand(t)
+    if dense.d not in (3, 4):
+        raise ValueError("slice factors implemented for orders 3 and 4")
+    if not dense.exact:
+        return _slice_factor(dense, j)
+    scaled, den = _cleared(dense)
+    return Fraction(_slice_factor(scaled, j), den ** (4 if dense.d == 3 else 8))
+
+
+def _agree(value: Scalar, num: Scalar, den: int, exact: bool) -> bool:
+    """value == num / den: multiplied through on exact input, as ``_close`` in floats."""
+    if exact:
+        return den * value == num
+    return _close(value, num / den, False)
+
+
+def _cleared_invariants_222(t: BinaryTensor | MuTensor) -> tuple[InvariantSet222, int]:
+    """(the invariant record of D t, D), every value computed twice.
+
+    On exact input D is the common denominator of the entries and the record
+    holds ints (phi1 a Gaussian integer); on float input D is 1 and t is used
+    as it is.
+    """
+    dense = expand(t)
+    if dense.d != 3:
+        raise ValueError(f"need order 3, got {dense.d}")
     exact = dense.exact
+    den = 1
+    if exact:
+        dense, den = _cleared(dense)
+    e = dense.entries
 
     theta_a = theta_t_forms(e)
     phi_a = phi_t_form(e)
@@ -189,22 +217,21 @@ def invariants_222(t: BinaryTensor | MuTensor) -> InvariantSet222:
         s = phi1 + phi2
         assert isinstance(s, QQi)
         _require(s.im == 0, "phi1 + phi2 not real")
-        phi_b: Scalar = s.re / 2
+        phi_b_twice: Scalar = s.re
     else:
         theta_b_real = [complex(v).real for v in theta_b]
-        phi_b = (complex(phi1) + complex(phi2)).real / 2
+        phi_b_twice = (complex(phi1) + complex(phi2)).real
 
     for k in range(4):
         _require(_close(theta_a[k], theta_b_real[k], exact), f"theta_{k + 1} paths disagree")
-    _require(_close(phi_a, phi_b, exact), "phi paths disagree")
+    _require(_agree(phi_a, phi_b_twice, 2, exact), "phi paths disagree")
 
     th1, th2, th3, th4 = theta_a
     pairs = th1 * th2 + th1 * th3 + th1 * th4 + th2 * th3 + th2 * th4 + th3 * th4
     squares = th1**2 + th2**2 + th3**2 + th4**2
     det_theta_num = 2 * pairs - squares - 8 * phi_a
-    det_b = Fraction(det_theta_num, 64) if exact else det_theta_num / 64
     det_a = hyperdet_222(e)
-    _require(_close(det_a, det_b, exact), "hyperdeterminant paths disagree")
+    _require(_agree(det_a, det_theta_num, 64, exact), "hyperdeterminant paths disagree")
 
     # slot-j slice factor equals the theta combination below (pinned numerically;
     # the product over j is the printed lowest-coefficient factor either way)
@@ -215,23 +242,54 @@ def invariants_222(t: BinaryTensor | MuTensor) -> InvariantSet222:
     )
     f3 = []
     for j in range(1, 4):
-        fa = slice_factor(dense, j)
-        fb = Fraction(combos[j - 1], 16) if exact else combos[j - 1] / 16
-        _require(_close(fa, fb, exact), f"f_(3,{{{j}}}) paths disagree")
+        fa = _slice_factor(dense, j)
+        _require(_agree(fa, combos[j - 1], 16, exact), f"f_(3,{{{j}}}) paths disagree")
         f3.append(fa)
 
     prod_theta = th1 * th2 * th3 * th4
     norm_phi1 = phi1.norm_sq() if isinstance(phi1, QQi) else abs(complex(phi1)) ** 2
     _require(_close(prod_theta, norm_phi1, exact, tol=1e-9), "theta product vs |phi1|^2")
 
+    record = InvariantSet222(theta=tuple(theta_a), phi=phi_a, phi1=phi1, det=det_a, f3=tuple(f3), exact=exact)
+    return record, den
+
+
+def invariants_222(t: BinaryTensor | MuTensor) -> InvariantSet222:
+    """All printed invariants of a real 2x2x2 tensor, every value computed twice.
+
+    Path one uses the explicit entry formulas (squared sums, the 46-term
+    quartic, the minor form of the hyperdeterminant, determinants of
+    complexified slices); path two goes through the isotropic basis (products
+    of u-coordinates, the theta/phi forms with their 1/64 and 1/16 factors).
+    Exact input gives Fractions (phi1 a QQi with Fraction parts).
+    """
+    inv, den = _cleared_invariants_222(t)
+    if not inv.exact:
+        return inv
+    d2, d4 = den**2, den**4
     return InvariantSet222(
-        theta=tuple(theta_a),
-        phi=phi_a,
-        phi1=phi1,
-        det=det_a,
-        f3=tuple(f3),
-        exact=exact,
+        theta=tuple(Fraction(v, d2) for v in inv.theta),
+        phi=Fraction(inv.phi, d4),
+        phi1=QQi(Fraction(inv.phi1.re, d4), Fraction(inv.phi1.im, d4)),
+        det=Fraction(inv.det, d4),
+        f3=tuple(Fraction(v, d4) for v in inv.f3),
+        exact=True,
     )
+
+
+def _extreme_coeffs(inv: InvariantSet222, den: int = 1) -> tuple[Scalar, Scalar, Scalar]:
+    """(a_0, a_5, a_6) from the invariant record of D t: a_k, of degree 20 - 2k, divided by D^(20 - 2k) once.
+
+    D is 1 for the record of t itself.
+    """
+    th1, th2, th3, th4 = inv.theta
+    a6 = th1 * th2 * th3 * th4
+    a0 = inv.det**2 * inv.f3[0] * inv.f3[1] * inv.f3[2]
+    triples = th1 * th2 * th3 + th1 * th2 * th4 + th1 * th3 * th4 + th2 * th3 * th4
+    a5_num = triples * inv.phi - 3 * a6 * (th1 + th2 + th3 + th4)
+    if not inv.exact:
+        return a0, a5_num / 8, a6
+    return Fraction(a0, den**20), Fraction(a5_num, 8 * den**10), Fraction(a6, den**8)
 
 
 def extreme_coeffs_222(t: BinaryTensor | MuTensor) -> tuple[Scalar, Scalar, Scalar]:
@@ -241,14 +299,7 @@ def extreme_coeffs_222(t: BinaryTensor | MuTensor) -> tuple[Scalar, Scalar, Scal
     quartic factors, and a_5 the printed degree-10 expression whose ratio
     -a_5/a_6 is the sum of the squared singular values.
     """
-    inv = invariants_222(t)
-    th1, th2, th3, th4 = inv.theta
-    a6 = th1 * th2 * th3 * th4
-    a0 = inv.det**2 * inv.f3[0] * inv.f3[1] * inv.f3[2]
-    triples = th1 * th2 * th3 + th1 * th2 * th4 + th1 * th3 * th4 + th2 * th3 * th4
-    a5_num = triples * inv.phi - 3 * a6 * (th1 + th2 + th3 + th4)
-    a5 = Fraction(a5_num, 8) if inv.exact else a5_num / 8
-    return a0, a5, a6
+    return _extreme_coeffs(*_cleared_invariants_222(t))
 
 
 def extra_root_21(c: MuTensor) -> Scalar:
@@ -299,7 +350,8 @@ def pair_factor_4(t: BinaryTensor, pair: tuple[int, int] = (1, 2)) -> Scalar:
 
     Implemented natively for J = {1,2} from the four matrix slices t^(rs)
     (r, s the bits of the paired slots); other pairs by slot permutation.
-    Real and nonnegative on real input.
+    Real and nonnegative on real input.  Exact input is evaluated on D t and
+    divided by D^8.
     """
     if t.d != 4:
         raise ValueError("pair factors are defined for order 4")
@@ -309,6 +361,9 @@ def pair_factor_4(t: BinaryTensor, pair: tuple[int, int] = (1, 2)) -> Scalar:
     order = [j - 1, k - 1] + [l for l in range(4) if l not in (j - 1, k - 1)]
     u = permute_slots(t, order)
     exact = u.exact
+    den = 1
+    if exact:
+        u, den = _cleared(u)
     # the matrix slices t^(rs), row-major, in the order t^00, t^01, t^10, t^11
     m = [u.entries[4 * rs : 4 * rs + 4] for rs in range(4)]
     dets = []
@@ -316,7 +371,8 @@ def pair_factor_4(t: BinaryTensor, pair: tuple[int, int] = (1, 2)) -> Scalar:
         a = _complexify(m[0], m[2], outer, exact)  # t00 +- i t10
         b = _complexify(m[1], m[3], outer, exact)  # t01 +- i t11
         dets.extend(_det2(*_complexify(a, b, inner, exact)) for inner in (1, -1))
-    return _real_value(dets[0] * dets[1] * dets[2] * dets[3], t, 8, "pair factor")
+    value = _real_value(dets[0] * dets[1] * dets[2] * dets[3], t, 8, "pair factor")
+    return Fraction(value, den**8) if exact else value
 
 
 def isotropic_factor_symmetric(c: MuTensor) -> Scalar:

@@ -1,10 +1,10 @@
 """Scalar backends shared by the tensor and polynomial layers.
 
-Two pipelines coexist: an exact one over the rationals (``fractions.Fraction``
-plus the Gaussian rationals below, used for the critical equations and the
-printed invariant formulas) and a double-precision one (floats / numpy
-complex, used for the solvers' eigenvalue problems, root finding and
-anything transcendental).  Values are converted between
+Two pipelines coexist: an exact one over the integers and the rationals
+(``int``, ``fractions.Fraction`` and the Gaussian integers or rationals
+below, used for the critical equations and the printed invariant formulas)
+and a double-precision one (floats / numpy complex, used for the solvers'
+eigenvalue problems, root finding and anything transcendental).  Values are converted between
 the two only at explicit boundaries.
 """
 
@@ -19,10 +19,10 @@ Scalar = Union[Fraction, int, float, complex, "QQi"]
 
 @dataclass(frozen=True)
 class QQi:
-    """A Gaussian rational a + b*i with exact Fraction components."""
+    """A Gaussian integer or rational a + b*i with exact int or Fraction components."""
 
-    re: Fraction
-    im: Fraction
+    re: Fraction | int
+    im: Fraction | int
 
     def __add__(self, other: "QQi | Fraction | int") -> "QQi":
         o = _as_qqi(other)
@@ -49,7 +49,7 @@ class QQi:
     def __pow__(self, n: int) -> "QQi":
         if n < 0:
             raise ValueError("negative powers not supported")
-        out = QQi(Fraction(1), Fraction(0))
+        out = QQi(1, 0)
         base = self
         while n:
             if n & 1:
@@ -61,8 +61,8 @@ class QQi:
     def conjugate(self) -> "QQi":
         return QQi(self.re, -self.im)
 
-    def norm_sq(self) -> Fraction:
-        """|z|^2, an exact rational."""
+    def norm_sq(self) -> Fraction | int:
+        """|z|^2, an exact integer or rational."""
         return self.re * self.re + self.im * self.im
 
     def __complex__(self) -> complex:
@@ -73,9 +73,12 @@ class QQi:
 
 
 def _as_qqi(x: "QQi | Fraction | int") -> QQi:
+    """x as a Gaussian number, its part kept as it is; anything inexact raises TypeError."""
     if isinstance(x, QQi):
         return x
-    return QQi(Fraction(x), Fraction(0))
+    if isinstance(x, (int, Fraction)):
+        return QQi(x, 0)
+    raise TypeError(f"cannot mix {type(x).__name__} into exact Gaussian arithmetic")
 
 
 def format_rational(x: Fraction) -> str:
@@ -89,4 +92,4 @@ def snap_to_dyadic(x: float, bits: int = 16) -> Fraction:
 
 
 def is_exact(value: Scalar) -> bool:
-    return isinstance(value, (Fraction, int, QQi))
+    return isinstance(value, (int, Fraction, QQi))

@@ -288,10 +288,11 @@ def to_u_coordinates(t: BinaryTensor) -> BinaryTensor:
     u_I = sum_J i^{|J|} (-1)^{sum_l (1-i_l) j_l} t_J.  The sum factors per
     slot: every slot maps its pair (a, b) to (a - i b, a + i b).  For real t
     the entry at the bitwise complement of I is the complex conjugate of the
-    entry at I.  Exact input yields exact Gaussian-rational entries.
+    entry at I.  Exact input yields exact entries: Gaussian integers on int
+    input, Gaussian rationals otherwise.
     """
     if t.exact:
-        one, i = QQi(Fraction(1), Fraction(0)), QQi(Fraction(0), Fraction(1))
+        one, i = QQi(1, 0), QQi(0, 1)
         entries: list[Scalar] = list(t.entries)
     else:
         one, i = 1.0 + 0j, 1j

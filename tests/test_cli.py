@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+import bts.invariants
 import bts.spectral
 from bts.cli import main
 from bts.polys import RootFindingError
@@ -159,6 +160,17 @@ def test_invariants_rational_output(capsys, cubic_file):
     assert doc["theta"] == ["2", "2", "2", "2"]
     assert doc["extra_root"] == "1/2"
     assert doc["delta_q"] == "2"
+
+
+def test_invariants_evaluates_the_record_once(capsys, monkeypatch, diag_file):
+    # a0, a5 and a6 come from the same record as theta, phi, det and f3
+    calls = []
+    original = bts.invariants._cleared_invariants_222
+    monkeypatch.setattr(bts.invariants, "_cleared_invariants_222", lambda t: calls.append(t) or original(t))
+    code, out, _ = run(capsys, "invariants", "--input", diag_file, "--format", "json")
+    assert code == 0 and len(calls) == 1
+    doc = json.loads(out)
+    assert (doc["a0"], doc["a5"], doc["a6"]) == ("1024", "-5125", "625")
 
 
 def test_edpoly_command(capsys, diag_file):

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from bts import invariants
 from bts.combinatorics import Partition
 from bts.invariants import (
     DegenerateInputError,
+    FormulaCrossCheckError,
+    _extreme_coeffs,
     extra_root_21,
     extra_root_3,
     extreme_coeffs_222,
@@ -16,18 +20,23 @@ from bts.invariants import (
     invariants_222,
     isotropic_factor_symmetric,
     pair_factor_4,
+    phi_t_form,
     slice_factor,
+    theta_t_forms,
 )
 from bts.polys import discriminant_binary_form
-from bts.scalars import QQi
+from bts.scalars import QQi, _as_qqi
 from bts.tensor import (
     BinaryTensor,
     MuTensor,
+    _apply_slot_map,
     all_bits,
     expand,
+    permute_slots,
     random_tensor,
     rank_one_tensor,
     rotate,
+    slice_tensor,
 )
 
 
@@ -210,8 +219,6 @@ def test_pair_factor_zero_on_isotropic_structure():
 
 
 def test_pair_factor_all_pairs_consistent_under_permutation():
-    from bts.tensor import permute_slots
-
     t = random_tensor(55, 4)
     swapped = permute_slots(t, (2, 3, 0, 1))
     assert pair_factor_4(t, (1, 2)) == pair_factor_4(swapped, (3, 4))
@@ -248,3 +255,174 @@ def test_hyperdet_is_cayley_polynomial():
     e = [Fraction(0)] * 8
     e[0], e[7] = a, b
     assert hyperdet_222(e) == (a * b) ** 2
+
+
+# --- the integer path against a Fraction oracle -----------------------------------
+#
+# The oracle evaluates every value over Fraction and QQi(Fraction, Fraction), one
+# normalized rational product at a time: the evaluation the library made before
+# it cleared the common denominator.
+
+ONE, I_UNIT = QQi(Fraction(1), Fraction(0)), QQi(Fraction(0), Fraction(1))
+
+
+def oracle_complexify(a, b, sign):
+    return [QQi(Fraction(0), Fraction(sign)) * y + x for x, y in zip(a, b)]
+
+
+def oracle_real(value):
+    assert isinstance(value, QQi) and value.im == 0
+    return value.re
+
+
+def oracle_slice_factor(t, j):
+    dense = expand(t)
+    dense = BinaryTensor(dense.d, tuple(Fraction(v) for v in dense.entries))
+    a, b = (slice_tensor(dense, j, bit).entries for bit in (0, 1))
+    plus, minus = oracle_complexify(a, b, 1), oracle_complexify(a, b, -1)
+    if dense.d == 3:
+        return oracle_real((plus[0] * plus[3] - plus[1] * plus[2]) * (minus[0] * minus[3] - minus[1] * minus[2]))
+    return oracle_real(hyperdet_222(plus) * hyperdet_222(minus))
+
+
+def oracle_record(t):
+    """(theta, phi, phi1, det, f3) of an exact order-3 tensor over Fraction and QQi(Fraction)."""
+    e = [Fraction(v) for v in expand(t).entries]
+    u = list(e)
+    for slot in range(3):
+        _apply_slot_map(u, 3, slot, ((ONE, -I_UNIT), (ONE, I_UNIT)))
+    phi1 = u[0b001] * u[0b010] * u[0b100] * u[0b111]
+    f3 = tuple(oracle_slice_factor(BinaryTensor(3, tuple(e)), j) for j in (1, 2, 3))
+    return theta_t_forms(e), phi_t_form(e), phi1, hyperdet_222(e), f3
+
+
+def oracle_extremes(t):
+    theta, phi, _, det, f3 = oracle_record(t)
+    th1, th2, th3, th4 = theta
+    a6 = th1 * th2 * th3 * th4
+    triples = th1 * th2 * th3 + th1 * th2 * th4 + th1 * th3 * th4 + th2 * th3 * th4
+    a5 = Fraction(triples * phi - 3 * a6 * (th1 + th2 + th3 + th4), 8)
+    return det**2 * f3[0] * f3[1] * f3[2], a5, a6
+
+
+def oracle_pair_factor_4(t, pair):
+    j, k = pair
+    order = [j - 1, k - 1] + [l for l in range(4) if l not in (j - 1, k - 1)]
+    u = permute_slots(BinaryTensor(4, tuple(Fraction(v) for v in t.entries)), order)
+    m = [u.entries[4 * rs : 4 * rs + 4] for rs in range(4)]
+    value = QQi(Fraction(1), Fraction(0))
+    for outer in (1, -1):
+        a, b = oracle_complexify(m[0], m[2], outer), oracle_complexify(m[1], m[3], outer)
+        for inner in (1, -1):
+            p, q, r, s = oracle_complexify(a, b, inner)
+            value = value * (p * s - q * r)
+    return oracle_real(value)
+
+
+def _rational_entries(seed, n, dens):
+    rng = np.random.default_rng(seed)
+    return tuple(Fraction(int(rng.integers(-20, 21)), int(rng.choice(dens))) for _ in range(n))
+
+
+def _int_entries(seed, n):
+    return tuple(int(v) for v in np.random.default_rng(seed).integers(-50, 51, size=n))
+
+
+def exact_cases(d):
+    """Named lists of exact order-d tensors on which the integer path must equal the oracle."""
+    n = 1 << d
+    dyadic = [random_tensor(seed, d) for seed in range(6)]
+    cases = {
+        "dyadic": dyadic,
+        "dyadic-2^-60": [t.scale(Fraction(1, 2**60)) for t in dyadic],
+        "dyadic-2^60": [t.scale(2**60) for t in dyadic],
+        "denominators-3-7-10": [BinaryTensor(d, _rational_entries(seed, n, (3, 7, 10))) for seed in range(6)],
+        "int": [BinaryTensor(d, _int_entries(seed, n)) for seed in range(6)],
+        "mixed-int-fraction": [
+            BinaryTensor(d, tuple(v if i % 2 else Fraction(v, 3) for i, v in enumerate(_int_entries(seed, n))))
+            for seed in range(6)
+        ],
+        "zero": [BinaryTensor(d, (0,) * n), BinaryTensor(d, (Fraction(0),) * n)],
+    }
+    shapes = {3: ((2, 1), (3,)), 4: ((2, 2), (4,))}[d]
+    for mu in shapes:
+        cases["mu-" + ",".join(map(str, mu))] = [random_tensor(seed, mu) for seed in range(4)]
+    return cases
+
+
+def assert_fraction(got, want):
+    assert type(got) is Fraction and got == want, (got, want)
+
+
+def assert_qqi(got, want):
+    assert isinstance(got, QQi) and type(got.re) is Fraction and type(got.im) is Fraction
+    assert (got.re, got.im) == (want.re, want.im)
+
+
+@pytest.mark.parametrize("case", sorted(exact_cases(3)))
+def test_order3_integer_path_matches_fraction_oracle(case):
+    for t in exact_cases(3)[case]:
+        theta, phi, phi1, det, f3 = oracle_record(t)
+        inv = invariants_222(t)
+        assert inv.exact and len(inv.theta) == 4 and len(inv.f3) == 3
+        for got, want in [*zip(inv.theta, theta), (inv.phi, phi), (inv.det, det), *zip(inv.f3, f3)]:
+            assert_fraction(got, want)
+        assert_qqi(inv.phi1, phi1)
+        want = oracle_extremes(t)
+        for got in (extreme_coeffs_222(t), _extreme_coeffs(inv)):
+            assert len(got) == 3
+            for g, w in zip(got, want):
+                assert_fraction(g, w)
+        for j in (1, 2, 3):
+            assert_fraction(slice_factor(t, j), f3[j - 1])
+
+
+@pytest.mark.parametrize("case", sorted(exact_cases(4)))
+def test_order4_integer_path_matches_fraction_oracle(case):
+    for t in exact_cases(4)[case]:
+        for j in (1, 2, 3, 4):
+            assert_fraction(slice_factor(t, j), oracle_slice_factor(t, j))
+        dense = expand(t)
+        for pair in ((1, 2), (1, 4), (2, 3), (3, 4)):
+            assert_fraction(pair_factor_4(dense, pair), oracle_pair_factor_4(dense, pair))
+
+
+def test_extremes_of_float_record_match_extreme_coeffs():
+    t = as_float(random_tensor(8, 3))
+    assert _extreme_coeffs(invariants_222(t)) == extreme_coeffs_222(t)
+
+
+@pytest.mark.parametrize("name", ["phi_t_form", "theta_t_forms"])
+def test_integer_path_cross_checks_fire(monkeypatch, name):
+    # an off-by-one in path one on integer entries must fail the multiplied-through checks
+    original = getattr(invariants, name)
+
+    def off_by_one(e):
+        value = original(e)
+        if not all(type(v) is int for v in e):
+            return value
+        return value + 1 if name == "phi_t_form" else tuple(v + 1 for v in value)
+
+    monkeypatch.setattr(invariants, name, off_by_one)
+    t = random_tensor(3, 3)
+    with pytest.raises(FormulaCrossCheckError):
+        invariants_222(t)
+    with pytest.raises(FormulaCrossCheckError):
+        extreme_coeffs_222(t)
+    invariants_222(as_float(t))  # the float path never sees int entries
+
+
+def test_complex_entries_are_refused():
+    t = BinaryTensor(3, (QQi(1, 1),) + (0,) * 7)
+    for fn in (invariants_222, extreme_coeffs_222, lambda t: slice_factor(t, 1)):
+        with pytest.raises(TypeError):
+            fn(t)
+
+
+def test_gaussian_arithmetic_refuses_floats():
+    with pytest.raises(TypeError):
+        _as_qqi(0.5)
+    with pytest.raises(TypeError):
+        QQi(1, 0) + 0.5
+    assert _as_qqi(3) == QQi(3, 0) and type(_as_qqi(3).re) is int
+    assert type(_as_qqi(Fraction(1, 2)).re) is Fraction

@@ -1,4 +1,4 @@
-"""Compare `bts svals`, `bts invariants` and `bts verify-product` (`--format json`) between two source trees.
+"""Compare `bts svals`, `invariants`, `verify-product` and `random-check` (`--format json`) between two source trees.
 
     python3 tools/outdiff.py OLD_TREE NEW_TREE INPUT_DIR
 
@@ -7,7 +7,8 @@ INPUT_DIR, calling ``bts.cli.main`` in-process once per command; an uncaught
 exception counts as the exit code ``uncaught <type>``.  Each tree also runs
 ``verify-product --mu M --trials 20 --seed 611 --jobs 1 --format json`` for
 every shape M of NEW_TREE's ``SUPPORTED_PRODUCT_MU``, one kind per shape,
-compared byte for byte.  Per command and kind (the file name after its
+and ``random-check --trials 100 --seed 611 --format json``, each compared
+byte for byte.  Per command and kind (the file name after its
 first ``-``: ``00012-sym3-exact`` is ``sym3-exact``) it counts outputs that
 are identical (same exit code, same stdout), for
 ``svals`` numerically equal (both exit 0; same ``mu``, ``ed_degree``,
@@ -38,6 +39,7 @@ REL_TOL = 1e-12
 COMMANDS = ("svals", "invariants")
 
 PRODUCT_ARGS = ("--trials", "20", "--seed", "611", "--jobs", "1", "--format", "json")
+RANDOM_CHECK_ARGS = ("--trials", "100", "--seed", "611", "--format", "json")
 
 RUNNER = r"""
 import contextlib, io, json, sys
@@ -129,6 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     for mu in (",".join(map(str, parts)) for parts in SUPPORTED_PRODUCT_MU):
         runs.append(("verify-product", f"verify-product mu={mu}", f"verify-product --mu {mu}",
                      ["verify-product", "--mu", mu, *PRODUCT_ARGS]))
+    runs.append(("random-check", "random-check", "random-check", ["random-check", *RANDOM_CHECK_ARGS]))
     argvs = [argv for *_, argv in runs]
     old, new = run_tree(args.old, argvs), run_tree(args.new, argvs)
     counts: dict[str, Counter] = defaultdict(Counter)
