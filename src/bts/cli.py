@@ -13,11 +13,15 @@ Exit codes: 0 success, 1 verification failure (a trial exceeded tolerance),
 2 input/parse error, 3 solver failure or float overflow on huge input.  JSON
 output is byte-identical for identical (input, seed, version); floats carry
 17 significant digits.
+
+``main`` is reentrant: it builds its parser once per process, on the first
+call, and every call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -39,9 +43,8 @@ from .combinatorics import (
 from .invariants import (
     DegenerateInputError,
     FormulaCrossCheckError,
+    _extra_root,
     _extreme_coeffs,
-    extra_root_21,
-    extra_root_3,
     invariants_222,
     isotropic_factor_symmetric,
     pair_factor_4,
@@ -355,10 +358,8 @@ def cmd_invariants(args) -> int:
                     "a6": _num(a6),
                 }
             )
-            if parts == (2, 1):
-                doc["extra_root"] = _num(extra_root_21(t))
-            if parts == (3,):
-                doc["extra_root"] = _num(extra_root_3(t))
+            if parts in ((2, 1), (3,)):
+                doc["extra_root"] = _num(_extra_root(t, inv))
         if parts is not None and len(parts) == 1 and dense.d >= 2:
             disc = discriminant_binary_form(t)
             doc["discriminant"] = _num(disc.value)
@@ -489,7 +490,9 @@ def _add_common(p: argparse.ArgumentParser, *, input_file: bool) -> None:
     p.add_argument("--format", choices=("json", "table"), default="table")
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``bts`` parser, built on the first ``main`` call and reused by every later one."""
     ap = argparse.ArgumentParser(
         prog="bts",
         description="Singular values, distance polynomials, and invariants of real binary tensors.",
@@ -530,8 +533,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(fn=cmd_random_check)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except SystemExit as exc:

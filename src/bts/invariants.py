@@ -302,16 +302,18 @@ def extreme_coeffs_222(t: BinaryTensor | MuTensor) -> tuple[Scalar, Scalar, Scal
     return _extreme_coeffs(*_cleared_invariants_222(t))
 
 
-def extra_root_21(c: MuTensor) -> Scalar:
-    """The doubled squared singular value a (2,1)-symmetric tensor has beyond its own four.
+def _extra_root(c: MuTensor, inv: InvariantSet222) -> Scalar:
+    """The extra root of a (2,1)- or (3,)-symmetric ``c``, cross-checked against ``inv``, its record.
 
-    Evaluated from the compressed coordinates as a ratio of sums of squares,
-    and cross-checked against the invariant form f_{3,{1}} / theta_dup on the
-    expanded tensor (the pair of symmetric slots is 1,2; slots are rotated by
-    the same angle, so both are rotation invariant).
+    A symmetric tensor is (2,1)-symmetric too, and its extra root is the one
+    of that view.  Evaluated from the (2,1) compressed coordinates as a ratio
+    of sums of squares, and cross-checked against the invariant form
+    f_{3,{1}} / theta_dup on the expanded tensor (the pair of symmetric slots
+    is 1,2; slots are rotated by the same angle, so both are rotation
+    invariant).
     """
-    if c.mu.parts != (2, 1):
-        raise ValueError(f"need mu = (2,1), got {c.mu}")
+    if c.mu.parts == (3,):
+        c = compress(expand(c), (2, 1))
     exact = c.exact
     c00, c01 = c[(0, 0)], c[(0, 1)]
     c10, c11 = c[(1, 0)], c[(1, 1)]
@@ -321,7 +323,6 @@ def extra_root_21(c: MuTensor) -> Scalar:
     if (exact and den == 0) or (not exact and abs(den) < 1e-14):
         raise DegenerateInputError("isotropic configuration: denominator vanishes")
     value = Fraction(num, den) if exact else num / den
-    inv = invariants_222(expand(c))
     th = inv.theta
     if not _close(inv.f3[0], inv.f3[1], exact, tol=1e-9):
         raise FormulaCrossCheckError("slot-1 and slot-2 quartic factors should coincide")
@@ -334,15 +335,18 @@ def extra_root_21(c: MuTensor) -> Scalar:
     return value
 
 
-def extra_root_3(c: MuTensor) -> Scalar:
-    """The tripled squared singular value a symmetric 2x2x2 tensor has beyond its three.
+def extra_root_21(c: MuTensor) -> Scalar:
+    """The doubled squared singular value a (2,1)-symmetric tensor has beyond its own four."""
+    if c.mu.parts != (2, 1):
+        raise ValueError(f"need mu = (2,1), got {c.mu}")
+    return _extra_root(c, invariants_222(expand(c)))
 
-    A symmetric tensor is (2,1)-symmetric too, and its extra root is the one
-    of that view: ``extra_root_21`` on the same tensor compressed as (2,1).
-    """
+
+def extra_root_3(c: MuTensor) -> Scalar:
+    """The tripled squared singular value a symmetric 2x2x2 tensor has beyond its three."""
     if c.mu.parts != (3,):
         raise ValueError(f"need mu = (3), got {c.mu}")
-    return extra_root_21(compress(expand(c), (2, 1)))
+    return _extra_root(c, invariants_222(expand(c)))
 
 
 def pair_factor_4(t: BinaryTensor, pair: tuple[int, int] = (1, 2)) -> Scalar:

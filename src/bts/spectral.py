@@ -330,6 +330,7 @@ def _finalize_spectrum(
 ) -> Spectrum:
     """Polish, deduplicate, count and certify candidates (vectors, sigma, multiplicity) on ``t_orig``.
 
+    The polished, q-normalized candidates are paired in one kernel call.
     Isotropic candidates and repeats (``_keys_close``) are dropped; the rest,
     counted with multiplicity, must number ed_degree(mu), each with residual
     at most RESIDUAL_REL_TOL * |t|, or SolverFailureError.  Real sigma < 0
@@ -341,15 +342,19 @@ def _finalize_spectrum(
     norm = dense.norm() or 1.0
     odd_groups = [k for k, p in enumerate(mu.parts) if p % 2 == 1]
 
-    data: list[SingularDatum] = []
-    keys: list[tuple] = []
+    polished: list[tuple[list[tuple[complex, complex]], int]] = []
     for vecs, sigma, mult in raw:
         vecs, _ = _newton_polish_tuple(arr, mu, list(vecs), sigma)
         try:
-            vecs = [q_normalize(v) for v in vecs]
+            polished.append(([q_normalize(v) for v in vecs], mult))
         except IsotropicVectorError:
             continue
-        sigma = _pairing(arr, mu, vecs)
+    _, pairings, _ = _contract_batch(arr, mu, _stack(mu, [vecs for vecs, _ in polished]))
+
+    data: list[SingularDatum] = []
+    keys: list[tuple] = []
+    for (vecs, mult), sigma in zip(polished, pairings):
+        sigma = complex(sigma)
         key = (sigma * sigma, tuple(vecs))
         if any(_keys_close(key, k) for k in keys):
             continue

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import warnings
 
 import pytest
 
+import bts.cli
 import bts.invariants
 import bts.spectral
+from bts import __version__
 from bts.cli import main
 from bts.polys import RootFindingError
 
 DIAG = {"d": 3, "mu": None, "entries": {"000": "1", "111": "2"}}
 CUBIC = {"d": 3, "mu": [3], "entries": {"0": "1", "3": "1"}}
+SYM21 = {"d": 3, "mu": [2, 1], "entries": {"00": "1", "21": "2"}}
 
 
 @pytest.fixture
@@ -31,10 +35,85 @@ def cubic_file(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def sym21_file(tmp_path):
+    p = tmp_path / "sym21.json"
+    p.write_text(json.dumps(SYM21))
+    return str(p)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_or_exit(capsys, *argv):
+    """Like ``run``, with the code of a SystemExit the parser raises (``--version``, usage errors)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# --- a reentrant main ----------------------------------------------------------
+
+
+def test_main_builds_its_parser_on_the_first_call_only(capsys, monkeypatch, diag_file):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    bts.cli._parser.cache_clear()
+    try:
+        after_each = []
+        for argv in (["degrees", "--d", "3"], ["invariants", "--input", diag_file], ["degrees", "--mu", "2,1"]):
+            assert run(capsys, *argv)[0] == 0
+            after_each.append(len(built))
+    finally:
+        bts.cli._parser.cache_clear()
+    # the top-level parser and one per subcommand, all during the first call
+    assert built[0] == "bts" and len(built) == 7
+    assert after_each == [7, 7, 7]
+
+
+def test_main_carries_no_defaults_between_calls(capsys, monkeypatch, diag_file):
+    seeds = []
+    original = bts.cli.singular_values
+    monkeypatch.setattr(bts.cli, "singular_values", lambda t, seed: seeds.append(seed) or original(t, seed=seed))
+    code, out, _ = run(capsys, "svals", "--input", diag_file, "--seed", "5", "--format", "json")
+    assert code == 0 and out.startswith("{")
+    code, out, _ = run(capsys, "svals", "--input", diag_file)
+    assert code == 0 and out.startswith("mu = (1, 1, 1)")
+    assert seeds == [5, 0]
+    docs = [json.loads(run(capsys, "verify-product", "--mu", "1,1", "--trials", "1", "--jobs", "1",
+                           *extra, "--format", "json")[1]) for extra in (["--seed", "3"], [])]
+    assert [doc["seed"] for doc in docs] == [3, 42]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (["--version"], 0, "out", f"bts {__version__}\n"),
+        (["nope"], 2, "err", "bts: error: argument command: invalid choice: 'nope'"),
+        (["verify-product"], 2, "err", "bts verify-product: error: the following arguments are required: --mu"),
+    ],
+    ids=["version", "unknown-command", "verify-product-without-mu"],
+)
+def test_parse_outcome_is_the_same_on_every_call(capsys, argv, code, stream, text):
+    bts.cli._parser.cache_clear()
+    first = run_or_exit(capsys, *argv)
+    assert run(capsys, "degrees", "--d", "3")[0] == 0
+    later = [run_or_exit(capsys, *argv) for _ in range(2)]
+    assert later == [first, first]
+    assert first[0] == code
+    assert text in (first[1] if stream == "out" else first[2])
 
 
 def test_svals_diagonal(capsys, diag_file):
@@ -171,6 +250,17 @@ def test_invariants_evaluates_the_record_once(capsys, monkeypatch, diag_file):
     assert code == 0 and len(calls) == 1
     doc = json.loads(out)
     assert (doc["a0"], doc["a5"], doc["a6"]) == ("1024", "-5125", "625")
+
+
+@pytest.mark.parametrize("fixture, extra_root", [("sym21_file", "4/5"), ("cubic_file", "1/2")])
+def test_invariants_evaluates_the_record_once_on_symmetric_shapes(capsys, monkeypatch, request, fixture, extra_root):
+    # the extra root's cross-check uses the record the command printed
+    calls = []
+    original = bts.invariants._cleared_invariants_222
+    monkeypatch.setattr(bts.invariants, "_cleared_invariants_222", lambda t: calls.append(t) or original(t))
+    code, out, _ = run(capsys, "invariants", "--input", request.getfixturevalue(fixture), "--format", "json")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["extra_root"] == extra_root
 
 
 def test_edpoly_command(capsys, diag_file):

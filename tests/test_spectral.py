@@ -600,6 +600,21 @@ def test_batched_contractions_match_exact_oracles(shape, n):
     assert list(own) == [bts.spectral.tuple_residual(arr, mu, tup, p) for tup, p in zip(tuples, pairings)]
 
 
+def test_finalize_pairs_every_candidate_in_one_kernel_call(monkeypatch):
+    t = random_tensor(3, 3)
+    tf = BinaryTensor(3, tuple(float(v) for v in t.entries))
+    spec = solve_222(tf, seed=1)
+    raw = [([tuple(v) for v in d.vectors], d.sigma, 1) for d in spec.data]
+    sizes = []
+    original = bts.spectral._contract_batch
+    monkeypatch.setattr(bts.spectral, "_contract_batch",
+                        lambda arr, mu, vecs, sigma=None: sizes.append(len(vecs)) or original(arr, mu, vecs, sigma))
+    again = bts.spectral._finalize_spectrum(tf, raw, "test")
+    # one pairing call over all six candidates, then one residual row per survivor
+    assert sizes == [6] + [1] * 6
+    assert [d.sigma_sq for d in again.data] == pytest.approx([d.sigma_sq for d in spec.data], rel=1e-12)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("defect", ["nan-sigma", "nan-vector", "inf-sigma"])
 def test_non_finite_tuple_has_infinite_residual(defect):

@@ -1,14 +1,21 @@
-"""Compare `bts svals`, `invariants`, `verify-product` and `random-check` (`--format json`) between two source trees.
+"""Compare `bts svals`, `invariants`, `verify-product`, `random-check` and the parser between two source trees.
 
     python3 tools/outdiff.py OLD_TREE NEW_TREE INPUT_DIR
 
 Each tree's ``src/`` runs in its own interpreter over every ``*.json`` file of
 INPUT_DIR, calling ``bts.cli.main`` in-process once per command; an uncaught
-exception counts as the exit code ``uncaught <type>``.  Each tree also runs
+exception counts as the exit code ``uncaught <type>``.  Per file it runs
+``svals`` and ``invariants`` with ``--format json`` and ``svals --format
+table``; the table is compared byte for byte.  Each tree also runs
 ``verify-product --mu M --trials 20 --seed 611 --jobs 1 --format json`` for
 every shape M of NEW_TREE's ``SUPPORTED_PRODUCT_MU``, one kind per shape,
 and ``random-check --trials 100 --seed 611 --format json``, each compared
-byte for byte.  Per command and kind (the file name after its
+byte for byte.  Last, in the same interpreter, it runs the argument lists of
+PARSE_ARGVS (no command, ``--version``, ``--help``, a missing ``--input``,
+an unknown command, an unsupported ``--mu``), which show what the parser
+decides on a call that is not the first; these are compared on exit code,
+stdout and the whole of stderr, and a changed stderr counts as "message
+changed".  Per command and kind (the file name after its
 first ``-``: ``00012-sym3-exact`` is ``sym3-exact``) it counts outputs that
 are identical (same exit code, same stdout), for
 ``svals`` numerically equal (both exit 0; same ``mu``, ``ed_degree``,
@@ -36,7 +43,8 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 REL_TOL = 1e-12
-COMMANDS = ("svals", "invariants")
+COMMANDS = (("svals", "json"), ("invariants", "json"), ("svals", "table"))
+PARSE_ARGVS = ([], ["--version"], ["--help"], ["svals"], ["nope"], ["verify-product", "--mu", "9"])
 
 PRODUCT_ARGS = ("--trials", "20", "--seed", "611", "--jobs", "1", "--format", "json")
 RANDOM_CHECK_ARGS = ("--trials", "100", "--seed", "611", "--format", "json")
@@ -55,7 +63,8 @@ for argv in sys.stdin.read().splitlines():
         except Exception as exc:
             code = f"uncaught {type(exc).__name__}"
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
-    print(json.dumps({"code": code, "out": out.getvalue(), "error": errors[-1] if errors else None}), flush=True)
+    print(json.dumps({"code": code, "out": out.getvalue(), "err": err.getvalue(),
+                      "error": errors[-1] if errors else None}), flush=True)
 """
 
 
@@ -126,12 +135,17 @@ def main(argv: list[str] | None = None) -> int:
     from bts.spectral import SUPPORTED_PRODUCT_MU
 
     # (command, kind, label, argv) per run
-    runs = [(command, f"{command} {kind_of(path)}", f"{command} {path.name}",
-             [command, "--input", str(path), "--format", "json"]) for path in files for command in COMMANDS]
+    runs = []
+    for path in files:
+        for command, fmt in COMMANDS:
+            name = command if fmt == "json" else f"{command} --format {fmt}"
+            runs.append((name, f"{name} {kind_of(path)}", f"{name} {path.name}",
+                         [command, "--input", str(path), "--format", fmt]))
     for mu in (",".join(map(str, parts)) for parts in SUPPORTED_PRODUCT_MU):
         runs.append(("verify-product", f"verify-product mu={mu}", f"verify-product --mu {mu}",
                      ["verify-product", "--mu", mu, *PRODUCT_ARGS]))
     runs.append(("random-check", "random-check", "random-check", ["random-check", *RANDOM_CHECK_ARGS]))
+    runs += [("parse", "parse", f"parse {json.dumps(argv)}", argv) for argv in PARSE_ARGVS]
     argvs = [argv for *_, argv in runs]
     old, new = run_tree(args.old, argvs), run_tree(args.new, argvs)
     counts: dict[str, Counter] = defaultdict(Counter)
@@ -141,7 +155,8 @@ def main(argv: list[str] | None = None) -> int:
         if a["code"] != b["code"]:
             tally[f"exit {a['code']}->{b['code']}"] += 1
             print(f"exit {a['code']}->{b['code']}: {label}")
-        elif a["out"] == b["out"] and a["code"] != 0 and a["error"] != b["error"]:
+        elif a["out"] == b["out"] and (a["err"] != b["err"] if command == "parse"
+                                        else a["code"] != 0 and a["error"] != b["error"]):
             tally["message changed"] += 1
             print(f"message changed: {label}")
         elif a["out"] == b["out"]:
