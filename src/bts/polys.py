@@ -1,39 +1,28 @@
-"""Polynomials, resultants, and complex root finding.
+"""Polynomials, resultants, and exact square-free decomposition.
 
 Sparse multivariate polynomials with exact rational coefficients carry the
 critical equations, from which ``spectral`` derives its pencil map once per
 shape (no solve builds them); dense univariate ones carry the distance
 polynomials; univariate resultants, for the discriminants of binary forms,
-are fraction-free (Bareiss) determinants of the Sylvester matrix.  Root
-finding works in double precision: the eigenvalues of the companion matrix
-(one LAPACK call, backward stable), followed by Newton polishing and
-multiplicity clustering.
+are fraction-free (Bareiss) determinants of the Sylvester matrix.  The
+square-free decomposition (Yun) runs over the integers once the common
+denominator is cleared, and gives exact root multiplicities; the roots
+themselves are found by ``spectral``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from itertools import zip_longest
+from math import comb, gcd, lcm
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .scalars import Scalar
 from .tensor import MuTensor
-
-ROOT_RESIDUAL_TOL = 1e-10
-CLUSTER_REL_TOL = 1e-7
-
-
-class RootFindingError(RuntimeError):
-    """Root iteration failed to converge; carries whatever roots were found."""
-
-    def __init__(self, message: str, partial: list[complex]):
-        super().__init__(message)
-        self.partial = partial
-
 
 # --- univariate polynomials --------------------------------------------------
 
@@ -170,96 +159,81 @@ def resultant_univariate(p_coeffs: Sequence[Fraction], q_coeffs: Sequence[Fracti
     return sign * mat[-1][-1] if n else Fraction(1)
 
 
-# --- root finding -------------------------------------------------------------
+# --- square-free decomposition ------------------------------------------------
+# Integer polynomials are ascending lists without trailing zeros; [] is zero.
 
 
-def _horner_pair(coeffs: np.ndarray, z: complex) -> tuple[complex, complex]:
-    p, dp = 0j, 0j
-    for c in coeffs[::-1]:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
+def _strip(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
 
-def _newton_polish(coeffs: np.ndarray, z: complex, steps: int = 40) -> complex:
-    for _ in range(steps):
-        p, dp = _horner_pair(coeffs, z)
-        if dp == 0:
-            break
-        step = p / dp
-        z = z - step
-        if abs(step) < 1e-15 * (1.0 + abs(z)):
-            break
-    return z
+def _primitive(p: list[int]) -> list[int]:
+    """Nonzero p divided by the gcd of its coefficients, its leading coefficient made positive."""
+    g = gcd(*p)
+    return [c // (g if p[-1] > 0 else -g) for c in p]
 
 
-def _cluster(roots: Sequence[complex]) -> list[tuple[complex, int]]:
-    """Greedy clustering at CLUSTER_REL_TOL relative distance; returns (mean, multiplicity)."""
-    remaining = sorted(roots, key=lambda z: (z.real, z.imag))
-    clusters: list[list[complex]] = []
-    for z in remaining:
-        for cl in clusters:
-            c = sum(cl) / len(cl)
-            if abs(z - c) <= CLUSTER_REL_TOL * max(1.0, abs(c)):
-                cl.append(z)
-                break
-        else:
-            clusters.append([z])
-    return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
+def _derivative(p: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]
 
 
-def all_roots(p: UniPoly | Sequence[Scalar]) -> list[tuple[complex, int]]:
-    """All complex roots with multiplicities, deterministically ordered.
+def _divide(p: list[int], q: list[int]) -> list[int]:
+    """The quotient p / q, for a q that divides p over the integers."""
+    p = list(p)
+    out = [0] * max(len(p) - len(q) + 1, 0)
+    for k in reversed(range(len(out))):
+        out[k] = p[k + len(q) - 1] // q[-1]
+        for j, c in enumerate(q):
+            p[k + j] -= out[k] * c
+    return out
 
-    The coefficients are taken as complex floats.  The roots are the
-    eigenvalues of the companion matrix, Newton-polished and clustered at
-    CLUSTER_REL_TOL (a cluster of multiplicity m is polished again on the
-    (m-1)-th derivative), and each is checked against a backward-error bound
-    of ROOT_RESIDUAL_TOL; RootFindingError names the ones that fail it.
+
+def _gcd(p: list[int], q: list[int]) -> list[int]:
+    """The primitive gcd of nonzero p and q, by a primitive pseudo-remainder sequence."""
+    p, q = _primitive(p), _primitive(q)
+    while len(q) > 1:
+        while len(p) >= len(q):
+            shift = len(p) - len(q)
+            p = _strip([c * q[-1] - p[-1] * (q[k - shift] if k >= shift else 0) for k, c in enumerate(p)])
+        if not p:
+            return q
+        p, q = q, _primitive(p)
+    return [1]
+
+
+def square_free_decomposition(coeffs: Sequence[Fraction | int | float]) -> list[tuple[list[int], int]]:
+    """Yun's square-free decomposition of a nonzero polynomial (ascending coefficients), exactly.
+
+    A float is taken as the rational it is, and the split runs over the
+    integers once the common denominator is cleared.  Returns the pairs
+    (factor, i), i ascending, whose product of factor^i is the input up to a
+    constant: each factor a primitive, square-free integer polynomial of
+    degree >= 1 with a positive leading coefficient, the factors pairwise
+    coprime.  A constant gives []; the zero polynomial raises ValueError.
     """
-    coeffs = p.coeffs if isinstance(p, UniPoly) else p
-    c = np.array([complex(x) for x in coeffs], dtype=complex)
-    if len(c) == 0 or not np.any(c != 0):
-        raise ValueError("zero polynomial has no well-defined roots")
-    scale = np.max(np.abs(c))
-    c = c / scale
-    while len(c) > 1 and abs(c[-1]) <= 1e-14:
-        c = c[:-1]
-    if len(c) <= 1:
-        raise ValueError("degree must be at least 1")
-    zero_mult = 0
-    while abs(c[0]) <= 1e-300 and len(c) > 1:
-        zero_mult += 1
-        c = c[1:]
-
-    polished = [_newton_polish(c, complex(z)) for z in np.roots(c[::-1])]
-    clustered = _cluster(polished)
-    final: list[tuple[complex, int]] = []
-    for mean, mult in clustered:
-        z = mean
-        if mult > 1:
-            dc = c
-            for _ in range(mult - 1):
-                dc = np.array([k * dc[k] for k in range(1, len(dc))], dtype=complex)
-            z = _newton_polish(dc, z)
-        final.append((z, mult))
-
-    bad = []
-    for z, mult in final:
-        mags = np.abs(c) * np.maximum(1.0, abs(z)) ** np.arange(len(c))
-        bound = ROOT_RESIDUAL_TOL * max(1.0, float(np.sum(mags)))
-        res = abs(np.polyval(c[::-1], z))
-        if res > bound:
-            bad.append((z, res, bound))
-    if bad:
-        raise RootFindingError(
-            f"{len(bad)} roots failed the residual bound, worst {max(b[1] for b in bad):.2e}",
-            [z for z, _, _ in bad],
-        )
-    if zero_mult:
-        final.append((0j, zero_mult))
-    final.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return final
+    exact = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in exact))
+    f = _strip([int(c * den) for c in exact])
+    if not f:
+        raise ValueError("the zero polynomial has no square-free decomposition")
+    if len(f) == 1:
+        return []
+    df = _derivative(f)
+    a = _gcd(f, df)
+    b, c = _divide(f, a), _divide(df, a)
+    out = []
+    i = 1
+    while len(b) > 1:
+        # b is the product of the factors of multiplicity >= i, and gcd(b, c - b') the one of i
+        d = _strip([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
+        a = _gcd(b, d) if d else _primitive(b)
+        if len(a) > 1:
+            out.append((a, i))
+        b, c = _divide(b, a), _divide(d, a)
+        i += 1
+    return out
 
 
 # --- distance-polynomial specific transforms ----------------------------------

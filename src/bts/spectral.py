@@ -27,7 +27,8 @@ M0 + z_s M1 at each one holds the monomial vectors of the tuples sharing
 that z_s, and a shift in z1 separates them (``_pencil_points``).  One call
 of the batched kernel pairs the candidates.  Fully symmetric tensors use
 the critical binary form chart of ``eigen_symmetric``, whose attempt 0 does
-not rotate.
+not rotate; its values come from ``_pencil_values`` too, one companion
+matrix per factor of an exact square-free decomposition.
 
 The critical equations are scored by one batched kernel,
 ``_contract_batch``: it takes the group vectors of n tuples as an (n, s, 2)
@@ -58,14 +59,7 @@ import numpy as np
 
 from .combinatorics import Partition, _as_partition, ed_degree
 from .invariants import extreme_coeffs_222, invariants_222
-from .polys import (
-    MultiPoly,
-    RootFindingError,
-    UniPoly,
-    _cluster,
-    all_roots,
-    reflect_edpoly,
-)
+from .polys import MultiPoly, UniPoly, reflect_edpoly, square_free_decomposition
 from .tensor import (
     BinaryTensor,
     MuTensor,
@@ -80,6 +74,7 @@ from .tensor import (
 
 RESIDUAL_REL_TOL = 1e-9
 DEDUP_TOL = 1e-6
+CLUSTER_REL_TOL = 1e-7
 MAX_ROTATION_ATTEMPTS = 3
 
 
@@ -474,11 +469,10 @@ def _first_certified(
     ``chart(rng, attempt)`` draws its rotation from the seeded ``rng`` and
     returns the (cos, sin) pair it applied to each group, its candidate
     tuples on the rotated tensor as (vectors, sigma, multiplicity), and its
-    name; it raises _AttemptFailed, or RootFindingError from ``all_roots``,
-    when it finds none.  The candidates are unrotated, then polished,
-    deduplicated, counted and certified on ``t`` by ``_finalize_spectrum``.
-    When no attempt certifies, SolverFailureError names each attempt's
-    reason.
+    name; it raises _AttemptFailed when it finds none.  The candidates are
+    unrotated, then polished, deduplicated, counted and certified on ``t`` by
+    ``_finalize_spectrum``.  When no attempt certifies, SolverFailureError
+    names each attempt's reason.
     """
     norm = expand(t).norm()
     if norm == 0.0:
@@ -488,7 +482,7 @@ def _first_certified(
     for attempt in range(attempts):
         try:
             cs, found, name = chart(rng, attempt)
-        except (_AttemptFailed, RootFindingError) as exc:
+        except _AttemptFailed as exc:
             failures.append(f"attempt {attempt}: {exc}")
             continue
         unrot = [([_unrotate(x, cs[k]) for k, x in enumerate(vecs)], sigma, mult) for vecs, sigma, mult in found]
@@ -538,6 +532,21 @@ def _pencil(entries: Sequence[float], mu: Partition) -> tuple[np.ndarray, np.nda
     mats = basis @ np.asarray(entries, dtype=float)
     mats /= np.max(np.abs(mats)) or 1.0
     return mats[0], mats[1], monomials
+
+
+def _cluster(roots: Sequence[complex]) -> list[tuple[complex, int]]:
+    """Greedy clustering at CLUSTER_REL_TOL relative distance; returns (mean, multiplicity)."""
+    remaining = sorted(roots, key=lambda z: (z.real, z.imag))
+    clusters: list[list[complex]] = []
+    for z in remaining:
+        for cl in clusters:
+            c = sum(cl) / len(cl)
+            if abs(z - c) <= CLUSTER_REL_TOL * max(1.0, abs(c)):
+                cl.append(z)
+                break
+        else:
+            clusters.append([z])
+    return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
 
 
 def _pencil_values(m0: np.ndarray, m1: np.ndarray) -> list[tuple[complex, int]]:
@@ -659,18 +668,34 @@ def solve_matrix(t: BinaryTensor, seed: int = 0) -> Spectrum:
     return _solve_by_elimination(t, seed, 0x11, None)
 
 
+def _polynomial_roots(coeffs: Sequence[Fraction]) -> list[tuple[complex, int]]:
+    """The roots of a nonzero polynomial (ascending exact coefficients) with exact multiplicities.
+
+    A factor of multiplicity i of ``square_free_decomposition`` gives the
+    values (``_pencil_values``) of -C + z I, C its companion matrix; a
+    cluster of k of them counts i * k times.
+    """
+    roots: list[tuple[complex, int]] = []
+    for factor, i in square_free_decomposition(coeffs):
+        n = len(factor) - 1
+        companion = np.eye(n, k=-1)
+        companion[:, -1] = [-c / factor[-1] for c in factor[:-1]]
+        roots += [(z, i * k) for z, k in _pencil_values(-companion, np.eye(n))]
+    return roots
+
+
 def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
     """The d eigen-pairs of a symmetric binary tensor, via its critical binary form.
 
     The form x1 * df/dx0 - x0 * df/dx1 has degree d; its projective roots are
     the critical directions (degree drop at the top means roots at infinity),
-    a root of multiplicity m giving m equal tuples.  Each root is
-    q-normalized and paired back for the eigenvalue.  Attempt 0 of
-    ``_first_certified`` takes the form as it is, the next
-    MAX_ROTATION_ATTEMPTS rotate it by a seeded angle; an isotropic root or a
-    failed root finding or certification moves on to the next attempt.  A
-    form whose critical form vanishes identically (a radial form) fails at
-    once.
+    a root of multiplicity m giving m equal tuples (``_polynomial_roots``,
+    on the exact form of the entries).  Each root is q-normalized and paired
+    back for the eigenvalue.  Attempt 0 of ``_first_certified`` takes the
+    tensor's own entries, the next MAX_ROTATION_ATTEMPTS rotate its floats
+    by a seeded angle; an isotropic root or a failed certification moves on
+    to the next attempt.  A form whose critical form vanishes identically (a
+    radial form) fails at once.
     """
     if c.mu.s != 1:
         raise ValueError("eigen_symmetric needs mu = (d)")
@@ -680,14 +705,10 @@ def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
 
     def chart(rng: np.random.Generator, attempt: int):
         cs = [(1.0, 0.0)] if attempt == 0 else _rotation_pairs(rng, 1)
-        c_rot = c_float if attempt == 0 else rotate_cs(c_float, cs)
-        a = [float(c_rot[(j,)]) * math.comb(d, j) for j in range(d + 1)]
-        g = [0.0] * (d + 1)
-        for k in range(d + 1):
-            if k >= 1:
-                g[k] += (d - k + 1) * a[k - 1]
-            if k + 1 <= d:
-                g[k] -= (k + 1) * a[k + 1]
+        c_rot = c if attempt == 0 else rotate_cs(c_float, cs)
+        a = [Fraction(c_rot[(j,)]) * math.comb(d, j) for j in range(d + 1)]
+        padded = [0, *a, 0]
+        g = [(d - k + 1) * padded[k] - (k + 1) * padded[k + 2] for k in range(d + 1)]
         if all(abs(v) <= 1e-14 * max(map(abs, a), default=1.0) for v in g):
             raise SolverFailureError(
                 "critical form vanishes identically (radial binary form)", {"coeffs": a}
@@ -700,7 +721,7 @@ def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
             top_drop += 1
         directions = [((0j, 1.0 + 0j), top_drop)] if top_drop else []
         if len(gg) > 1:
-            directions += [((1.0 + 0j, z), mult) for z, mult in all_roots(gg)]
+            directions += [((1.0 + 0j, z), mult) for z, mult in _polynomial_roots(gg)]
         arr_rot = expand(c_rot).as_array().astype(complex)
         try:
             normalized = [[q_normalize(x)] for x, _mult in directions]

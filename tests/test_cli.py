@@ -14,7 +14,6 @@ import bts.invariants
 import bts.spectral
 from bts import __version__
 from bts.cli import main
-from bts.polys import RootFindingError
 
 DIAG = {"d": 3, "mu": None, "entries": {"000": "1", "111": "2"}}
 CUBIC = {"d": 3, "mu": [3], "entries": {"0": "1", "3": "1"}}
@@ -347,15 +346,25 @@ def test_svals_exit_3_counts_survivors_on_every_attempt(capsys, tmp_path, monkey
 
 
 def test_svals_symmetric_exit_3_names_every_attempt(capsys, cubic_file, monkeypatch):
-    def failing_roots(_p):
-        raise RootFindingError("no convergence", [])
+    def failing_values(m0, m1):
+        raise bts.spectral._AttemptFailed("no convergence")
 
-    monkeypatch.setattr(bts.spectral, "all_roots", failing_roots)
+    monkeypatch.setattr(bts.spectral, "_pencil_values", failing_values)
     code, out, err = run(capsys, "svals", "--input", cubic_file)
     assert code == 3 and out == ""
     assert "no rotation certified 3 singular tuples" in err
     for k in range(4):
         assert f"attempt {k}: no convergence" in err
+
+
+def test_svals_symmetric_quartic_with_a_triple_critical_root(capsys, tmp_path):
+    # (x0 + x1)^4: its critical form 4 (x0 + x1) (x0 - x1)^3 has a triple root
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"d": 4, "mu": [4], "entries": {str(j): "1" for j in range(5)}}))
+    code, out, _ = run(capsys, "svals", "--input", str(path), "--seed", "13", "--format", "json")
+    assert code == 0
+    got = sorted(d["sigma_sq"]["re"] for d in json.loads(out)["data"])
+    assert got == pytest.approx([0, 0, 0, 16], abs=1e-12)
 
 
 @pytest.mark.parametrize("command", ["svals", "edpoly"])

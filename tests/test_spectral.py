@@ -215,6 +215,40 @@ def test_eigen_radial_form_fails():
         eigen_symmetric(sym_tensor([1, 0, 1]), seed=0)
 
 
+def linear_product(factors):
+    """The symmetric tensor of the binary form prod (a x0 + b x1) over the (a, b) in ``factors``."""
+    d = len(factors)
+    poly = [Fraction(1)]  # ascending in x1
+    for a, b in factors:
+        poly = [a * p + b * q for p, q in zip(poly + [0], [0] + poly)]
+    return MuTensor(Partition((d,)), {(j,): poly[j] / math.comb(d, j) for j in range(d + 1)})
+
+
+@pytest.mark.parametrize("line, seeds", [((1, -1), [17]), ((3, 3), range(40))], ids=["(x0-x1)^4", "81(x0+x1)^4"])
+def test_eigen_quartic_power_certifies_at_attempt_0(line, seeds):
+    # the critical form of l^4 is l times the cube of its perpendicular
+    top = (line[0] ** 2 + line[1] ** 2) ** 4
+    for seed in seeds:
+        spec = eigen_symmetric(linear_product([line] * 4), seed=seed)
+        assert real_sq(spec) == pytest.approx([0, 0, 0, top], abs=1e-9 * top)
+        assert all(d.chart_note.endswith("attempt=0") for d in spec.data)
+
+
+def test_eigen_repeated_critical_roots_sweep():
+    # l^d, l1^2 l2^(d-2) and l1^(d-1) l2 with small integer lines, d = 2..8: the
+    # unrotated chart splits the exact critical form, so attempt 0 certifies each
+    lines = [(a, b) for a in range(0, 5) for b in range(-4, 5) if a > 0 or b > 0]
+    rng = np.random.default_rng(24)
+    for d in range(2, 9):
+        for _ in range(16):
+            i, j = rng.choice(len(lines), size=2, replace=False)
+            l1, l2 = lines[i], lines[j]
+            for factors in ([l1] * d, [l1] * 2 + [l2] * (d - 2), [l1] * (d - 1) + [l2]):
+                spec = eigen_symmetric(linear_product(factors), seed=int(rng.integers(40)))
+                assert len(spec.data) == d
+                assert all(x.chart_note.endswith("attempt=0") for x in spec.data)
+
+
 # --- solve_21 and nesting ------------------------------------------------------------
 
 
