@@ -22,22 +22,23 @@ pencil M0 + z_s M1 of size ed_degree(mu) over the monomials in z1..z_{s-1},
 whose determinant is the resultant of the equations.  Being linear in the
 entries as well, the pencil is a fixed linear map of the rotated entries,
 built once per shape (``_pencil_map``) and applied per attempt (``_pencil``).
-Its eigenvalues are the values of z_s (``_pencil_values``); the null space of
-M0 + z_s M1 at each one holds the monomial vectors of the tuples sharing
-that z_s, and a shift in z1 separates them (``_pencil_points``).  One call
-of the batched kernel pairs the candidates.  Fully symmetric tensors use
-the critical binary form chart of ``eigen_symmetric``, whose attempt 0 does
-not rotate; its values come from ``_pencil_values`` too, one companion
-matrix per factor of an exact square-free decomposition.
+One eigendecomposition gives the values of z_s and, with each, its
+eigenvectors (``_pencil_values``): null vectors of M0 + z_s M1, which are
+the monomial vectors of the tuples sharing that z_s (the eigenvector method
+of hidden-variable elimination), and a shift in z1 separates them
+(``_pencil_points``).  Fully symmetric tensors use the critical binary form
+chart of ``eigen_symmetric``, whose attempt 0 does not rotate; its values
+come from ``_pencil_values`` too, one companion matrix per factor of an
+exact square-free decomposition.  Every chart hands over vectors only: one
+call of the batched kernel in ``_finalize_spectrum`` pairs them all.
 
 The critical equations are scored by one batched kernel,
 ``_contract_batch``: it takes the group vectors of n tuples as an (n, s, 2)
 array and returns, from one ``np.einsum`` per slot, the all-but-one
 contractions y_j of every tuple, their pairings t(x, ..., x) and their
 residuals max_j |y_j - sigma x_j| (inf when not finite).  ``tuple_residual``
-and ``_pairing`` are its one-row views, Newton's system takes its group rows
-from the same per-slot einsums, and the Jacobian's all-but-two blocks are
-one einsum each.  Every contraction, batched or not, is one call of
+is its one-row view, Newton's system takes its group rows from the same
+per-slot einsums, and the Jacobian's all-but-two blocks are one einsum each.  Every contraction, batched or not, is one call of
 ``_contract_except``.
 
 Supported: full 2x2x2 tensors (six tuples), (2,1)-symmetric tensors (four),
@@ -211,10 +212,6 @@ def tuple_residual(
     return float(_contract_batch(arr, mu, _stack(mu, [group_vecs]), np.array([sigma]))[2][0])
 
 
-def _pairing(arr: np.ndarray, mu: Partition, group_vecs: Sequence[Sequence[complex]]) -> complex:
-    return complex(_contract_batch(arr, mu, _stack(mu, [group_vecs]))[1][0])
-
-
 def _newton_polish_tuple(
     arr: np.ndarray,
     mu: Partition,
@@ -318,18 +315,19 @@ def _keys_close(k1: tuple, k2: tuple) -> bool:
 
 def _finalize_spectrum(
     t_orig: BinaryTensor | MuTensor,
-    raw: list[tuple[list[tuple[complex, complex]], complex, int]],
+    raw: list[tuple[list[tuple[complex, complex]], int]],
     chart_note: str,
     notes: tuple[str, ...] = (),
     degenerate: bool = False,
 ) -> Spectrum:
-    """Polish, deduplicate, count and certify candidates (vectors, sigma, multiplicity) on ``t_orig``.
+    """Polish, deduplicate, count and certify candidates (vectors, multiplicity) on ``t_orig``.
 
-    The polished, q-normalized candidates are paired in one kernel call.
-    Isotropic candidates and repeats (``_keys_close``) are dropped; the rest,
-    counted with multiplicity, must number ed_degree(mu), each with residual
-    at most RESIDUAL_REL_TOL * |t|, or SolverFailureError.  Real sigma < 0
-    flips the first odd group's vector.
+    One kernel call pairs the raw candidates to seed Newton's sigma, and one
+    more pairs the polished, q-normalized ones.  Isotropic candidates and
+    repeats (``_keys_close``) are dropped; the rest, counted with
+    multiplicity, must number ed_degree(mu), each with residual at most
+    RESIDUAL_REL_TOL * |t|, or SolverFailureError.  Real sigma < 0 flips the
+    first odd group's vector.
     """
     mu = t_orig.mu
     dense = expand(t_orig)
@@ -337,8 +335,9 @@ def _finalize_spectrum(
     norm = dense.norm() or 1.0
     odd_groups = [k for k, p in enumerate(mu.parts) if p % 2 == 1]
 
+    _, seeds, _ = _contract_batch(arr, mu, _stack(mu, [vecs for vecs, _ in raw]))
     polished: list[tuple[list[tuple[complex, complex]], int]] = []
-    for vecs, sigma, mult in raw:
+    for (vecs, mult), sigma in zip(raw, seeds.tolist()):
         vecs, _ = _newton_polish_tuple(arr, mu, list(vecs), sigma)
         try:
             polished.append(([q_normalize(v) for v in vecs], mult))
@@ -419,16 +418,14 @@ def _rank_one_spectrum(
     """Closed-form spectrum of a rank-one tensor with fiber vectors ``fibers``, flagged degenerate.
 
     ``table`` maps the q-normalized fiber of each group to the critical
-    tuples: first the rank-one tuple itself, then the zero-value ones.
+    tuples: the rank-one tuple itself and the zero-value ones.
     """
     mu = t.mu
     try:
         hats = [q_normalize((complex(f[0]), complex(f[1]))) for f in fibers]
     except IsotropicVectorError as exc:
         raise SolverFailureError(f"isotropic rank-one tensor: {exc}") from exc
-    top, *zeros = table(*(hats[first] for first in mu.firsts))
-    arr = expand(t).as_array().astype(complex)
-    raw = [(top, _pairing(arr, mu, top), 1)] + [(vecs, 0j, 1) for vecs in zeros]
+    raw = [(vecs, 1) for vecs in table(*(hats[first] for first in mu.firsts))]
     return _finalize_spectrum(
         t, raw, chart_note="rank-one fast path",
         notes=("rank-one input; zero-value critical set is positive-dimensional", "det zero"),
@@ -468,7 +465,7 @@ def _first_certified(
 
     ``chart(rng, attempt)`` draws its rotation from the seeded ``rng`` and
     returns the (cos, sin) pair it applied to each group, its candidate
-    tuples on the rotated tensor as (vectors, sigma, multiplicity), and its
+    tuples on the rotated tensor as (vectors, multiplicity), and its
     name; it raises _AttemptFailed when it finds none.  The candidates are
     unrotated, then polished, deduplicated, counted and certified on ``t`` by
     ``_finalize_spectrum``.  When no attempt certifies, SolverFailureError
@@ -485,7 +482,7 @@ def _first_certified(
         except _AttemptFailed as exc:
             failures.append(f"attempt {attempt}: {exc}")
             continue
-        unrot = [([_unrotate(x, cs[k]) for k, x in enumerate(vecs)], sigma, mult) for vecs, sigma, mult in found]
+        unrot = [([_unrotate(x, cs[k]) for k, x in enumerate(vecs)], mult) for vecs, mult in found]
         try:
             spec = _finalize_spectrum(t, unrot, chart_note=f"{name}, seed={seed}, attempt={attempt}")
         except SolverFailureError as exc:
@@ -534,49 +531,47 @@ def _pencil(entries: Sequence[float], mu: Partition) -> tuple[np.ndarray, np.nda
     return mats[0], mats[1], monomials
 
 
-def _cluster(roots: Sequence[complex]) -> list[tuple[complex, int]]:
-    """Greedy clustering at CLUSTER_REL_TOL relative distance; returns (mean, multiplicity)."""
-    remaining = sorted(roots, key=lambda z: (z.real, z.imag))
-    clusters: list[list[complex]] = []
-    for z in remaining:
+def _cluster(roots: Sequence[complex]) -> list[list[int]]:
+    """Greedy clustering at CLUSTER_REL_TOL relative distance of the cluster mean; returns the indices of each."""
+    clusters: list[list[int]] = []
+    for i in sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag)):
         for cl in clusters:
-            c = sum(cl) / len(cl)
-            if abs(z - c) <= CLUSTER_REL_TOL * max(1.0, abs(c)):
-                cl.append(z)
+            c = sum(roots[j] for j in cl) / len(cl)
+            if abs(roots[i] - c) <= CLUSTER_REL_TOL * max(1.0, abs(c)):
+                cl.append(i)
                 break
         else:
-            clusters.append([z])
-    return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
+            clusters.append([i])
+    return clusters
 
 
-def _pencil_values(m0: np.ndarray, m1: np.ndarray) -> list[tuple[complex, int]]:
-    """The values z of det(M0 + z M1) = 0, the eigenvalues of -M1^-1 M0, clustered with multiplicities.
+def _pencil_values(m0: np.ndarray, m1: np.ndarray) -> list[tuple[complex, np.ndarray]]:
+    """The values z of det(M0 + z M1) = 0, the eigenvalues of -M1^-1 M0, clustered, with their eigenvectors.
 
-    A singular M1 means a root at infinity, and the attempt fails.
+    One ``np.linalg.eig`` call; each cluster gives its mean z and the (n, k)
+    block of its k eigenvector columns, null vectors of M0 + z M1, so its
+    multiplicity is the block's width.  A singular M1 means a root at
+    infinity, and the attempt fails.
     """
     try:
         companion = np.linalg.solve(m1, m0)
     except np.linalg.LinAlgError as exc:
         raise _AttemptFailed("root at infinity (singular pencil)") from exc
-    values = np.linalg.eigvals(-companion)
+    values, vectors = np.linalg.eig(-companion)
     if not np.all(np.isfinite(values)):
         raise _AttemptFailed("root at infinity (singular pencil)")
-    return _cluster(values.tolist())
+    zs = values.tolist()
+    return [(sum(zs[i] for i in cl) / len(cl), vectors[:, cl]) for cl in _cluster(zs)]
 
 
-def _pencil_points(
-    m0: np.ndarray, m1: np.ndarray, monomials: Sequence[tuple[int, ...]], z: complex, k: int
-) -> list[tuple[complex, ...]]:
-    """The values of (z1, ..., z_{s-1}) at the k tuples whose last variable is ``z``.
+def _pencil_points(monomials: Sequence[tuple[int, ...]], basis: np.ndarray) -> list[tuple[complex, ...]]:
+    """The values of (z1, ..., z_{s-1}) at the k tuples whose monomial vectors span the (n, k) ``basis``.
 
-    The k smallest right singular vectors V of M0 + z M1 span the monomial
-    vectors of those tuples.  Shifting monomial m to z1 m is multiplication
-    by z1 on each of them, so the k x k least-squares solution B of
-    V[m] B = V[z1 m] has their z1 as eigenvalues, and each eigenvector c gives
-    one monomial vector v = V c, whose other variables are v[z_j] / v[1].
+    Shifting monomial m to z1 m is multiplication by z1 on each of those
+    vectors, so the k x k least-squares solution B of basis[m] B =
+    basis[z1 m] has their z1 as eigenvalues, and each eigenvector c gives one
+    monomial vector v = basis c, whose other variables are v[z_j] / v[1].
     """
-    _, _, vh = np.linalg.svd(m0 + z * m1)
-    basis = vh[-k:].conj().T
     column = {m: i for i, m in enumerate(monomials)}
     shifts = [(i, column[up]) for i, m in enumerate(monomials) if (up := (m[0] + 1, *m[1:])) in column]
     rows, shifted = (list(ix) for ix in zip(*shifts))
@@ -604,11 +599,11 @@ def _solve_by_elimination(
     its dehomogenized critical equations, in one variable z_k per group
     (x_k = (1, z_k)); no equation is rebuilt per attempt.  Each
     eigenvalue cluster (``_pencil_values``) gives the last variable of as
-    many tuples as its multiplicity, and ``_pencil_points`` the other
-    variables of each.  The chart pairs its ed_degree(mu) candidates on the
-    rotated tensor in one ``_contract_batch`` call and returns each with
-    multiplicity 1; ``_first_certified`` unrotates them and
-    ``_finalize_spectrum`` polishes, deduplicates, counts and certifies them.
+    many tuples as its multiplicity, and ``_pencil_points`` reads the other
+    variables of each off the cluster's eigenvectors.  The chart returns its
+    ed_degree(mu) candidates with multiplicity 1 and no sigma;
+    ``_first_certified`` unrotates them and ``_finalize_spectrum`` pairs,
+    polishes, deduplicates, counts and certifies them.
     """
     dense = expand(t)
     if rank_one is not None:
@@ -619,18 +614,15 @@ def _solve_by_elimination(
 
     def chart(rng: np.random.Generator, attempt: int):
         cs = _rotation_pairs(rng, mu.s)
-        dense_rot = expand(rotate_cs(t, cs))
-        m0, m1, monomials = _pencil(dense_rot.entries, mu)
-        tuples: list[list[tuple[complex, complex]]] = []
-        for z, k in _pencil_values(m0, m1):
-            for head in _pencil_points(m0, m1, monomials, z, k):
+        m0, m1, monomials = _pencil(expand(rotate_cs(t, cs)).entries, mu)
+        found: list[tuple[list[tuple[complex, complex]], int]] = []
+        for z, basis in _pencil_values(m0, m1):
+            for head in _pencil_points(monomials, basis):
                 try:
-                    tuples.append([q_normalize((1.0 + 0j, w)) for w in (*head, z)])
+                    found.append(([q_normalize((1.0 + 0j, w)) for w in (*head, z)], 1))
                 except IsotropicVectorError:
                     continue
-        arr_rot = dense_rot.as_array().astype(complex)
-        _, pairings, _ = _contract_batch(arr_rot, mu, _stack(mu, tuples))
-        return cs, [(vecs, sigma, 1) for vecs, sigma in zip(tuples, pairings.tolist())], "elimination chart"
+        return cs, found, "elimination chart"
 
     return _first_certified(t, seed, salt, MAX_ROTATION_ATTEMPTS, chart)
 
@@ -673,14 +665,14 @@ def _polynomial_roots(coeffs: Sequence[Fraction]) -> list[tuple[complex, int]]:
 
     A factor of multiplicity i of ``square_free_decomposition`` gives the
     values (``_pencil_values``) of -C + z I, C its companion matrix; a
-    cluster of k of them counts i * k times.
+    cluster of k of them (k eigenvector columns) counts i * k times.
     """
     roots: list[tuple[complex, int]] = []
     for factor, i in square_free_decomposition(coeffs):
         n = len(factor) - 1
         companion = np.eye(n, k=-1)
         companion[:, -1] = [-c / factor[-1] for c in factor[:-1]]
-        roots += [(z, i * k) for z, k in _pencil_values(-companion, np.eye(n))]
+        roots += [(z, i * basis.shape[1]) for z, basis in _pencil_values(-companion, np.eye(n))]
     return roots
 
 
@@ -690,12 +682,13 @@ def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
     The form x1 * df/dx0 - x0 * df/dx1 has degree d; its projective roots are
     the critical directions (degree drop at the top means roots at infinity),
     a root of multiplicity m giving m equal tuples (``_polynomial_roots``,
-    on the exact form of the entries).  Each root is q-normalized and paired
-    back for the eigenvalue.  Attempt 0 of ``_first_certified`` takes the
-    tensor's own entries, the next MAX_ROTATION_ATTEMPTS rotate its floats
-    by a seeded angle; an isotropic root or a failed certification moves on
-    to the next attempt.  A form whose critical form vanishes identically (a
-    radial form) fails at once.
+    on the exact form of the entries).  Each root is q-normalized and handed
+    over with its multiplicity; ``_finalize_spectrum`` pairs it for the
+    eigenvalue.  Attempt 0 of ``_first_certified`` takes the tensor's own
+    entries, the next MAX_ROTATION_ATTEMPTS rotate its floats by a seeded
+    angle; an isotropic root or a failed certification moves on to the next
+    attempt.  A form whose critical form vanishes identically (a radial
+    form) fails at once.
     """
     if c.mu.s != 1:
         raise ValueError("eigen_symmetric needs mu = (d)")
@@ -722,14 +715,10 @@ def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
         directions = [((0j, 1.0 + 0j), top_drop)] if top_drop else []
         if len(gg) > 1:
             directions += [((1.0 + 0j, z), mult) for z, mult in _polynomial_roots(gg)]
-        arr_rot = expand(c_rot).as_array().astype(complex)
         try:
-            normalized = [[q_normalize(x)] for x, _mult in directions]
+            return cs, [([q_normalize(x)], mult) for x, mult in directions], "critical form chart"
         except IsotropicVectorError as exc:
             raise _AttemptFailed(str(exc)) from exc
-        _, pairings, _ = _contract_batch(arr_rot, mu, _stack(mu, normalized))
-        mults = [mult for _x, mult in directions]
-        return cs, list(zip(normalized, pairings.tolist(), mults)), "critical form chart"
 
     return _first_certified(c, seed, 0xD, MAX_ROTATION_ATTEMPTS + 1, chart)
 

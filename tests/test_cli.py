@@ -5,7 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -432,3 +436,54 @@ def test_svals_1e_150_exits_3_on_underflow(capsys, tmp_path, doc):
     assert code == 3 and out == ""
     assert "underflow" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# seed-611 svals-mixed inputs: rank-one 2x2x2 tensors plus noise of size
+# 1e-7, where the pencil's eigenvalues are ill-conditioned and the polished
+# candidates certify with little room under RESIDUAL_REL_TOL
+NEAR_RANK_ONE = {
+    "00245": {"000": -0.06548216334569598, "001": 0.10695551917804522, "010": -0.0020756698834807383,
+              "011": 0.003390417667932613, "100": 0.5177624669851019, "101": -0.8456895495166926,
+              "110": 0.016412665851395617, "111": -0.02680775737541706},
+    "00803": {"000": 0.25817332178958324, "001": 0.6525533656487115, "010": -0.2564948424827115,
+              "011": -0.6483108246027113, "100": -0.0382002698066262, "101": -0.0965542855720667,
+              "110": 0.03795193633442377, "111": 0.09592658673158871},
+    "00865": {"000": 0.31682506354516105, "001": -0.2412797664872056, "010": 0.17183239258811625,
+              "011": -0.13085986852463757, "100": -0.6234480733022144, "101": 0.47478999740860617,
+              "110": -0.3381316114055484, "111": 0.25750584866612714},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_RANK_ONE))
+def test_svals_certifies_near_rank_one_tensors(capsys, tmp_path, name):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"d": 3, "mu": None, "entries": NEAR_RANK_ONE[name]}))
+    code, out, err = run(capsys, "svals", "--input", str(path), "--format", "json")
+    assert code == 0, err
+    assert len(json.loads(out)["data"]) == 6
+
+
+DEPENDENCY_PROBE = r"""
+import contextlib, io, json, sys
+from bts.cli import main
+inputs = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["svals", "--input", path]) for path in inputs]
+    codes.append(main(["verify-product", "--mu", "1,1,1", "--trials", "1", "--jobs", "1"]))
+print(json.dumps({"codes": codes, "loaded": sorted(m for m in ("scipy", "sympy", "mpmath") if m in sys.modules)}))
+"""
+
+
+def test_cli_runs_on_numpy_alone(tmp_path):
+    # the package depends on numpy only: a solve of each chart and a product
+    # check must not import the installed scipy, sympy or mpmath
+    inputs = []
+    for name, doc in (("full", DIAG), ("sym4", {"d": 4, "mu": [4], "entries": {"0": "1", "1": "-2", "4": "3"}})):
+        inputs.append(tmp_path / f"{name}.json")
+        inputs[-1].write_text(json.dumps(doc))
+    src = str(Path(bts.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", DEPENDENCY_PROBE, *map(str, inputs)],
+                          capture_output=True, text=True, env=env, check=True)
+    report = json.loads(proc.stdout)
+    assert report == {"codes": [0, 0, 0], "loaded": []}

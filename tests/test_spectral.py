@@ -597,7 +597,7 @@ def test_contraction_kernel_matches_exact_oracles(shape, seed):
     slot_vecs = [v for v, p in zip(group_vecs, mu.parts) for _ in range(p)]
     arr = t.as_array().astype(complex)
     batch = np.array([[[complex(v) for v in x] for x in slot_vecs]], dtype=complex)
-    assert bts.spectral._pairing(arr, mu, group_vecs) == pairing(t, slot_vecs)
+    assert bts.spectral._contract_batch(arr, mu, bts.spectral._stack(mu, [group_vecs]))[1][0] == pairing(t, slot_vecs)
     sigma = Fraction(int(rng.integers(-8, 9)), 4)
     worst = Fraction(0)
     for slot in range(mu.d):
@@ -638,14 +638,15 @@ def test_finalize_pairs_every_candidate_in_one_kernel_call(monkeypatch):
     t = random_tensor(3, 3)
     tf = BinaryTensor(3, tuple(float(v) for v in t.entries))
     spec = solve_222(tf, seed=1)
-    raw = [([tuple(v) for v in d.vectors], d.sigma, 1) for d in spec.data]
+    raw = [([tuple(v) for v in d.vectors], 1) for d in spec.data]
     sizes = []
     original = bts.spectral._contract_batch
     monkeypatch.setattr(bts.spectral, "_contract_batch",
                         lambda arr, mu, vecs, sigma=None: sizes.append(len(vecs)) or original(arr, mu, vecs, sigma))
     again = bts.spectral._finalize_spectrum(tf, raw, "test")
-    # one pairing call over all six candidates, then one residual row per survivor
-    assert sizes == [6] + [1] * 6
+    # one pairing call over the raw candidates to seed Newton, one over the
+    # polished ones, then one residual row per survivor
+    assert sizes == [6, 6] + [1] * 6
     assert [d.sigma_sq for d in again.data] == pytest.approx([d.sigma_sq for d in spec.data], rel=1e-12)
 
 
@@ -723,8 +724,13 @@ def test_pencil_is_square_of_ed_degree(shape, seed):
     n = ed_degree(t.mu)
     assert m0.shape == m1.shape == (n, n) and len(monomials) == n
     values = bts.spectral._pencil_values(m0, m1)
-    assert sum(k for _, k in values) == n
+    assert sum(basis.shape[1] for _, basis in values) == n
     assert all(np.isfinite(z) for z, _ in values)
+    # every eigenvector column is a null vector of the pencil at its value
+    for z, basis in values:
+        for v in basis.T:
+            size = (np.linalg.norm(m0) + abs(z) * np.linalg.norm(m1)) * np.linalg.norm(v)
+            assert np.linalg.norm((m0 + z * m1) @ v) <= 1e-9 * size
 
 
 @pytest.mark.parametrize("shape", [2, (2, 1), 3], ids=str)
@@ -754,9 +760,9 @@ def test_pencil_recovers_tuples_that_share_the_last_variable(monkeypatch, shape,
     # and (y, x, w): a double eigenvalue, split by the shift in z1
     points, sizes = bts.spectral._pencil_points, []
 
-    def spy(m0, m1, monomials, z, k):
-        sizes.append(k)
-        return points(m0, m1, monomials, z, k)
+    def spy(monomials, basis):
+        sizes.append(basis.shape[1])
+        return points(monomials, basis)
 
     monkeypatch.setattr(bts.spectral, "_pencil_points", spy)
     spec = solve_222(expand(random_tensor(seed + 40, shape)), seed=seed)
