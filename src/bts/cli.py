@@ -140,6 +140,13 @@ def _parse_mu(text: str) -> Partition:
         raise SystemExit(_fail(EXIT_PARSE, f"bad --mu value {text!r}: {exc}"))
 
 
+def positive_int(text: str) -> int:
+    """An option's count: an integer of at least 1, or argparse exits 2 naming the value."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -510,7 +517,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-product", help="batch check of the product formula")
     p.add_argument("--mu", required=True, help="partition, e.g. 1,1,1")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=positive_int, default=100)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--jobs", type=int, help="worker processes (default: available parallelism)")
     p.add_argument("--seed", type=int, default=42)
@@ -522,13 +529,13 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("degrees", help="degree and exponent tables with identity verdicts")
-    p.add_argument("--d", type=int, help="use mu = 1^d")
+    p.add_argument("--d", type=positive_int, help="use mu = 1^d")
     p.add_argument("--mu", help="partition, e.g. 2,1")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(fn=cmd_degrees)
 
     p = sub.add_parser("random-check", help="seeded invariant self-test battery")
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=positive_int, default=25)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--format", choices=("json", "table"), default="table")

@@ -1,9 +1,9 @@
 """Polynomials, resultants, and exact square-free decomposition.
 
-Sparse multivariate polynomials with exact rational coefficients carry the
-critical equations, from which ``spectral`` derives its pencil map once per
-shape (no solve builds them); dense univariate ones carry the distance
-polynomials; univariate resultants, for the discriminants of binary forms,
+Sparse multivariate polynomials with exact rational coefficients are the
+exact type of the tests' oracle for the critical equations (``spectral``
+reads its pencil map off index bits and builds none); dense univariate ones
+carry the distance polynomials; univariate resultants, for the discriminants of binary forms,
 are fraction-free (Bareiss) determinants of the Sylvester matrix.  The
 square-free decomposition (Yun) runs over the integers once the common
 denominator is cleared, and gives exact root multiplicities; the roots

@@ -15,13 +15,13 @@ attempt fails the error names the reason of each.
 Full 2x2x2 tensors, (2,1)-symmetric tensors and 2x2 matrices share the
 elimination chart, ``_solve_by_elimination``.  A rank-one tensor (its
 zero-value critical set is a curve, not isolated points) is answered at
-once by a closed form.  Otherwise the dehomogenized critical equations
-(``_critical_equations``, one variable z_k per group) are linear in the last
-variable z_s; multiplied by powers of z1 they give a square hidden-variable
-pencil M0 + z_s M1 of size ed_degree(mu) over the monomials in z1..z_{s-1},
-whose determinant is the resultant of the equations.  Being linear in the
-entries as well, the pencil is a fixed linear map of the rotated entries,
-built once per shape (``_pencil_map``) and applied per attempt (``_pencil``).
+once by a closed form.  Otherwise the dehomogenized critical equations,
+one variable z_k per group, are linear in the last variable z_s; multiplied
+by powers of z1 they give a square hidden-variable pencil M0 + z_s M1 of
+size ed_degree(mu) over the monomials in z1..z_{s-1}, whose determinant is
+the resultant of the equations.  Linear in the entries too, the pencil is a
+fixed map of the rotated entries, read off index bits once per shape with
+its shift tables (``_pencil_map``) and applied per attempt (``_pencil``).
 One eigendecomposition gives the values of z_s and, with each, its
 eigenvectors (``_pencil_values``): null vectors of M0 + z_s M1, which are
 the monomial vectors of the tuples sharing that z_s (the eigenvector method
@@ -38,7 +38,8 @@ array and returns, from one ``np.einsum`` per slot, the all-but-one
 contractions y_j of every tuple, their pairings t(x, ..., x) and their
 residuals max_j |y_j - sigma x_j| (inf when not finite).  ``tuple_residual``
 is its one-row view, Newton's system takes its group rows from the same
-per-slot einsums, and the Jacobian's all-but-two blocks are one einsum each.  Every contraction, batched or not, is one call of
+per-slot einsums, and the Jacobian's all-but-two blocks are one einsum
+each.  Every contraction, batched or not, is one call of
 ``_contract_except``.
 
 Supported: full 2x2x2 tensors (six tuples), (2,1)-symmetric tensors (four),
@@ -54,13 +55,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .combinatorics import Partition, _as_partition, ed_degree
 from .invariants import extreme_coeffs_222, invariants_222
-from .polys import MultiPoly, UniPoly, reflect_edpoly, square_free_decomposition
+from .polys import UniPoly, reflect_edpoly, square_free_decomposition
 from .tensor import (
     BinaryTensor,
     MuTensor,
@@ -273,32 +274,7 @@ def _newton_polish_tuple(
     return [tuple(row) for row in x], sig
 
 
-# --- the critical equations -------------------------------------------------------
-
-
-def _critical_equations(entries: Sequence[Fraction | int], mu: Partition) -> tuple[MultiPoly, ...]:
-    """The dehomogenized critical equations of a mu-symmetric tensor, one per group.
-
-    With x_l = (1, z_k) on every slot l of group k, group k's equation is
-    y_{k,0} z_k - y_{k,1}, where y_k contracts ``entries`` (dense, slot-major)
-    against every slot but the first one of the group.  Variables z1..zs.
-    """
-    vars_ = tuple(f"z{k + 1}" for k in range(mu.s))
-    groups, firsts = mu.group_of, mu.firsts
-    eqs: list[dict[tuple[int, ...], Fraction]] = [{} for _ in firsts]
-    for idx, v in enumerate(entries):
-        if v == 0:
-            continue
-        bits = index_to_bits(idx, mu.d)
-        for k, first in enumerate(firsts):
-            e = [0] * mu.s
-            for l, b in enumerate(bits):
-                if l != first:
-                    e[groups[l]] += b
-            e[k] += 1 - bits[first]
-            key = tuple(e)
-            eqs[k][key] = eqs[k].get(key, Fraction(0)) + (v if bits[first] == 0 else -v)
-    return tuple(MultiPoly(vars_, terms) for terms in eqs)
+# --- certification ------------------------------------------------------------
 
 
 def _keys_close(k1: tuple, k2: tuple) -> bool:
@@ -497,38 +473,55 @@ def _first_certified(
     )
 
 
-@cache
-def _pencil_map(mu: Partition) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """The read-only (2, n, n, 2^d) map from dense entries to the pencil M0 + z_s M1, and its columns.
+class _PencilMap(NamedTuple):
+    """The elimination chart's table of one shape (``_pencil_map``); its arrays are read-only."""
 
-    Each critical equation (``_critical_equations``), linear in the last
-    variable z_s, is multiplied by z1^a for a < (s - 1) * mu.parts[0] (its
-    degree in z1); its coefficients of z_s^0 and z_s^1 give a row of M0 and
-    of M1 over the monomials z1^i z2^j ... z_{s-1}^m (i < s * mu.parts[0],
-    every other exponent at most the variable's degree), listed as exponent
-    tuples; n = ed_degree(mu).  Slice u is the pencil of the u-th unit tensor.
+    basis: np.ndarray  # (2, n, n, 2^d): dense entries to M0 and M1
+    monomials: tuple[tuple[int, ...], ...]  # the columns, as exponents of z1..z_{s-1}
+    rows: np.ndarray  # the columns of the monomials m whose shift z1 m is a column ...
+    shifted: np.ndarray  # ... and the columns of those z1 m
+    units: tuple[int, ...]  # the columns of z2, ..., z_{s-1}
+
+
+@cache
+def _pencil_map(mu: Partition) -> _PencilMap:
+    """The map from dense entries to the pencil M0 + z_s M1, its columns and its shift tables.
+
+    Group k's dehomogenized critical equation y_{k,0} z_k - y_{k,1} (x_l =
+    (1, z_k) on its slots, y_k contracting all slots but its first, f) is
+    linear in z_s.  The unit tensor of index bits b puts 1 - 2 b[f] in it at
+    the monomial e: e[group of l] += b[l] for each slot l != f, e[k] += 1 - b[f].
+    Times z1^a (a < (s - 1) * mu.parts[0], its degree in z1), that is row
+    k * (s - 1) * mu.parts[0] + a of M_{e[s-1]}, at the column z1^(e[0] + a)
+    z2^e[1] ... z_{s-1}^e[s-2].  The n = ed_degree(mu) columns are the
+    monomials in z1..z_{s-1} (z1 below degree s * mu.parts[0], every other
+    variable at most its degree), 1 first.
     """
-    p, size = mu.parts[0], 1 << mu.d
-    monomials = tuple(product(range(mu.s * p), *(range(part + 1) for part in mu.parts[1:-1])))
+    p, s, size = mu.parts[0], mu.s, 1 << mu.d
+    monomials = tuple(product(range(s * p), *(range(part + 1) for part in mu.parts[1:-1])))
     column = {m: i for i, m in enumerate(monomials)}
     basis = np.zeros((2, len(monomials), len(monomials), size))
     for unit in range(size):
-        gs = _critical_equations([int(i == unit) for i in range(size)], mu)
-        rows = ((g, a) for g in gs for a in range((mu.s - 1) * p))
-        for row, (g, a) in enumerate(rows):
-            for power, coeff in enumerate(g.coefficients_in(g.vars[-1])):
-                for e, c in coeff.terms.items():
-                    basis[power, row, column[(e[0] + a, *e[1:])], unit] = float(c)
-    basis.flags.writeable = False
-    return basis, monomials
+        bits = index_to_bits(unit, mu.d)
+        for k, first in enumerate(mu.firsts):
+            e = [sum(b for l, b in enumerate(bits) if l != first and mu.group_of[l] == g) for g in range(s)]
+            e[k] += 1 - bits[first]
+            for a in range((s - 1) * p):
+                basis[e[-1], k * (s - 1) * p + a, column[(e[0] + a, *e[1:-1])], unit] = 1 - 2 * bits[first]
+    shifts = [(i, column[up]) for i, m in enumerate(monomials) if (up := (m[0] + 1, *m[1:])) in column]
+    rows, shifted = (np.array(ix) for ix in zip(*shifts))
+    units = tuple(column[tuple(int(j == i) for j in range(s - 1))] for i in range(1, s - 1))
+    for arr in (basis, rows, shifted):
+        arr.flags.writeable = False
+    return _PencilMap(basis, monomials, rows, shifted, units)
 
 
-def _pencil(entries: Sequence[float], mu: Partition) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
-    """The pencil M0 + z_s M1 of dense ``entries`` (``_pencil_map``), scaled by its largest entry, and its columns."""
-    basis, monomials = _pencil_map(mu)
-    mats = basis @ np.asarray(entries, dtype=float)
+def _pencil(entries: Sequence[float], mu: Partition) -> tuple[np.ndarray, np.ndarray, _PencilMap]:
+    """The pencil M0 + z_s M1 of dense ``entries`` (``_pencil_map``), scaled by its largest entry, and the shape's table."""
+    table = _pencil_map(mu)
+    mats = table.basis @ np.asarray(entries, dtype=float)
     mats /= np.max(np.abs(mats)) or 1.0
-    return mats[0], mats[1], monomials
+    return mats[0], mats[1], table
 
 
 def _cluster(roots: Sequence[complex]) -> list[list[int]]:
@@ -564,23 +557,19 @@ def _pencil_values(m0: np.ndarray, m1: np.ndarray) -> list[tuple[complex, np.nda
     return [(sum(zs[i] for i in cl) / len(cl), vectors[:, cl]) for cl in _cluster(zs)]
 
 
-def _pencil_points(monomials: Sequence[tuple[int, ...]], basis: np.ndarray) -> list[tuple[complex, ...]]:
-    """The values of (z1, ..., z_{s-1}) at the k tuples whose monomial vectors span the (n, k) ``basis``.
+def _pencil_points(table: _PencilMap, vectors: np.ndarray) -> list[tuple[complex, ...]]:
+    """The values of (z1, ..., z_{s-1}) at the k tuples whose monomial vectors span the (n, k) ``vectors``.
 
     Shifting monomial m to z1 m is multiplication by z1 on each of those
-    vectors, so the k x k least-squares solution B of basis[m] B =
-    basis[z1 m] has their z1 as eigenvalues, and each eigenvector c gives one
-    monomial vector v = basis c, whose other variables are v[z_j] / v[1].
+    vectors, so the k x k least-squares solution B of vectors[rows] B =
+    vectors[shifted] (the shape's cached shift tables, ``_pencil_map``) has
+    their z1 as eigenvalues, and each eigenvector c gives one monomial
+    vector v = vectors c, whose other variables are v[z_j] / v[1].
     """
-    column = {m: i for i, m in enumerate(monomials)}
-    shifts = [(i, column[up]) for i, m in enumerate(monomials) if (up := (m[0] + 1, *m[1:])) in column]
-    rows, shifted = (list(ix) for ix in zip(*shifts))
-    step, *_ = np.linalg.lstsq(basis[rows], basis[shifted], rcond=None)
+    step, *_ = np.linalg.lstsq(vectors[table.rows], vectors[table.shifted], rcond=None)
     z1s, coords = np.linalg.eig(step)
-    n = len(monomials[0])
-    units = [column[tuple(int(j == i) for j in range(n))] for i in range(1, n)]
-    # monomials[0] is the monomial 1
-    return [(z1, *(v[u] / v[0] for u in units)) for z1, v in zip(z1s.tolist(), (basis @ coords).T)]
+    # table.monomials[0] is the monomial 1
+    return [(z1, *(v[u] / v[0] for u in table.units)) for z1, v in zip(z1s.tolist(), (vectors @ coords).T)]
 
 
 def _solve_by_elimination(
@@ -597,10 +586,11 @@ def _solve_by_elimination(
     by mu.s seeded angles, mu = t.mu, and applies to its dense entries the
     shape's cached linear map (``_pencil_map``) to the pencil M0 + z_s M1 of
     its dehomogenized critical equations, in one variable z_k per group
-    (x_k = (1, z_k)); no equation is rebuilt per attempt.  Each
-    eigenvalue cluster (``_pencil_values``) gives the last variable of as
-    many tuples as its multiplicity, and ``_pencil_points`` reads the other
-    variables of each off the cluster's eigenvectors.  The chart returns its
+    (x_k = (1, z_k)); no equation is built, and no table is rebuilt, per
+    attempt.  Each eigenvalue cluster (``_pencil_values``) gives the last
+    variable of as many tuples as its multiplicity, and ``_pencil_points``
+    reads the other variables of each off the cluster's eigenvectors with
+    the shape's cached shift tables.  The chart returns its
     ed_degree(mu) candidates with multiplicity 1 and no sigma;
     ``_first_certified`` unrotates them and ``_finalize_spectrum`` pairs,
     polishes, deduplicates, counts and certifies them.
@@ -614,10 +604,10 @@ def _solve_by_elimination(
 
     def chart(rng: np.random.Generator, attempt: int):
         cs = _rotation_pairs(rng, mu.s)
-        m0, m1, monomials = _pencil(expand(rotate_cs(t, cs)).entries, mu)
+        m0, m1, table = _pencil(expand(rotate_cs(t, cs)).entries, mu)
         found: list[tuple[list[tuple[complex, complex]], int]] = []
-        for z, basis in _pencil_values(m0, m1):
-            for head in _pencil_points(monomials, basis):
+        for z, vectors in _pencil_values(m0, m1):
+            for head in _pencil_points(table, vectors):
                 try:
                     found.append(([q_normalize((1.0 + 0j, w)) for w in (*head, z)], 1))
                 except IsotropicVectorError:

@@ -235,6 +235,25 @@ def test_degrees_d12_identity(capsys):
     assert json.loads(out)["identity_ok"]
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["verify-product", "--mu", "1,1,1", "--trials", "0"], "0"),
+        (["verify-product", "--mu", "1,1,1", "--trials", "-4"], "-4"),
+        (["random-check", "--trials", "0"], "0"),
+        (["degrees", "--d", "0"], "0"),
+        (["degrees", "--d", "-1"], "-1"),
+    ],
+    ids=["verify-product-trials-0", "verify-product-trials-negative", "random-check-trials-0", "degrees-d-0",
+         "degrees-d-negative"],
+)
+def test_counts_below_one_exit_2_naming_the_value(capsys, argv, value):
+    # a check of no trials must not pass, and --d 0 or -1 is no order
+    code, out, err = run_or_exit(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {argv[-2]}: must be at least 1, got {value}" in err
+
+
 def test_invariants_rational_output(capsys, cubic_file):
     code, out, _ = run(capsys, "invariants", "--input", cubic_file, "--format", "json")
     assert code == 0

@@ -15,7 +15,7 @@ from conftest import contraction, diagonal_sigma_sq, multiset_close, multiset_su
 import bts.spectral
 from bts.combinatorics import Partition, ed_degree
 from bts.invariants import extra_root_21, extra_root_3, extreme_coeffs_222
-from bts.polys import UniPoly
+from bts.polys import MultiPoly, UniPoly
 from bts.spectral import (
     SolverFailureError,
     assemble_edpoly,
@@ -35,6 +35,7 @@ from bts.tensor import (
     bombieri_norm_sq,
     compress,
     expand,
+    index_to_bits,
     mu_box,
     permute_slots,
     random_tensor,
@@ -559,6 +560,31 @@ def test_zero_tensor_rejected():
 # --- the critical equations and the contraction kernel ----------------------------
 
 
+def _critical_equations(entries, mu):
+    """The dehomogenized critical equations of a mu-symmetric tensor, one per group: the pencil map's oracle.
+
+    With x_l = (1, z_k) on every slot l of group k, group k's equation is
+    y_{k,0} z_k - y_{k,1}, where y_k contracts ``entries`` (dense, slot-major)
+    against every slot but the first one of the group.  Variables z1..zs.
+    """
+    vars_ = tuple(f"z{k + 1}" for k in range(mu.s))
+    groups, firsts = mu.group_of, mu.firsts
+    eqs = [{} for _ in firsts]
+    for idx, v in enumerate(entries):
+        if v == 0:
+            continue
+        bits = index_to_bits(idx, mu.d)
+        for k, first in enumerate(firsts):
+            e = [0] * mu.s
+            for l, b in enumerate(bits):
+                if l != first:
+                    e[groups[l]] += b
+            e[k] += 1 - bits[first]
+            key = tuple(e)
+            eqs[k][key] = eqs[k].get(key, Fraction(0)) + (v if bits[first] == 0 else -v)
+    return tuple(MultiPoly(vars_, terms) for terms in eqs)
+
+
 def _seeded(rng, shape, draw):
     """A dense order-``shape`` tensor, or a compressed one for a partition, with entries draw(rng)."""
     if isinstance(shape, int):
@@ -571,7 +597,7 @@ def _seeded(rng, shape, draw):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_critical_equations_vanish_at_certified_tuples(shape, seed):
     t = _seeded(np.random.default_rng(seed), shape, lambda rng: float(rng.uniform(-1.0, 1.0)))
-    eqs = bts.spectral._critical_equations([Fraction(v) for v in expand(t).entries], t.mu)
+    eqs = _critical_equations([Fraction(v) for v in expand(t).entries], t.mu)
     assert len(eqs) == t.mu.s
     spec = singular_values(t, seed=seed)
     assert len(spec.data) == spec.ed_degree
@@ -669,8 +695,9 @@ def test_non_finite_tuple_has_infinite_residual(defect):
 
 
 def _pencil_of(t):
-    """The hidden-variable pencil of a tensor's critical equations, unrotated."""
-    return bts.spectral._pencil(expand(t).entries, t.mu)
+    """The hidden-variable pencil of a tensor's critical equations, unrotated, and its columns."""
+    m0, m1, table = bts.spectral._pencil(expand(t).entries, t.mu)
+    return m0, m1, table.monomials
 
 
 def _pencil_from_equations(entries, mu):
@@ -679,7 +706,7 @@ def _pencil_from_equations(entries, mu):
     monomials = list(product(range(mu.s * p), *(range(part + 1) for part in mu.parts[1:-1])))
     column = {m: i for i, m in enumerate(monomials)}
     mats = np.zeros((2, len(monomials), len(monomials)))
-    gs = bts.spectral._critical_equations([Fraction(v) for v in entries], mu)
+    gs = _critical_equations([Fraction(v) for v in entries], mu)
     for row, (g, a) in enumerate((g, a) for g in gs for a in range((mu.s - 1) * p)):
         for power, coeff in enumerate(g.coefficients_in(g.vars[-1])):
             for e, c in coeff.terms.items():
@@ -690,29 +717,38 @@ def _pencil_from_equations(entries, mu):
 
 @pytest.mark.parametrize("shape", [2, (2, 1), 3], ids=str)
 @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150], ids=str)
-def test_pencil_map_matches_the_rational_critical_equations(monkeypatch, shape, scale):
+def test_pencil_map_matches_the_rational_critical_equations(shape, scale):
     rng = np.random.default_rng(7)
     for _ in range(10):
         t = _seeded(rng, shape, lambda rng: float(rng.uniform(-1.0, 1.0)) * scale)
         mu = t.mu
         cs = [(math.cos(a), math.sin(a)) for a in rng.uniform(0.0, 2.0 * math.pi, size=mu.s)]
         entries = expand(bts.spectral.rotate_cs(t, cs)).entries
-        m0, m1, monomials = bts.spectral._pencil(entries, mu)
+        m0, m1, table = bts.spectral._pencil(entries, mu)
         o0, o1, oracle_monomials = _pencil_from_equations(entries, mu)
         assert m0.tobytes() == o0.tobytes() and m1.tobytes() == o1.tobytes()
-        assert list(monomials) == oracle_monomials
-    basis, _ = bts.spectral._pencil_map(mu)
-    assert not basis.flags.writeable
-    assert bts.spectral._pencil_map(mu) is bts.spectral._pencil_map(mu)
+        assert list(table.monomials) == oracle_monomials
+    table = bts.spectral._pencil_map(mu)
+    assert table is bts.spectral._pencil_map(mu)
+    assert not any(a.flags.writeable for a in (table.basis, table.rows, table.shifted))
+    # slice u of the map is the oracle's pencil of the u-th unit tensor
+    size = 1 << mu.d
+    units = [_pencil_from_equations([int(i == u) for i in range(size)], mu) for u in range(size)]
+    assert table.basis.tobytes() == np.stack([np.stack(pencil[:2]) for pencil in units], axis=-1).tobytes()
+    # the shift tables pair exactly the columns m and z1 m, and the units are z2..z_{s-1}
+    column = {m: i for i, m in enumerate(table.monomials)}
+    up = lambda m: (m[0] + 1, *m[1:])
+    pairs = [(column[m], column[up(m)]) for m in table.monomials if up(m) in column]
+    assert list(zip(table.rows.tolist(), table.shifted.tolist())) == pairs
+    n = mu.s - 1
+    assert [table.monomials[u] for u in table.units] == [tuple(int(j == i) for j in range(n)) for i in range(1, n)]
 
-    calls, equations = [], bts.spectral._critical_equations
-    monkeypatch.setattr(bts.spectral, "_critical_equations", lambda *a: calls.append(a) or equations(*a))
     bts.spectral._pencil_map.cache_clear()
     t = random_tensor(5, 3)
     first = solve_222(t, seed=1)
-    built = len(calls)
+    assert bts.spectral._pencil_map.cache_info().misses == 1
     second = solve_222(t, seed=2)
-    assert built == 8 and len(calls) == built
+    assert bts.spectral._pencil_map.cache_info().misses == 1
     assert len(first.data) == len(second.data) == 6
 
 
@@ -760,9 +796,9 @@ def test_pencil_recovers_tuples_that_share_the_last_variable(monkeypatch, shape,
     # and (y, x, w): a double eigenvalue, split by the shift in z1
     points, sizes = bts.spectral._pencil_points, []
 
-    def spy(monomials, basis):
-        sizes.append(basis.shape[1])
-        return points(monomials, basis)
+    def spy(table, vectors):
+        sizes.append(vectors.shape[1])
+        return points(table, vectors)
 
     monkeypatch.setattr(bts.spectral, "_pencil_points", spy)
     spec = solve_222(expand(random_tensor(seed + 40, shape)), seed=seed)

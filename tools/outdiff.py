@@ -9,27 +9,33 @@ exception counts as the exit code ``uncaught <type>``.  Per file it runs
 table``; the table is compared byte for byte.  Each tree also runs
 ``verify-product --mu M --trials 20 --seed 611 --jobs 1 --format json`` for
 every shape M of NEW_TREE's ``SUPPORTED_PRODUCT_MU``, one kind per shape,
-and ``random-check --trials 100 --seed 611 --format json``, each compared
-byte for byte.  Last, in the same interpreter, it runs the argument lists of
+and ``random-check --trials 100 --seed 611 --format json``, compared byte
+for byte.  Last, in the same interpreter, it runs the argument lists of
 PARSE_ARGVS (no command, ``--version``, ``--help``, a missing ``--input``,
 an unknown command, an unsupported ``--mu``), which show what the parser
 decides on a call that is not the first; these are compared on exit code,
 stdout and the whole of stderr, and a changed stderr counts as "message
 changed".  Per command and kind (the file name after its
 first ``-``: ``00012-sym3-exact`` is ``sym3-exact``) it counts outputs that
-are identical (same exit code, same stdout), for
-``svals`` numerically equal (both exit 0; same ``mu``, ``ed_degree``,
-``degenerate``, ``notes``, data count and ``is_real`` multiset; sigma^2
-matched and the best rank-one squared distance within REL_TOL * q~(t);
-``edpoly_dual`` within REL_TOL of its largest coefficient) or different, and
-every exit-code change.  A different ``svals`` output that keeps that
-structure also prints its worst sigma^2 gap over q~(t) and over |sigma^2|,
-which tells an ill-conditioned complex pair from a real change.  Runs that
-exit with the same non-zero code on both sides are also compared on the last
-``error:`` line of their stderr and counted as "message changed" when it
-differs; only that line is compared, since warnings printed before it vary
-with the numpy version.  Exits 1 on any difference, exit-code change or
-changed message.
+are identical (same exit code, same stdout), numerically equal, or
+different, and every exit-code change.  A ``svals`` output is numerically
+equal when both exit 0 with the same ``mu``, ``ed_degree``, ``degenerate``,
+``notes``, data count and ``is_real`` multiset, sigma^2 matched and the best
+rank-one squared distance within REL_TOL * q~(t), and ``edpoly_dual``
+within REL_TOL of its largest coefficient.  A ``verify-product`` output is
+numerically equal when both exit with the same code, every field but
+``lhs``, ``rhs``, ``rel_error`` and ``max_rel_error`` is equal (the trial
+set, the error rows, ``failures``), each ``lhs`` and ``rhs`` is within
+REL_TOL relative and each ``rel_error`` and ``max_rel_error`` within
+REL_TOL absolute.  A different ``svals`` output that
+keeps that structure also prints its worst sigma^2 gap over q~(t) and over
+|sigma^2|, which tells an ill-conditioned complex pair from a real change; a
+numerically equal ``verify-product`` kind prints its worst ``lhs`` gap.
+Runs that exit with the same non-zero code on both sides are also compared
+on the last ``error:`` line of their stderr and counted as "message changed"
+when it differs; only that line is compared, since warnings printed before
+it vary with the numpy version.  Exits 1 on any difference, exit-code
+change or changed message.
 """
 
 from __future__ import annotations
@@ -119,6 +125,31 @@ def numerically_equal(a: dict, b: dict, gap: float) -> bool:
     return gap <= REL_TOL
 
 
+def _close(x: float, y: float, tol: float) -> bool:
+    return x == y or abs(x - y) <= tol
+
+
+def product_lhs_gap(a: dict, b: dict) -> float | None:
+    """Worst relative ``lhs`` gap of two ``verify-product`` documents, or None unless numerically equal."""
+    numeric = ("lhs", "rhs", "rel_error", "max_rel_error", "rows")
+    rest = lambda doc: {k: v for k, v in doc.items() if k not in numeric}
+    if rest(a) != rest(b) or len(a["rows"]) != len(b["rows"]):
+        return None
+    if not _close(a["max_rel_error"], b["max_rel_error"], REL_TOL):
+        return None
+    worst = 0.0
+    for x, y in zip(a["rows"], b["rows"]):
+        if rest(x) != rest(y) or not _close(x.get("rel_error"), y.get("rel_error"), REL_TOL):
+            return None
+        if "error" in x:
+            continue
+        for key in ("lhs", "rhs"):
+            if not _close(x[key], y[key], REL_TOL * max(abs(x[key]), abs(y[key]))):
+                return None
+        worst = max(worst, abs(x["lhs"] - y["lhs"]) / (max(abs(x["lhs"]), abs(y["lhs"])) or 1.0))
+    return worst
+
+
 def kind_of(path: Path) -> str:
     head, _, rest = path.stem.partition("-")
     return rest if head.isdigit() and rest else path.stem
@@ -161,6 +192,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"message changed: {label}")
         elif a["out"] == b["out"]:
             tally["identical"] += 1
+        elif command == "verify-product" and a["code"] in (0, 1):
+            gap = product_lhs_gap(json.loads(a["out"]), json.loads(b["out"]))
+            if gap is None:
+                tally["different"] += 1
+                print(f"different: {label}")
+            else:
+                tally["numerically equal"] += 1
+                worst[kind] = max(worst[kind], gap)
         else:
             gaps = None
             if command == "svals" and a["code"] == 0:
@@ -174,7 +213,8 @@ def main(argv: list[str] | None = None) -> int:
                 note = "" if gaps is None else f"  (worst sigma^2 gap {gaps[0]:.2e} q~(t), {gaps[1]:.2e} |sigma^2|)"
                 print(f"different: {label}{note}")
     for kind in sorted(counts):
-        note = f"  (worst sigma^2 gap {worst[kind]:.2e} q~(t))" if kind in worst else ""
+        what = "lhs gap {:.2e} relative" if kind.startswith("verify-product") else "sigma^2 gap {:.2e} q~(t)"
+        note = f"  (worst {what.format(worst[kind])})" if kind in worst else ""
         print(f"{kind:<35} " + ", ".join(f"{k} {n}" for k, n in sorted(counts[kind].items())) + note)
     total = sum(counts.values(), Counter())
     print(json.dumps({"files": len(files), **total}))
