@@ -43,8 +43,8 @@ from .combinatorics import (
 from .invariants import (
     DegenerateInputError,
     FormulaCrossCheckError,
-    _extra_root,
     _extreme_coeffs,
+    extra_root,
     invariants_222,
     isotropic_factor_symmetric,
     pair_factor_4,
@@ -140,10 +140,19 @@ def _parse_mu(text: str) -> Partition:
         raise SystemExit(_fail(EXIT_PARSE, f"bad --mu value {text!r}: {exc}"))
 
 
-def positive_int(text: str) -> int:
-    """An option's count: an integer of at least 1, or argparse exits 2 naming the value."""
-    if (value := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+def int_at_least(minimum: int):
+    """The type of an integer option of at least ``minimum``; argparse exits 2 naming a smaller value."""
+    def integer(text: str) -> int:
+        if (value := int(text)) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
+
+
+def tolerance(text: str) -> float:
+    """A relative tolerance: any float but NaN, which no error exceeds; argparse exits 2 on NaN."""
+    if math.isnan(value := float(text)):
+        raise argparse.ArgumentTypeError(f"must be a number, got {text}")
     return value
 
 
@@ -182,7 +191,7 @@ def _overflow_message(exc: OverflowError) -> str:
 
 def _spectrum_doc(t, spec: Spectrum) -> dict:
     dual = assemble_edpoly(spec, t)
-    primal = primal_edpoly(spec, t)
+    primal = primal_edpoly(dual, t)
     doc = {
         "mu": list(spec.mu.parts),
         "ed_degree": spec.ed_degree,
@@ -250,7 +259,7 @@ def cmd_edpoly(args) -> int:
     try:
         spec = singular_values(t, seed=args.seed)
         dual = assemble_edpoly(spec, t)
-        primal = primal_edpoly(spec, t)
+        primal = primal_edpoly(dual, t)
     except (SolverFailureError, ValueError) as exc:
         return _fail(EXIT_SOLVER, f"solver failure: {exc}")
     except OverflowError as exc:
@@ -284,7 +293,6 @@ def _one_trial(packed) -> dict:
             "trial": trial,
             "lhs": rep.lhs,
             "rhs": rep.rhs,
-            "constant": rep.constant,
             "rel_error": rep.rel_error,
             "degenerate": rep.degenerate,
             "note": rep.note,
@@ -302,7 +310,7 @@ def cmd_verify_product(args) -> int:
             EXIT_PARSE,
             f"product verification supports {SUPPORTED_PRODUCT_MU}, got {tuple(mu.parts)}",
         )
-    jobs = max(1, args.jobs or os.cpu_count() or 1)
+    jobs = args.jobs or os.cpu_count() or 1
     work = [(tuple(mu.parts), args.seed, trial) for trial in range(args.trials)]
     if jobs > 1 and args.trials > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -312,7 +320,6 @@ def cmd_verify_product(args) -> int:
     rows.sort(key=lambda r: r["trial"])
 
     failures = [r for r in rows if "error" in r or not (r.get("rel_error", math.inf) <= args.tol)]
-    constants = {f"{r['constant']:.12g}" for r in rows if "constant" in r}
     doc = {
         "mu": list(mu.parts),
         "trials": args.trials,
@@ -321,7 +328,6 @@ def cmd_verify_product(args) -> int:
         "rows": rows,
         "max_rel_error": max((r.get("rel_error", math.inf) for r in rows), default=0.0),
         "failures": len(failures),
-        "constant_values": sorted(constants),
     }
 
     def table(doc):
@@ -366,7 +372,7 @@ def cmd_invariants(args) -> int:
                 }
             )
             if parts in ((2, 1), (3,)):
-                doc["extra_root"] = _num(_extra_root(t, inv))
+                doc["extra_root"] = _num(extra_root(t, inv))
         if parts is not None and len(parts) == 1 and dense.d >= 2:
             disc = discriminant_binary_form(t)
             doc["discriminant"] = _num(disc.value)
@@ -489,12 +495,9 @@ def cmd_random_check(args) -> int:
 # --- entry point -------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, *, input_file: bool) -> None:
-    if input_file:
-        p.add_argument("--input", required=True, help="tensor JSON file")
-        p.add_argument("--mu", help="partition override, e.g. 2,1 (recompress the input)")
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
-    p.add_argument("--format", choices=("json", "table"), default="table")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="tensor JSON file")
+    p.add_argument("--mu", help="partition override, e.g. 2,1 (recompress the input)")
 
 
 @functools.cache
@@ -508,36 +511,41 @@ def _parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("svals", help="singular data of a tensor file")
-    _add_common(p, input_file=True)
+    _add_common(p)
+    p.add_argument("--seed", type=int_at_least(0), default=0, help="base random seed")
+    p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(fn=cmd_svals)
 
     p = sub.add_parser("edpoly", help="distance polynomials of a tensor file")
-    _add_common(p, input_file=True)
+    _add_common(p)
+    p.add_argument("--seed", type=int_at_least(0), default=0, help="base random seed")
+    p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(fn=cmd_edpoly)
 
     p = sub.add_parser("verify-product", help="batch check of the product formula")
     p.add_argument("--mu", required=True, help="partition, e.g. 1,1,1")
-    p.add_argument("--trials", type=positive_int, default=100)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--jobs", type=int, help="worker processes (default: available parallelism)")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--trials", type=int_at_least(1), default=100)
+    p.add_argument("--tol", type=tolerance, default=1e-8)
+    p.add_argument("--jobs", type=int_at_least(1), help="worker processes (default: available parallelism)")
+    p.add_argument("--seed", type=int_at_least(0), default=42)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(fn=cmd_verify_product)
 
     p = sub.add_parser("invariants", help="closed-form invariants of a tensor file")
-    _add_common(p, input_file=True)
+    _add_common(p)
+    p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("degrees", help="degree and exponent tables with identity verdicts")
-    p.add_argument("--d", type=positive_int, help="use mu = 1^d")
+    p.add_argument("--d", type=int_at_least(1), help="use mu = 1^d")
     p.add_argument("--mu", help="partition, e.g. 2,1")
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(fn=cmd_degrees)
 
     p = sub.add_parser("random-check", help="seeded invariant self-test battery")
-    p.add_argument("--trials", type=positive_int, default=25)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--trials", type=int_at_least(1), default=25)
+    p.add_argument("--seed", type=int_at_least(0), default=7)
+    p.add_argument("--tol", type=tolerance, default=1e-9)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(fn=cmd_random_check)
     return ap

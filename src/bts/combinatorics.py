@@ -18,7 +18,7 @@ the degree formula for ``J = [s]`` uniform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb, factorial
 from typing import Iterable, Iterator
 
@@ -193,20 +193,3 @@ def degree_identity_check(mu: Partition | Iterable[int]) -> bool:
             return False
     return True
 
-
-@lru_cache(maxsize=None)
-def partitions_of(d: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of d in weakly decreasing order."""
-    if d == 0:
-        return ((),)
-    out: list[tuple[int, ...]] = []
-
-    def rec(rest: int, maxpart: int, acc: tuple[int, ...]) -> None:
-        if rest == 0:
-            out.append(acc)
-            return
-        for p in range(min(rest, maxpart), 0, -1):
-            rec(rest - p, p, acc + (p,))
-
-    rec(d, d, ())
-    return tuple(out)

@@ -302,16 +302,20 @@ def extreme_coeffs_222(t: BinaryTensor | MuTensor) -> tuple[Scalar, Scalar, Scal
     return _extreme_coeffs(*_cleared_invariants_222(t))
 
 
-def _extra_root(c: MuTensor, inv: InvariantSet222) -> Scalar:
+def extra_root(c: MuTensor, inv: InvariantSet222) -> Scalar:
     """The extra root of a (2,1)- or (3,)-symmetric ``c``, cross-checked against ``inv``, its record.
 
-    A symmetric tensor is (2,1)-symmetric too, and its extra root is the one
-    of that view.  Evaluated from the (2,1) compressed coordinates as a ratio
-    of sums of squares, and cross-checked against the invariant form
+    The squared singular value the expanded tensor has beyond those of ``c``:
+    doubled for mu = (2,1), tripled for mu = (3,); ValueError for any other
+    shape.  A symmetric tensor is (2,1)-symmetric too, and its extra root is
+    the one of that view.  Evaluated from the (2,1) compressed coordinates as
+    a ratio of sums of squares, and cross-checked against the invariant form
     f_{3,{1}} / theta_dup on the expanded tensor (the pair of symmetric slots
     is 1,2; slots are rotated by the same angle, so both are rotation
     invariant).
     """
+    if c.mu.parts not in ((2, 1), (3,)):
+        raise ValueError(f"need mu = (2,1) or (3), got {c.mu}")
     if c.mu.parts == (3,):
         c = compress(expand(c), (2, 1))
     exact = c.exact
@@ -333,20 +337,6 @@ def _extra_root(c: MuTensor, inv: InvariantSet222) -> Scalar:
     check = inv.f3[0] / th[2]
     _require(_close(value, check, exact, tol=1e-11), "extra root (2,1): printed forms disagree")
     return value
-
-
-def extra_root_21(c: MuTensor) -> Scalar:
-    """The doubled squared singular value a (2,1)-symmetric tensor has beyond its own four."""
-    if c.mu.parts != (2, 1):
-        raise ValueError(f"need mu = (2,1), got {c.mu}")
-    return _extra_root(c, invariants_222(expand(c)))
-
-
-def extra_root_3(c: MuTensor) -> Scalar:
-    """The tripled squared singular value a symmetric 2x2x2 tensor has beyond its three."""
-    if c.mu.parts != (3,):
-        raise ValueError(f"need mu = (3), got {c.mu}")
-    return _extra_root(c, invariants_222(expand(c)))
 
 
 def pair_factor_4(t: BinaryTensor, pair: tuple[int, int] = (1, 2)) -> Scalar:

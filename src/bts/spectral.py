@@ -59,7 +59,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .combinatorics import Partition, _as_partition, ed_degree
+from .combinatorics import Partition, ed_degree
 from .invariants import extreme_coeffs_222, invariants_222
 from .polys import UniPoly, reflect_edpoly, square_free_decomposition
 from .tensor import (
@@ -110,7 +110,6 @@ class Spectrum:
 
     mu: Partition
     data: list[SingularDatum]
-    edpoly_dual: UniPoly | None = None
     degenerate: bool = False
     notes: tuple[str, ...] = ()
 
@@ -741,7 +740,6 @@ class VerificationReport:
     mu: Partition
     lhs: float
     rhs: float
-    constant: float
     rel_error: float
     degenerate: bool
     sigma_sq: tuple[complex, ...]
@@ -799,12 +797,12 @@ def verify_product(t: BinaryTensor | MuTensor, seed: int = 0) -> VerificationRep
 
     LHS is the product of the squared singular values from the solver; RHS is
     a_0 / a_top, the lowest over the leading coefficient of the dual distance
-    polynomial, both from closed-form invariants (``_edpoly_extremes``).  With
-    the printed 1/64 and 1/16 normalizations the constant is exactly 1 for
-    every supported shape; for matrices and symmetric quadratics the RHS is
-    the squared determinant.  Both sides are compared on t * 2^-k, 2^k the
-    binary exponent of |t| (each sigma^2 times 4^-k): exact, and it makes the
-    degeneracy floors relative.  The report carries the sides of t itself.
+    polynomial, both from closed-form invariants (``_edpoly_extremes``) with
+    the printed 1/64 and 1/16 normalizations, so no constant is fitted; for
+    matrices and symmetric quadratics the RHS is the squared determinant.
+    Both sides are compared on t * 2^-k, 2^k the binary exponent of |t| (each
+    sigma^2 times 4^-k): exact, and it makes the degeneracy floors relative.
+    The report carries the sides of t itself.
     """
     mu = t.mu
     if tuple(mu.parts) not in SUPPORTED_PRODUCT_MU:
@@ -822,17 +820,17 @@ def verify_product(t: BinaryTensor | MuTensor, seed: int = 0) -> VerificationRep
 
     a0, a_top = _edpoly_extremes(t.scale(Fraction(2) ** -k), mu)
     if abs(a_top) < 1e-300:
-        return VerificationReport(mu, unscaled(lhs), math.nan, 1.0, math.nan, True, sigma_sq,
+        return VerificationReport(mu, unscaled(lhs), math.nan, math.nan, True, sigma_sq,
                                   "top coefficient vanished (isotropic structure)")
     note = "rhs is the squared determinant (exact in the rational pipeline)" if mu.d == 2 else ""
     rhs = a0 / a_top
     if not math.isfinite(rhs) or rhs == 0.0:
         return VerificationReport(
-            mu, unscaled(lhs), unscaled(rhs), 1.0, 0.0 if abs(lhs) <= 1e-8 else math.nan, True,
+            mu, unscaled(lhs), unscaled(rhs), 0.0 if abs(lhs) <= 1e-8 else math.nan, True,
             sigma_sq, note or "degenerate: rhs vanished",
         )
     rel = abs(lhs / rhs - 1.0)
-    return VerificationReport(mu, unscaled(lhs), unscaled(rhs), 1.0, rel, spec.degenerate, sigma_sq, note)
+    return VerificationReport(mu, unscaled(lhs), unscaled(rhs), rel, spec.degenerate, sigma_sq, note)
 
 
 def verify_trial(mu: Partition, seed: int, trial: int) -> VerificationReport:
@@ -840,14 +838,6 @@ def verify_trial(mu: Partition, seed: int, trial: int) -> VerificationReport:
     derived = int(np.random.default_rng(np.random.SeedSequence((seed, trial))).integers(0, 2**62))
     t = random_tensor(derived, mu.d if all(p == 1 for p in mu.parts) else mu)
     return verify_product(t, seed=seed + 1000003 * trial)
-
-
-def verify_product_batch(
-    mu: Partition | Sequence[int], trials: int, seed: int = 42
-) -> list[VerificationReport]:
-    """Seeded batch of product-formula checks on random tensors, one report per trial."""
-    mu = _as_partition(mu)
-    return [verify_trial(mu, seed, trial) for trial in range(trials)]
 
 
 def _require_finite(p: UniPoly, what: str) -> UniPoly:
@@ -861,11 +851,11 @@ def assemble_edpoly(spec: Spectrum, t: BinaryTensor | MuTensor) -> UniPoly:
     """Distance polynomial of the dual variety: lead * prod (eps^2 - sigma_i^2).
 
     The leading coefficient is a_top from ``_edpoly_extremes`` for the shapes
-    in SUPPORTED_PRODUCT_MU and 1 otherwise; the primal-variety polynomial is
-    the reflection of this one at q~(t).  The result is cached on the spectrum.
-    A coefficient that leaves the float range raises OverflowError, and so
-    does one that underflows: a leading coefficient 0.0, or a constant
-    coefficient 0.0 although no sigma^2 is 0.
+    in SUPPORTED_PRODUCT_MU and 1 otherwise; ``primal_edpoly`` reflects it
+    at q~(t) into the primal-variety polynomial.  A coefficient that leaves
+    the float range raises OverflowError, and so does one that underflows: a
+    leading coefficient 0.0, or a constant coefficient 0.0 although no
+    sigma^2 is 0.
     """
     roots = spec.sigma_sq()
     lead = _edpoly_extremes(t, spec.mu)[1] if tuple(spec.mu.parts) in SUPPORTED_PRODUCT_MU else 1.0
@@ -881,16 +871,12 @@ def assemble_edpoly(spec: Spectrum, t: BinaryTensor | MuTensor) -> UniPoly:
         if abs(c.imag) > 1e-8 * (1.0 + scale):
             raise SolverFailureError(f"distance polynomial has non-real coefficient {c}")
         coeffs.append(c.real)
-    out = UniPoly(tuple(coeffs), "eps2")
-    spec.edpoly_dual = out
-    return out
+    return UniPoly(tuple(coeffs), "eps2")
 
 
-def primal_edpoly(spec: Spectrum, t: BinaryTensor | MuTensor) -> UniPoly:
-    """Distance polynomial of the variety itself, by reflection at q~(t); OverflowError out of float range."""
-    dual = spec.edpoly_dual or assemble_edpoly(spec, t)
-    qt = float(bombieri_norm_sq(t))
-    return _require_finite(reflect_edpoly(dual, qt), "primal distance polynomial")
+def primal_edpoly(dual: UniPoly, t: BinaryTensor | MuTensor) -> UniPoly:
+    """The variety's own distance polynomial: ``dual`` reflected at q~(t); OverflowError out of float range."""
+    return _require_finite(reflect_edpoly(dual, float(bombieri_norm_sq(t))), "primal distance polynomial")
 
 
 def best_rank_one(

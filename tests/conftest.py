@@ -19,6 +19,21 @@ def contraction(t, xs, j):
     return tuple(pairing(t, [*xs[: j - 1], e, *xs[j:]]) for e in ((1, 0), (0, 1)))
 
 
+def partitions_of(d: int) -> list[tuple[int, ...]]:
+    """All partitions of d, each in weakly decreasing order."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(rest: int, maxpart: int, acc: tuple[int, ...]) -> None:
+        if rest == 0:
+            out.append(acc)
+            return
+        for p in range(min(rest, maxpart), 0, -1):
+            rec(rest - p, p, acc + (p,))
+
+    rec(d, d, ())
+    return out
+
+
 def diagonal_sigma_sq(a: float, b: float) -> list[float]:
     """Hand-solved squared singular values of the order-3 tensor with t000=a, t111=b.
 

@@ -205,11 +205,14 @@ def test_verify_product_exact_matrix_flag(capsys):
 
 
 def test_verify_product_symmetric_constant_stable(capsys):
+    # the product formula holds with constant 1, so no constant is reported
     code, out, _ = run(capsys, "verify-product", "--mu", "3", "--trials", "5",
                        "--seed", "2", "--jobs", "1", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert len(doc["constant_values"]) == 1
+    assert "constant_values" not in doc
+    assert not any("constant" in r for r in doc["rows"])
+    assert all(r["rel_error"] <= doc["tolerance"] for r in doc["rows"])
 
 
 def test_degrees_d3(capsys):
@@ -243,15 +246,42 @@ def test_degrees_d12_identity(capsys):
         (["random-check", "--trials", "0"], "0"),
         (["degrees", "--d", "0"], "0"),
         (["degrees", "--d", "-1"], "-1"),
+        (["verify-product", "--mu", "1,1,1", "--jobs", "0"], "0"),
+        (["verify-product", "--mu", "1,1,1", "--jobs", "-3"], "-3"),
     ],
     ids=["verify-product-trials-0", "verify-product-trials-negative", "random-check-trials-0", "degrees-d-0",
-         "degrees-d-negative"],
+         "degrees-d-negative", "verify-product-jobs-0", "verify-product-jobs-negative"],
 )
 def test_counts_below_one_exit_2_naming_the_value(capsys, argv, value):
-    # a check of no trials must not pass, and --d 0 or -1 is no order
+    # a check of no trials must not pass, --d 0 or -1 is no order, and no pool has 0 or -3 workers
     code, out, err = run_or_exit(capsys, *argv)
     assert code == 2 and out == ""
     assert f"argument {argv[-2]}: must be at least 1, got {value}" in err
+
+
+@pytest.mark.parametrize("command", ["svals", "edpoly", "verify-product", "random-check"])
+def test_negative_seed_exits_2_naming_the_value(capsys, diag_file, command):
+    # a random generator takes no negative seed; the parser rejects it before any solve
+    extra = {"svals": ["--input", diag_file], "edpoly": ["--input", diag_file],
+             "verify-product": ["--mu", "1,1,1"], "random-check": []}[command]
+    code, out, err = run_or_exit(capsys, command, *extra, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "argument --seed: must be at least 0, got -1" in err
+
+
+@pytest.mark.parametrize("command, extra", [("verify-product", ["--mu", "1,1,1"]), ("random-check", [])])
+def test_nan_tolerance_exits_2(capsys, command, extra):
+    # no error exceeds a NaN tolerance, so it would pass every check
+    code, out, err = run_or_exit(capsys, command, *extra, "--trials", "1", "--tol", "nan")
+    assert code == 2 and out == ""
+    assert "argument --tol: must be a number, got nan" in err
+
+
+def test_invariants_takes_no_seed(capsys, diag_file):
+    # closed-form invariants draw no random numbers
+    code, out, err = run_or_exit(capsys, "invariants", "--input", diag_file, "--seed", "5")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --seed 5" in err
 
 
 def test_invariants_rational_output(capsys, cubic_file):

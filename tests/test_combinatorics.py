@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import partitions_of
+
 from bts.combinatorics import (
     Partition,
     deg_f,
@@ -17,7 +19,6 @@ from bts.combinatorics import (
     ed_degree,
     exponent_alpha,
     is_dual_hypersurface,
-    partitions_of,
     subsets,
 )
 

@@ -13,8 +13,7 @@ from bts.invariants import (
     DegenerateInputError,
     FormulaCrossCheckError,
     _extreme_coeffs,
-    extra_root_21,
-    extra_root_3,
+    extra_root,
     extreme_coeffs_222,
     hyperdet_222,
     invariants_222,
@@ -126,39 +125,44 @@ def test_theta_positive_on_random():
 # --- extra roots ----------------------------------------------------------------
 
 
+def extra_root_of(c):
+    return extra_root(c, invariants_222(expand(c)))
+
+
 def test_extra_root_3_unit_cubic():
     # c = (1,0,0,1): the c-form gives (0^2 + 1^2) / (1^2 + 1^2) = 1/2, matching
     # the hand-solved mixed singular value of the diagonal tensor a = b = 1
     c = MuTensor(Partition((3,)), {(0,): Fraction(1), (3,): Fraction(1)})
-    assert extra_root_3(c) == Fraction(1, 2)
+    assert extra_root_of(c) == Fraction(1, 2)
 
 
 def test_extra_root_3_diagonal_family():
     for a, b in [(1, 2), (3, 1), (2, 5)]:
         c = MuTensor(Partition((3,)), {(0,): Fraction(a), (3,): Fraction(b)})
-        assert extra_root_3(c) == Fraction(a * a * b * b, a * a + b * b)
+        assert extra_root_of(c) == Fraction(a * a * b * b, a * a + b * b)
 
 
 def test_extra_root_21_diagonal():
     c = MuTensor(Partition((2, 1)), {(0, 0): Fraction(1), (2, 1): Fraction(2)})
-    assert extra_root_21(c) == Fraction(4, 5)
+    assert extra_root_of(c) == Fraction(4, 5)
 
 
 def test_extra_roots_nonnegative_and_cross_checked():
     # both printed forms are compared inside; a mismatch raises
     for seed in range(100):
-        r = extra_root_21(random_tensor(seed, (2, 1)))
+        r = extra_root_of(random_tensor(seed, (2, 1)))
         assert r >= 0
     for seed in range(100):
-        r = extra_root_3(random_tensor(seed, (3,)))
+        r = extra_root_of(random_tensor(seed, (3,)))
         assert r >= 0
 
 
 def test_extra_root_wrong_partition():
-    with pytest.raises(ValueError):
-        extra_root_21(random_tensor(0, (3,)))
-    with pytest.raises(ValueError):
-        extra_root_3(random_tensor(0, (2, 1)))
+    # only (2,1)- and (3,)-symmetric tensors have an extra root
+    inv = invariants_222(random_tensor(0, 3))
+    for mu in ((1, 1, 1), (2,)):
+        with pytest.raises(ValueError, match="need mu = "):
+            extra_root(random_tensor(0, mu), inv)
 
 
 def test_extra_root_degenerate_isotropic():
@@ -166,7 +170,7 @@ def test_extra_root_degenerate_isotropic():
     c = MuTensor(Partition((3,)), {(0,): Fraction(1), (1,): Fraction(2),
                                    (2,): Fraction(-1), (3,): Fraction(-2)})
     with pytest.raises(DegenerateInputError):
-        extra_root_3(c)
+        extra_root_of(c)
 
 
 # --- order-4 factors ---------------------------------------------------------------

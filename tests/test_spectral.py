@@ -14,7 +14,7 @@ from conftest import contraction, diagonal_sigma_sq, multiset_close, multiset_su
 
 import bts.spectral
 from bts.combinatorics import Partition, ed_degree
-from bts.invariants import extra_root_21, extra_root_3, extreme_coeffs_222
+from bts.invariants import extra_root, extreme_coeffs_222, invariants_222
 from bts.polys import MultiPoly, UniPoly
 from bts.spectral import (
     SolverFailureError,
@@ -27,7 +27,7 @@ from bts.spectral import (
     solve_222,
     solve_matrix,
     verify_product,
-    verify_product_batch,
+    verify_trial,
 )
 from bts.tensor import (
     BinaryTensor,
@@ -270,7 +270,7 @@ def test_nesting_21_in_222():
         extra = multiset_subtract(s222, s21, tol=1e-7)
         assert len(extra) == 2
         assert abs(extra[0] - extra[1]) < 1e-7 * (1 + abs(extra[0]))
-        h_root = float(extra_root_21(c))
+        h_root = float(extra_root(c, invariants_222(expand(c))))
         assert abs(extra[0] - h_root) < 1e-9 * (1 + abs(h_root))
 
 
@@ -287,7 +287,7 @@ def test_nesting_symmetric_chain():
         assert len(extra21) == 1
         extra222 = multiset_subtract(list(s222), s21, tol=1e-7)
         assert len(extra222) == 2
-        h_root = float(extra_root_3(c))
+        h_root = float(extra_root(c, invariants_222(expand(c))))
         for v in extra21 + extra222:
             assert abs(v - h_root) < 1e-8 * (1 + abs(h_root))
 
@@ -332,24 +332,20 @@ def test_verify_diagonal_222(diag_12):
     rep = verify_product(diag_12, seed=1)
     assert abs(rep.lhs - 1024 / 625) < 1e-10
     assert abs(rep.rhs - 1024 / 625) < 1e-12
-    assert rep.constant == 1.0
 
 
 def test_verify_batches_all_mu():
     for mu, trials in [((1, 1), 5), ((2,), 5), ((3,), 5), ((2, 1), 5), ((1, 1, 1), 5)]:
-        reports = verify_product_batch(mu, trials, seed=77)
-        for rep in reports:
+        for trial in range(trials):
+            rep = verify_trial(Partition(mu), 77, trial)
             assert rep.rel_error < 1e-8, (mu, rep)
-        consts = {rep.constant for rep in reports}
-        assert len(consts) == 1  # one constant per shape, the same in every trial
 
 
 def test_verify_symmetric_constant_stability():
-    reports = verify_product_batch((3,), 10, seed=5)
-    for rep in reports:
-        # the per-trial implied constant agrees with the reported one to 1e-9
-        implied = rep.lhs / (rep.rhs / rep.constant)
-        assert abs(implied / rep.constant - 1.0) < 1e-9
+    for trial in range(10):
+        rep = verify_trial(Partition((3,)), 5, trial)
+        # the per-trial implied constant lhs / rhs is 1 to 1e-9
+        assert abs(rep.lhs / rep.rhs - 1.0) < 1e-9
 
 
 def test_verify_rejects_unsupported_mu():
@@ -383,7 +379,7 @@ def test_primal_reflection_vanishes_at_critical_distances():
     for seed in (71, 73):
         t = random_tensor(seed, 3)
         spec = solve_222(t, seed=seed)
-        primal = primal_edpoly(spec, t)
+        primal = primal_edpoly(assemble_edpoly(spec, t), t)
         qt = float(bombieri_norm_sq(t))
         for d in spec.data:
             e2 = qt - d.sigma_sq
