@@ -150,9 +150,14 @@ def int_at_least(minimum: int):
 
 
 def tolerance(text: str) -> float:
-    """A relative tolerance: any float but NaN, which no error exceeds; argparse exits 2 on NaN."""
+    """A relative tolerance: any finite float; argparse exits 2 on the rest.
+
+    No error exceeds NaN, and inf lets even an infinite error pass.
+    """
     if math.isnan(value := float(text)):
         raise argparse.ArgumentTypeError(f"must be a number, got {text}")
+    if math.isinf(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 

@@ -8,9 +8,9 @@ where y_j contracts the tensor against all vectors but the j-th.  Every
 solver runs one attempt loop, ``_first_certified``: each attempt works in
 a chart (a seeded random rotation of the tensor; the squared singular
 values are rotation invariants) that yields candidate tuples with
-multiplicities.  ``_finalize_spectrum`` alone polishes (once, on the
-original tensor), deduplicates, counts and certifies them, and when every
-attempt fails the error names the reason of each.
+multiplicities.  ``_finalize_spectrum`` alone polishes (at most once, on
+the original tensor), deduplicates, counts and certifies them, and when
+every attempt fails the error names the reason of each.
 
 Full 2x2x2 tensors, (2,1)-symmetric tensors and 2x2 matrices share the
 elimination chart, ``_solve_by_elimination``.  A rank-one tensor (its
@@ -26,21 +26,25 @@ One eigendecomposition gives the values of z_s and, with each, its
 eigenvectors (``_pencil_values``): null vectors of M0 + z_s M1, which are
 the monomial vectors of the tuples sharing that z_s (the eigenvector method
 of hidden-variable elimination), and a shift in z1 separates them
-(``_pencil_points``).  Fully symmetric tensors use the critical binary form
-chart of ``eigen_symmetric``, whose attempt 0 does not rotate; its values
-come from ``_pencil_values`` too, one companion matrix per factor of an
-exact square-free decomposition.  Every chart hands over vectors only: one
-call of the batched kernel in ``_finalize_spectrum`` pairs them all.
+(``_pencil_points``: one stacked least-squares shift and eigendecomposition
+for all the clusters of one width).  Fully symmetric tensors use the
+critical binary form chart of ``eigen_symmetric``, whose attempt 0 does not
+rotate; its values come from ``_pencil_values`` too, one companion matrix
+per factor of an exact square-free decomposition.  Every chart hands over vectors only, and
+``_finalize_spectrum`` scores them in two batched kernel calls: one pairs
+the raw candidates and gives their Newton residuals, so that only the
+unconverged ones are polished, and one certifies the polished stack.
 
 The critical equations are scored by one batched kernel,
 ``_contract_batch``: it takes the group vectors of n tuples as an (n, s, 2)
 array and returns, from one ``np.einsum`` per slot, the all-but-one
 contractions y_j of every tuple, their pairings t(x, ..., x) and their
 residuals max_j |y_j - sigma x_j| (inf when not finite).  ``tuple_residual``
-is its one-row view, Newton's system takes its group rows from the same
-per-slot einsums, and the Jacobian's all-but-two blocks are one einsum
-each.  Every contraction, batched or not, is one call of
-``_contract_except``.
+is its certification view (pairings and residuals of a stack), Newton's
+system (``_newton_residuals``) takes its group rows from the same per-slot
+einsums, for a stack or for the one tuple being polished, and the
+Jacobian's all-but-two blocks are one einsum each.  Every contraction,
+batched or not, is one call of ``_contract_except``.
 
 Supported: full 2x2x2 tensors (six tuples), (2,1)-symmetric tensors (four),
 2x2 matrices (two), and fully symmetric tensors of any order (d tuples, via
@@ -206,26 +210,41 @@ def _contract_batch(
 
 
 def tuple_residual(
-    arr: np.ndarray, mu: Partition, group_vecs: Sequence[Sequence[complex]], sigma: complex
-) -> float:
-    """Worst defect of the critical equations over all slots; inf when it is not finite."""
-    return float(_contract_batch(arr, mu, _stack(mu, [group_vecs]), np.array([sigma]))[2][0])
+    arr: np.ndarray, mu: Partition, vecs: np.ndarray, sigma: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairings and certification residuals of an (n, s, 2) stack of tuples, from one kernel call.
+
+    Each residual is the worst defect of the critical equations over all
+    slots, with ``sigma`` the pairings unless given; inf when it is not finite.
+    """
+    _, pairings, residuals = _contract_batch(arr, mu, vecs, sigma)
+    return pairings, residuals
+
+
+def _newton_residuals(vecs: np.ndarray, sigma: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(n, 3s): Newton's system at n tuples of (n, s, 2) group vectors and (n,) ``sigma``.
+
+    ``ys`` (n, s, 2) holds the contractions at each group's first slot; the
+    rows are their defects y - sigma x, then q(x_k) - 1 per group.
+    """
+    defects = (ys - sigma[:, None, None] * vecs).reshape(len(vecs), 2 * vecs.shape[1])
+    return np.concatenate([defects, vecs[..., 0] ** 2 + vecs[..., 1] ** 2 - 1.0], axis=1)
 
 
 def _newton_polish_tuple(
-    arr: np.ndarray,
-    mu: Partition,
-    group_vecs: list[tuple[complex, complex]],
-    sigma: complex,
-) -> tuple[list[tuple[complex, complex]], complex]:
-    """At most 50 damped Gauss-Newton steps on (vectors, sigma) with the normalizations q(x_k) = 1."""
+    arr: np.ndarray, mu: Partition, x: np.ndarray, sigma: complex, f: np.ndarray, stop: float
+) -> np.ndarray:
+    """At most 50 damped Gauss-Newton steps on (vectors, sigma) with the normalizations q(x_k) = 1.
+
+    ``x`` holds the (s, 2) group vectors and ``f`` Newton's residual vector
+    there (``_newton_residuals``); the steps end once its norm is below
+    ``stop``.  Returns the polished (s, 2) vectors.
+    """
     s, firsts, group_of = mu.s, mu.firsts, list(mu.group_of)
-    x = np.array([list(v) for v in group_vecs], dtype=complex)  # (s, 2)
     sig = complex(sigma)
 
     def system(xv: np.ndarray, sg: complex) -> np.ndarray:
-        ys = _all_but_one(arr, xv[None, group_of], firsts)[0]  # (s, 2): y at each group's first slot
-        return np.concatenate([(ys - sg * xv).ravel(), xv[:, 0] ** 2 + xv[:, 1] ** 2 - 1.0])
+        return _newton_residuals(xv[None], np.array([sg]), _all_but_one(arr, xv[None, group_of], firsts))[0]
 
     def jacobian(xv: np.ndarray, sg: complex) -> np.ndarray:
         slot_vecs = xv[None, group_of]
@@ -248,11 +267,9 @@ def _newton_polish_tuple(
             row += 1
         return jac
 
-    f = system(x, sig)
     best = float(np.linalg.norm(f))
-    converged = 1e-14 * (1.0 + float(np.max(np.abs(arr))))
     for _ in range(50):
-        if best < converged:
+        if best < stop:
             break
         jac = jacobian(x, sig)
         step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
@@ -270,22 +287,29 @@ def _newton_polish_tuple(
             lam *= 0.5
         if not improved:
             break
-    return [tuple(row) for row in x], sig
+    return x
 
 
 # --- certification ------------------------------------------------------------
 
 
-def _keys_close(k1: tuple, k2: tuple) -> bool:
-    """Same singular pair: sigma^2 close and each normalized vector equal up to sign."""
-    if abs(k1[0] - k2[0]) > DEDUP_TOL * (1.0 + abs(k1[0]) + abs(k2[0])):
-        return False
-    for a, b in zip(k1[1], k2[1]):
-        same = max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-        flip = max(abs(a[0] + b[0]), abs(a[1] + b[1]))
-        if min(same, flip) > DEDUP_TOL:
-            return False
-    return True
+def _distinct(sigma_sq: np.ndarray, vecs: np.ndarray) -> list[int]:
+    """The indices of the n tuples (``vecs`` (n, s, 2)) that repeat no earlier kept one.
+
+    Two tuples are the same singular pair when their sigma^2 are within
+    DEDUP_TOL * (1 + |sigma_i^2| + |sigma_j^2|) and each group vector is
+    within DEDUP_TOL of the other's, up to sign.
+    """
+    mag = np.abs(sigma_sq)
+    apart = np.abs(sigma_sq[:, None] - sigma_sq) > DEDUP_TOL * (1.0 + mag[:, None] + mag)
+    same = np.abs(vecs[:, None] - vecs).max(axis=-1)
+    flip = np.abs(vecs[:, None] + vecs).max(axis=-1)
+    apart |= (np.minimum(same, flip) > DEDUP_TOL).any(axis=-1)
+    kept: list[int] = []
+    for i in range(len(vecs)):
+        if apart[i, kept].all():
+            kept.append(i)
+    return kept
 
 
 def _finalize_spectrum(
@@ -297,12 +321,15 @@ def _finalize_spectrum(
 ) -> Spectrum:
     """Polish, deduplicate, count and certify candidates (vectors, multiplicity) on ``t_orig``.
 
-    One kernel call pairs the raw candidates to seed Newton's sigma, and one
-    more pairs the polished, q-normalized ones.  Isotropic candidates and
-    repeats (``_keys_close``) are dropped; the rest, counted with
-    multiplicity, must number ed_degree(mu), each with residual at most
-    RESIDUAL_REL_TOL * |t|, or SolverFailureError.  Real sigma < 0 flips the
-    first odd group's vector.
+    Two kernel calls in all.  The first, over the raw candidates, seeds each
+    sigma and gives every candidate's Newton residual vector; only those
+    whose residual is not below Newton's stop bound 1e-14 (1 + max |t|) are
+    polished (``_newton_polish_tuple``), once each.  The second,
+    ``tuple_residual`` over the polished, q-normalized stack, gives the
+    pairings and residuals.  Isotropic candidates and repeats
+    (``_distinct``) are dropped; the rest, counted with multiplicity, must
+    number ed_degree(mu), each with residual at most RESIDUAL_REL_TOL * |t|,
+    or SolverFailureError.  Real sigma < 0 flips the first odd group's vector.
     """
     mu = t_orig.mu
     dense = expand(t_orig)
@@ -310,41 +337,44 @@ def _finalize_spectrum(
     norm = dense.norm() or 1.0
     odd_groups = [k for k, p in enumerate(mu.parts) if p % 2 == 1]
 
-    _, seeds, _ = _contract_batch(arr, mu, _stack(mu, [vecs for vecs, _ in raw]))
-    polished: list[tuple[list[tuple[complex, complex]], int]] = []
-    for (vecs, mult), sigma in zip(raw, seeds.tolist()):
-        vecs, _ = _newton_polish_tuple(arr, mu, list(vecs), sigma)
+    start = _stack(mu, [vecs for vecs, _ in raw])
+    ys, seeds, _ = _contract_batch(arr, mu, start)
+    newton = _newton_residuals(start, seeds, ys[:, list(mu.firsts)])
+    stop = 1e-14 * (1.0 + float(np.max(np.abs(arr))))
+    polished: list[list[tuple[complex, complex]]] = []
+    mults: list[int] = []
+    for (_, mult), x, sigma, f, size in zip(raw, start, seeds, newton, np.linalg.norm(newton, axis=1)):
+        if not size < stop:  # a NaN residual goes to Newton as well
+            x = _newton_polish_tuple(arr, mu, x, sigma, f, stop)
         try:
-            polished.append(([q_normalize(v) for v in vecs], mult))
+            polished.append([q_normalize(v) for v in x.tolist()])
         except IsotropicVectorError:
             continue
-    _, pairings, _ = _contract_batch(arr, mu, _stack(mu, [vecs for vecs, _ in polished]))
-
+        mults.append(mult)
+    vecs = _stack(mu, polished)
+    sigmas, residuals = tuple_residual(arr, mu, vecs)
+    kept = _distinct(sigmas * sigmas, vecs)
+    is_real = (np.abs(vecs.imag).max(axis=(1, 2), initial=0.0) <= 1e-8) & (
+        np.abs(sigmas.imag) <= 1e-8 * (1.0 + np.abs(sigmas))
+    )
+    if odd_groups:
+        # exact negation, same residual; 0j - sigma keeps an imaginary 0.0 positive
+        flip = is_real & (sigmas.real < 0)
+        vecs[flip, odd_groups[0]] = -vecs[flip, odd_groups[0]]
+        sigmas = np.where(flip, 0j - sigmas, sigmas)
     data: list[SingularDatum] = []
-    keys: list[tuple] = []
-    for (vecs, mult), sigma in zip(polished, pairings):
-        sigma = complex(sigma)
-        key = (sigma * sigma, tuple(vecs))
-        if any(_keys_close(key, k) for k in keys):
-            continue
-        keys.append(key)
-        res = tuple_residual(arr, mu, vecs, sigma)
-        imag_scale = max(max(abs(x[0].imag), abs(x[1].imag)) for x in vecs)
-        is_real = bool(imag_scale <= 1e-8 and abs(sigma.imag) <= 1e-8 * (1.0 + abs(sigma)))
-        if is_real and sigma.real < 0 and odd_groups:
-            # exact negation, same residual; 0j - sigma keeps an imaginary 0.0 positive
-            k = odd_groups[0]
-            vecs[k] = (-vecs[k][0], -vecs[k][1])
-            sigma = 0j - sigma
+    vec_rows, sigma_list, res_list = vecs.tolist(), sigmas.tolist(), residuals.tolist()
+    for i in kept:
+        sigma = sigma_list[i]
         datum = SingularDatum(
-            vectors=tuple(vecs),
+            vectors=tuple(map(tuple, vec_rows[i])),
             sigma=sigma,
             sigma_sq=sigma * sigma,
-            residual=res,
-            is_real=is_real,
+            residual=res_list[i],
+            is_real=bool(is_real[i]),
             chart_note=chart_note,
         )
-        data += [datum] * mult
+        data += [datum] * mults[i]
     expected = ed_degree(mu)
     if len(data) != expected:
         raise SolverFailureError(f"{len(data)} survivors (expected {expected})")
@@ -556,19 +586,33 @@ def _pencil_values(m0: np.ndarray, m1: np.ndarray) -> list[tuple[complex, np.nda
     return [(sum(zs[i] for i in cl) / len(cl), vectors[:, cl]) for cl in _cluster(zs)]
 
 
-def _pencil_points(table: _PencilMap, vectors: np.ndarray) -> list[tuple[complex, ...]]:
-    """The values of (z1, ..., z_{s-1}) at the k tuples whose monomial vectors span the (n, k) ``vectors``.
+def _pencil_points(table: _PencilMap, clusters: list[tuple[complex, np.ndarray]]) -> list[tuple[complex, ...]]:
+    """The values of (z1, ..., z_s) at the tuples of all ``_pencil_values`` clusters (z_s, (n, k) eigenvectors).
 
-    Shifting monomial m to z1 m is multiplication by z1 on each of those
-    vectors, so the k x k least-squares solution B of vectors[rows] B =
-    vectors[shifted] (the shape's cached shift tables, ``_pencil_map``) has
-    their z1 as eigenvalues, and each eigenvector c gives one monomial
-    vector v = vectors c, whose other variables are v[z_j] / v[1].
+    Shifting monomial m to z1 m is multiplication by z1 on the k tuples'
+    monomial vectors, which span a cluster's columns V, so the k x k
+    least-squares solution B = pinv(V[rows]) V[shifted] (the shape's cached
+    shift tables, ``_pencil_map``) has their z1 as eigenvalues, and each
+    eigenvector c gives one monomial vector v = V c, whose other variables
+    are v[z_j] / v[1].  The clusters of one width k are stacked: one
+    ``pinv``, one product and one ``eig`` per width.  The points come in the
+    order of the clusters.
     """
-    step, *_ = np.linalg.lstsq(vectors[table.rows], vectors[table.shifted], rcond=None)
-    z1s, coords = np.linalg.eig(step)
-    # table.monomials[0] is the monomial 1
-    return [(z1, *(v[u] / v[0] for u in table.units)) for z1, v in zip(z1s.tolist(), (vectors @ coords).T)]
+    widths: dict[int, list[int]] = {}
+    for i, (_, vectors) in enumerate(clusters):
+        widths.setdefault(vectors.shape[1], []).append(i)
+    points: list[list[tuple[complex, ...]]] = [[] for _ in clusters]
+    for members in widths.values():
+        stacked = np.stack([clusters[i][1] for i in members])  # (m, n, k)
+        step = np.linalg.pinv(stacked[:, table.rows]) @ stacked[:, table.shifted]
+        z1s, coords = np.linalg.eig(step)
+        heads = stacked @ coords
+        # table.monomials[0] is the monomial 1
+        others = (heads[:, list(table.units)] / heads[:, :1]).transpose(0, 2, 1)  # (m, k, s - 2)
+        for i, z1_row, other_rows in zip(members, z1s.tolist(), others.tolist()):
+            z = clusters[i][0]
+            points[i] = [(z1, *other, z) for z1, other in zip(z1_row, other_rows)]
+    return [point for cluster in points for point in cluster]
 
 
 def _solve_by_elimination(
@@ -588,11 +632,12 @@ def _solve_by_elimination(
     (x_k = (1, z_k)); no equation is built, and no table is rebuilt, per
     attempt.  Each eigenvalue cluster (``_pencil_values``) gives the last
     variable of as many tuples as its multiplicity, and ``_pencil_points``
-    reads the other variables of each off the cluster's eigenvectors with
-    the shape's cached shift tables.  The chart returns its
-    ed_degree(mu) candidates with multiplicity 1 and no sigma;
-    ``_first_certified`` unrotates them and ``_finalize_spectrum`` pairs,
-    polishes, deduplicates, counts and certifies them.
+    reads the other variables of all of them off the clusters' eigenvectors
+    with the shape's cached shift tables, in one stacked solve per cluster
+    width (one for generic input).  The chart returns its ed_degree(mu)
+    candidates with multiplicity 1 and no sigma; ``_first_certified``
+    unrotates them and ``_finalize_spectrum`` pairs them, polishes the
+    unconverged ones, deduplicates, counts and certifies them.
     """
     dense = expand(t)
     if rank_one is not None:
@@ -605,12 +650,11 @@ def _solve_by_elimination(
         cs = _rotation_pairs(rng, mu.s)
         m0, m1, table = _pencil(expand(rotate_cs(t, cs)).entries, mu)
         found: list[tuple[list[tuple[complex, complex]], int]] = []
-        for z, vectors in _pencil_values(m0, m1):
-            for head in _pencil_points(table, vectors):
-                try:
-                    found.append(([q_normalize((1.0 + 0j, w)) for w in (*head, z)], 1))
-                except IsotropicVectorError:
-                    continue
+        for point in _pencil_points(table, _pencil_values(m0, m1)):
+            try:
+                found.append(([q_normalize((1.0 + 0j, w)) for w in point], 1))
+            except IsotropicVectorError:
+                continue
         return cs, found, "elimination chart"
 
     return _first_certified(t, seed, salt, MAX_ROTATION_ATTEMPTS, chart)

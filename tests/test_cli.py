@@ -277,6 +277,22 @@ def test_nan_tolerance_exits_2(capsys, command, extra):
     assert "argument --tol: must be a number, got nan" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e400"])
+@pytest.mark.parametrize("command, extra", [("verify-product", ["--mu", "1,1,1"]), ("random-check", [])])
+def test_infinite_tolerance_exits_2(capsys, command, extra, value):
+    # an infinite tolerance passes a trial whose error is inf, so it checks nothing
+    code, out, err = run_or_exit(capsys, command, *extra, "--trials", "1", f"--tol={value}")
+    assert code == 2 and out == ""
+    assert f"argument --tol: must be finite, got {value}" in err
+
+
+@pytest.mark.parametrize("command, extra", [("verify-product", ["--mu", "1,1,1"]), ("random-check", [])])
+def test_finite_negative_tolerance_is_accepted(capsys, command, extra):
+    # a negative tolerance is a strict check that every trial fails, not a parse error
+    code, out, err = run_or_exit(capsys, command, *extra, "--trials", "1", "--tol=-1", "--format", "json")
+    assert code == 1 and json.loads(out)
+
+
 def test_invariants_takes_no_seed(capsys, diag_file):
     # closed-form invariants draw no random numbers
     code, out, err = run_or_exit(capsys, "invariants", "--input", diag_file, "--seed", "5")

@@ -515,17 +515,49 @@ def test_verify_product_is_scale_free(factor):
     assert not rep.degenerate and rep.rel_error < 1e-8
 
 
+def _newton_norm(arr, x):
+    """|F| of Newton's system at 2x2x2 group vectors ``x`` (3, 2), sigma their pairing, by explicit einsums."""
+    ys = [
+        np.einsum("abc,b,c->a", arr, x[1], x[2]),
+        np.einsum("abc,a,c->b", arr, x[0], x[2]),
+        np.einsum("abc,a,b->c", arr, x[0], x[1]),
+    ]
+    sigma = ys[0] @ x[0]
+    f = np.concatenate([*(y - sigma * xk for y, xk in zip(ys, x)), x[:, 0] ** 2 + x[:, 1] ** 2 - 1.0])
+    return float(np.linalg.norm(f))
+
+
 def test_solve_222_polishes_each_candidate_once(monkeypatch):
-    polish, calls = bts.spectral._newton_polish_tuple, []
+    # at most once, and only when Newton's residual is not below its stop bound
+    polish, finalize = bts.spectral._newton_polish_tuple, bts.spectral._finalize_spectrum
+    calls, raws = [], []
 
-    def spy(*args):
-        calls.append(args)
-        return polish(*args)
+    def spy_polish(arr, mu, x, *rest):
+        calls.append(x.copy())
+        return polish(arr, mu, x, *rest)
 
-    monkeypatch.setattr(bts.spectral, "_newton_polish_tuple", spy)
-    spec = solve_222(random_tensor(3, 3), seed=1)
-    assert all(d.chart_note.endswith("attempt=0") for d in spec.data)
-    assert len(calls) == 6
+    def spy_finalize(t, raw, *rest, **kw):
+        raws.append(raw)
+        return finalize(t, raw, *rest, **kw)
+
+    monkeypatch.setattr(bts.spectral, "_newton_polish_tuple", spy_polish)
+    monkeypatch.setattr(bts.spectral, "_finalize_spectrum", spy_finalize)
+    polished = skipped = 0
+    for seed in range(8):
+        t = random_tensor(seed + 3, 3)
+        calls.clear()
+        raws.clear()
+        spec = solve_222(t, seed=1)
+        assert all(d.chart_note.endswith("attempt=0") for d in spec.data)
+        (raw,) = raws
+        arr = expand(t).as_array().astype(complex)
+        stop = 1e-14 * (1.0 + float(np.max(np.abs(arr))))
+        # Newton's stop bound, recomputed here, picks the candidates to polish
+        due = [x for x in (np.array(vecs, dtype=complex) for vecs, _ in raw) if _newton_norm(arr, x) >= stop]
+        assert len(calls) == len(due) and all(np.array_equal(a, b) for a, b in zip(calls, due))
+        polished, skipped = polished + len(due), skipped + len(raw) - len(due)
+    # both branches ran
+    assert polished > 0 and skipped > 0
 
 
 def test_dispatch_mu_11_matrix():
@@ -627,7 +659,10 @@ def test_contraction_kernel_matches_exact_oracles(shape, seed):
         oracle = contraction(t, slot_vecs, slot + 1)
         assert list(y) == [complex(v) for v in oracle]
         worst = max(worst, *(abs(oracle[b] - sigma * slot_vecs[slot][b]) for b in (0, 1)))
-    assert bts.spectral.tuple_residual(arr, mu, group_vecs, complex(sigma)) == worst
+    pairings, residuals = bts.spectral.tuple_residual(
+        arr, mu, bts.spectral._stack(mu, [group_vecs]), np.array([complex(sigma)])
+    )
+    assert pairings[0] == pairing(t, slot_vecs) and residuals[0] == worst
 
 
 @pytest.mark.parametrize("shape", [(1,), 2, 3, 4, (2, 1), (3,), (8,)], ids=str)
@@ -651,9 +686,14 @@ def test_batched_contractions_match_exact_oracles(shape, n):
         for slot in range(mu.d):
             assert list(ys[i, slot]) == [complex(v) for v in contraction(t, slot_vecs, slot + 1)]
         assert pairings[i] == pairing(t, slot_vecs)
-        assert residuals[i] == bts.spectral.tuple_residual(arr, mu, tup, complex(sigma))
+        # a row scored alone equals its row of the batch
+        alone = bts.spectral.tuple_residual(arr, mu, vecs[i : i + 1], np.array([complex(sigma)]))
+        assert alone[0][0] == pairings[i] and alone[1][0] == residuals[i]
     _, _, own = bts.spectral._contract_batch(arr, mu, vecs)
-    assert list(own) == [bts.spectral.tuple_residual(arr, mu, tup, p) for tup, p in zip(tuples, pairings)]
+    batched = bts.spectral.tuple_residual(arr, mu, vecs)
+    assert list(batched[0]) == list(pairings) and list(batched[1]) == list(own)
+    alone = [bts.spectral.tuple_residual(arr, mu, vecs[i : i + 1], pairings[i : i + 1])[1][0] for i in range(n)]
+    assert list(own) == alone
 
 
 def test_finalize_pairs_every_candidate_in_one_kernel_call(monkeypatch):
@@ -666,10 +706,35 @@ def test_finalize_pairs_every_candidate_in_one_kernel_call(monkeypatch):
     monkeypatch.setattr(bts.spectral, "_contract_batch",
                         lambda arr, mu, vecs, sigma=None: sizes.append(len(vecs)) or original(arr, mu, vecs, sigma))
     again = bts.spectral._finalize_spectrum(tf, raw, "test")
-    # one pairing call over the raw candidates to seed Newton, one over the
-    # polished ones, then one residual row per survivor
-    assert sizes == [6, 6] + [1] * 6
+    # one call over the raw candidates to seed Newton and test convergence,
+    # one over the polished ones for the pairings and the residuals
+    assert sizes == [6, 6]
     assert [d.sigma_sq for d in again.data] == pytest.approx([d.sigma_sq for d in spec.data], rel=1e-12)
+
+
+def _residual_by_loops(t, vecs, sigma):
+    """max_j |y_j - sigma x_j| of one tuple, each y_j summed entry by entry over the dense tensor."""
+    dense = expand(t)
+    slot_vecs = [vecs[k] for k in t.mu.group_of]
+    worst = 0.0
+    for j in range(dense.d):
+        y = [0j, 0j]
+        for i, v in enumerate(dense.entries):
+            bits = index_to_bits(i, dense.d)
+            y[bits[j]] += complex(v) * math.prod(slot_vecs[l][bits[l]] for l in range(dense.d) if l != j)
+        worst = max(worst, *(abs(y[b] - sigma * slot_vecs[j][b]) for b in (0, 1)))
+    return worst
+
+
+@pytest.mark.parametrize("shape", [2, (2, 1), 3, (3,), (5,)], ids=str)
+@pytest.mark.parametrize("seed", range(4))
+def test_certification_residuals_match_a_per_tuple_contraction(shape, seed):
+    # the batched certification scores every survivor as one tuple scored alone would be
+    t = _seeded(np.random.default_rng(seed), shape, lambda rng: float(rng.uniform(-1.0, 1.0)))
+    spec = singular_values(t, seed=seed)
+    ulp = float(np.spacing(expand(t).norm()))
+    for d in spec.data:
+        assert abs(d.residual - _residual_by_loops(t, d.vectors, d.sigma)) <= 4 * ulp
 
 
 @pytest.mark.filterwarnings("error")
@@ -685,7 +750,7 @@ def test_non_finite_tuple_has_infinite_residual(defect):
         vecs[1][0] = complex(math.nan, 0.0)
     else:
         sigma = complex(math.inf, 0.0)
-    res = bts.spectral.tuple_residual(arr, t.mu, vecs, sigma)
+    _, (res,) = bts.spectral.tuple_residual(arr, t.mu, bts.spectral._stack(t.mu, [vecs]), np.array([sigma]))
     assert res == math.inf
     assert res > bts.spectral.RESIDUAL_REL_TOL * t.norm()
 
@@ -792,15 +857,47 @@ def test_pencil_recovers_tuples_that_share_the_last_variable(monkeypatch, shape,
     # and (y, x, w): a double eigenvalue, split by the shift in z1
     points, sizes = bts.spectral._pencil_points, []
 
-    def spy(table, vectors):
-        sizes.append(vectors.shape[1])
-        return points(table, vectors)
+    def spy(table, clusters):
+        sizes.extend(vectors.shape[1] for _, vectors in clusters)
+        return points(table, clusters)
 
     monkeypatch.setattr(bts.spectral, "_pencil_points", spy)
     spec = solve_222(expand(random_tensor(seed + 40, shape)), seed=seed)
     assert len(spec.data) == 6
     assert all(d.chart_note.endswith("attempt=0") for d in spec.data)
     assert max(sizes) >= 2 and sum(sizes) == 6
+
+
+def _points_per_cluster(table, clusters):
+    """The oracle of ``_pencil_points``: one least-squares shift and one eigendecomposition per cluster."""
+    out = []
+    for z, vectors in clusters:
+        step, *_ = np.linalg.lstsq(vectors[table.rows], vectors[table.shifted], rcond=None)
+        z1s, coords = np.linalg.eig(step)
+        out.append([(z1, *(v[u] / v[0] for u in table.units), z) for z1, v in zip(z1s, (vectors @ coords).T)])
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (3,), 3], ids=str)
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_point_recovery_matches_one_solve_per_cluster(shape, seed):
+    # dense views of (2,1) and (3,) tensors give clusters of width 2, random
+    # 2x2x2 tensors clusters of width 1
+    rng = np.random.default_rng(seed)
+    t = expand(random_tensor(seed + 40, shape))
+    cs = [(math.cos(a), math.sin(a)) for a in rng.uniform(0.0, 2.0 * math.pi, size=3)]
+    m0, m1, table = bts.spectral._pencil(expand(bts.spectral.rotate_cs(t, cs)).entries, t.mu)
+    clusters = bts.spectral._pencil_values(m0, m1)
+    widths = [vectors.shape[1] for _, vectors in clusters]
+    assert sum(widths) == 6 and max(widths) == (1 if shape == 3 else 2)
+    got = bts.spectral._pencil_points(table, clusters)
+    assert len(got) == 6
+    for want in _points_per_cluster(table, clusters):
+        # eig may order a cluster's points either way: match each to the nearest
+        for point in want:
+            gaps = [max(abs(a - b) / (1.0 + abs(b)) for a, b in zip(g, point)) for g in got[: len(want)]]
+            assert min(gaps) <= 1e-12
+        got = got[len(want) :]
 
 
 def _scaled(t, factor):

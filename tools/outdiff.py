@@ -6,23 +6,30 @@ Each tree's ``src/`` runs in its own interpreter over every ``*.json`` file of
 INPUT_DIR, calling ``bts.cli.main`` in-process once per command; an uncaught
 exception counts as the exit code ``uncaught <type>``.  Per file it runs
 ``svals`` and ``invariants`` with ``--format json`` and ``svals --format
-table``; the table is compared byte for byte.  Each tree also runs
-``verify-product --mu M --trials 20 --seed 611 --jobs 1 --format json`` for
-every shape M of NEW_TREE's ``SUPPORTED_PRODUCT_MU``, one kind per shape,
-and ``random-check --trials 100 --seed 611 --format json``, compared byte
-for byte.  Last, in the same interpreter, it runs the argument lists of
-PARSE_ARGVS (no command, ``--version``, ``--help``, a missing ``--input``,
-an unknown command, an unsupported ``--mu``), which show what the parser
-decides on a call that is not the first; these are compared on exit code,
-stdout and the whole of stderr, and a changed stderr counts as "message
-changed".  Per command and kind (the file name after its
-first ``-``: ``00012-sym3-exact`` is ``sym3-exact``) it counts outputs that
+table``.  Each tree also runs ``verify-product --mu M --trials 20 --seed 611
+--jobs 1 --format json`` for every shape M of NEW_TREE's
+``SUPPORTED_PRODUCT_MU``, one kind per shape, and ``random-check --trials
+100 --seed 611 --format json``, compared byte for byte.  Last, in the same
+interpreter, it runs the argument lists of PARSE_ARGVS (no command,
+``--version``, ``--help``, every subcommand's ``--help``, a missing
+``--input``, an unknown command, an unsupported ``--mu``), which show what
+the parser decides on a call that is not the first; these are compared on
+exit code, stdout and the whole of stderr, and a changed stderr counts as
+"message changed".  Per command and kind (the file name after its first
+``-``: ``00012-sym3-exact`` is ``sym3-exact``) it counts outputs that
 are identical (same exit code, same stdout), numerically equal, or
 different, and every exit-code change.  A ``svals`` output is numerically
 equal when both exit 0 with the same ``mu``, ``ed_degree``, ``degenerate``,
 ``notes``, data count and ``is_real`` multiset, sigma^2 matched and the best
 rank-one squared distance within REL_TOL * q~(t), and ``edpoly_dual``
-within REL_TOL of its largest coefficient.  A ``verify-product`` output is
+within REL_TOL of its largest coefficient.  A ``svals`` table is
+numerically equal when both exit 0 with the same header lines, row count
+and ``real`` flags, each printed sigma^2 within REL_TOL * q~(t) plus its
+printed rounding and each sigma within the square root of that, each dual
+coefficient within REL_TOL of the largest plus its rounding, the best
+rank-one distances within REL_TOL * q~(t) of each other squared, and both
+residual columns at most 1e-9 * sqrt(q~(t)), the noise level that
+certification allows.  A ``verify-product`` output is
 numerically equal when both exit with the same code, every field but
 ``lhs``, ``rhs``, ``rel_error`` and ``max_rel_error`` is equal (the trial
 set, the error rows, ``failures``), each ``lhs`` and ``rhs`` is within
@@ -30,7 +37,8 @@ REL_TOL relative and each ``rel_error`` and ``max_rel_error`` within
 REL_TOL absolute.  A different ``svals`` output that
 keeps that structure also prints its worst sigma^2 gap over q~(t) and over
 |sigma^2|, which tells an ill-conditioned complex pair from a real change; a
-numerically equal ``verify-product`` kind prints its worst ``lhs`` gap.
+numerically equal ``svals`` kind prints its worst sigma^2 gap over q~(t) and
+a numerically equal ``verify-product`` kind its worst ``lhs`` gap.
 Runs that exit with the same non-zero code on both sides are also compared
 on the last ``error:`` line of their stderr and counted as "message changed"
 when it differs; only that line is compared, since warnings printed before
@@ -41,8 +49,10 @@ change or changed message.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import re
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -50,7 +60,9 @@ from pathlib import Path
 
 REL_TOL = 1e-12
 COMMANDS = (("svals", "json"), ("invariants", "json"), ("svals", "table"))
-PARSE_ARGVS = ([], ["--version"], ["--help"], ["svals"], ["nope"], ["verify-product", "--mu", "9"])
+SUBCOMMANDS = ("svals", "edpoly", "invariants", "degrees", "verify-product", "random-check")
+PARSE_ARGVS = ([], ["--version"], ["--help"], *([name, "--help"] for name in SUBCOMMANDS),
+               ["svals"], ["nope"], ["verify-product", "--mu", "9"])
 
 PRODUCT_ARGS = ("--trials", "20", "--seed", "611", "--jobs", "1", "--format", "json")
 RANDOM_CHECK_ARGS = ("--trials", "100", "--seed", "611", "--format", "json")
@@ -150,6 +162,82 @@ def product_lhs_gap(a: dict, b: dict) -> float | None:
     return worst
 
 
+ROW = re.compile(r"^\s*\d+\s+(\S+)\s+(\S+)\s+(\S+)\s+(True|False)$")
+NUMBER = r"[+-]?(?:inf|nan|\d+\.?\d*(?:e[+-]\d+)?)"
+COMPLEX = re.compile(rf"^({NUMBER})({NUMBER})i$")
+DISTANCE = "best rank-one distance: "
+
+
+def _printed(text: str) -> tuple[float, float]:
+    """A printed float and half the unit of its last digit (0 for zero, which ``g`` prints only when exact)."""
+    value = float(text)
+    mantissa, _, exponent = text.partition("e")
+    places = len(mantissa.partition(".")[2])
+    return value, (0.5 * 10.0 ** (int(exponent or 0) - places) if value and math.isfinite(value) else 0.0)
+
+
+def _printed_complex(text: str) -> list[tuple[float, float]]:
+    """The real and imaginary parts of a table entry (``1.5`` or ``1.5-2e-07i``), each as ``_printed``."""
+    match = COMPLEX.match(text)
+    return [_printed(text), (0.0, 0.0)] if match is None else [_printed(match[1]), _printed(match[2])]
+
+
+def _within(a: str, b: str, tol: float) -> bool:
+    """Both table entries' parts within ``tol`` plus their printed rounding; non-finite ones equal as text."""
+    pa, pb = _printed_complex(a), _printed_complex(b)
+    if not all(math.isfinite(v) for v, _ in pa + pb):
+        return a == b
+    return all(abs(x - y) <= tol + rx + ry for (x, rx), (y, ry) in zip(pa, pb))
+
+
+def _table_parts(text: str) -> tuple[list[str], list[tuple[str, ...]], list[str], str | None]:
+    """A ``svals`` table as its frame (every other line), rows, dual coefficients and best rank-one distance."""
+    frame, rows, coeffs, dist = [], [], [], None
+    for line in text.splitlines():
+        if row := ROW.match(line):
+            rows.append(row.groups())
+            frame.append("row")
+        elif line.startswith("   ["):
+            coeffs = ast.literal_eval(line.strip())
+            frame.append(f"coefficients {len(coeffs)}")
+        elif line.startswith(DISTANCE):
+            dist = line[len(DISTANCE):]
+            frame.append("distance")
+        else:
+            frame.append(line)
+    return frame, rows, coeffs, dist
+
+
+def table_gap(a: str, b: str) -> float | None:
+    """Worst sigma^2 gap over q~(t) of two ``svals`` tables, or None unless numerically equal.
+
+    Equal when the header lines, the row count and the ``real`` flags match;
+    each sigma^2 is within REL_TOL * q~(t), each sigma within the square root
+    of that, and each dual coefficient within REL_TOL of the largest, each
+    plus its printed rounding; the best rank-one distances are within
+    REL_TOL * q~(t) squared; and both residual columns are at most
+    1e-9 * sqrt(q~(t)).
+    """
+    (frame_a, rows_a, ca, da), (frame_b, rows_b, cb, db) = _table_parts(a), _table_parts(b)
+    if frame_a != frame_b or [r[3] for r in rows_a] != [r[3] for r in rows_b] or len(ca) != len(cb):
+        return None
+    qt = float(frame_a[0].rpartition("= ")[2]) or 1.0
+    bound, worst = REL_TOL * qt, 0.0
+    for (sq_a, sig_a, res_a, _), (sq_b, sig_b, res_b, _) in zip(rows_a, rows_b):
+        if not (_within(sq_a, sq_b, bound) and _within(sig_a, sig_b, math.sqrt(bound))):
+            return None
+        if max(float(res_a), float(res_b)) > 1e-9 * math.sqrt(qt):
+            return None
+        gaps = [abs(x - y) for (x, _), (y, _) in zip(_printed_complex(sq_a), _printed_complex(sq_b))]
+        worst = max(worst, max(gaps) / qt)
+    top = max((abs(float(c)) for c in ca), default=0.0) or 1.0
+    if not all(_within(x, y, REL_TOL * top) for x, y in zip(ca, cb)):
+        return None
+    if da is not None and not _within(da, db, bound / (float(da) + float(db) or 1.0)):
+        return None
+    return worst
+
+
 def kind_of(path: Path) -> str:
     head, _, rest = path.stem.partition("-")
     return rest if head.isdigit() and rest else path.stem
@@ -192,6 +280,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"message changed: {label}")
         elif a["out"] == b["out"]:
             tally["identical"] += 1
+        elif command == "svals --format table" and a["code"] == 0:
+            gap = table_gap(a["out"], b["out"])
+            if gap is None:
+                tally["different"] += 1
+                print(f"different: {label}")
+            else:
+                tally["numerically equal"] += 1
+                worst[kind] = max(worst[kind], gap)
         elif command == "verify-product" and a["code"] in (0, 1):
             gap = product_lhs_gap(json.loads(a["out"]), json.loads(b["out"]))
             if gap is None:
