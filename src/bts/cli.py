@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -318,6 +317,8 @@ def cmd_verify_product(args) -> int:
     jobs = args.jobs or os.cpu_count() or 1
     work = [(tuple(mu.parts), args.seed, trial) for trial in range(args.trials)]
     if jobs > 1 and args.trials > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: only --jobs > 1 pays for it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_one_trial, work))
     else:
@@ -464,9 +465,10 @@ def cmd_degrees(args) -> int:
 
 def cmd_random_check(args) -> int:
     failures: list[str] = []
-    checked = 0
+    checked = clean = 0
     for trial in range(args.trials):
         seed = args.seed + trial
+        failed_before = len(failures)
         t3 = random_tensor(seed, 3)
         try:
             inv = invariants_222(t3)  # internal dual-path cross-asserts
@@ -486,10 +488,11 @@ def cmd_random_check(args) -> int:
             checked += 1
         except (FormulaCrossCheckError, DegenerateInputError) as exc:
             failures.append(f"trial {trial}: {exc}")
+        clean += len(failures) == failed_before
     doc = {"trials": args.trials, "checked": checked, "failures": failures}
 
     def table(doc):
-        print(f"random-check: {doc['checked']}/{doc['trials']} trials clean")
+        print(f"random-check: {clean}/{doc['trials']} trials clean")
         for f in doc["failures"]:
             print("  FAIL", f)
 

@@ -6,11 +6,15 @@ cross-asserted at construction time (exact equality on rational input,
 expressions fails loudly instead of corrupting downstream results.
 
 Rational input is evaluated over the integers: the entries are multiplied
-by their common denominator D once, both paths run on ``int`` and Gaussian
-integers (where a printed form divides, the cross-check is multiplied
-through), and each value is divided by D to the power of its degree once,
-at the end.  The polynomials are homogeneous, so the values are the same
-rationals, only without a gcd after every product.
+by their common denominator D once, both paths run on ``int`` (where a
+printed form divides, the cross-check is multiplied through), and each value
+is divided by D to the power of its degree once, at the end.  The
+polynomials are homogeneous, so the values are the same rationals, only
+without a gcd after every product.  Complex intermediates (u-coordinates,
+determinants of complexified slices) are explicit (re, im) pairs multiplied
+as Python multiplies complex numbers, so int and float entries share one
+code path and float values keep the bits of complex arithmetic; ``QQi``
+appears only in the record's phi_1 and in the order-4 hyperdeterminant.
 
 The four degree-two invariants theta_i and the quartic phi generate the
 rotation-invariant ring of the 2x2x2 format together with the conjugate pair
@@ -29,18 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .scalars import QQi, Scalar
-from .tensor import (
-    BinaryTensor,
-    MuTensor,
-    compress,
-    expand,
-    permute_slots,
-    slice_tensor,
-    to_u_coordinates,
-)
+from .tensor import BinaryTensor, MuTensor, compress, expand, permute_slots, slice_tensor
 
 
 class FormulaCrossCheckError(RuntimeError):
@@ -75,12 +72,12 @@ class InvariantSet222:
     exact: bool
 
 
-def _cleared(t: BinaryTensor) -> tuple[BinaryTensor, int]:
-    """(D t, D): D the least common denominator of the rational entries, so D t has int entries."""
+def _cleared(t: BinaryTensor) -> tuple[tuple[int, ...], int]:
+    """(the entries of D t, D): D the least common denominator of the rational entries, so D t has int entries."""
     if not all(isinstance(v, (int, Fraction)) for v in t.entries):
         raise TypeError("exact invariants need real rational entries")
     den = math.lcm(*(v.denominator for v in t.entries))
-    return BinaryTensor(t.d, tuple(v.numerator * (den // v.denominator) for v in t.entries)), den
+    return tuple(v.numerator * (den // v.denominator) for v in t.entries), den
 
 
 def theta_t_forms(e: Sequence[Scalar]) -> tuple[Scalar, Scalar, Scalar, Scalar]:
@@ -127,37 +124,44 @@ def hyperdet_222(e: Sequence[Scalar]) -> Scalar:
     return (m1 + m2) ** 2 - 4 * m3 * m4
 
 
-def _complexify(a: Sequence[Scalar], b: Sequence[Scalar], sign: int, exact: bool) -> list[Scalar]:
-    """Entrywise a + sign * i * b: Gaussian integers or rationals on exact input, complex otherwise."""
-    i_unit: Scalar = QQi(0, sign) if exact else sign * 1j
-    return [i_unit * y + (x if exact else complex(x)) for x, y in zip(a, b)]
+def _gauss_mul(x: tuple[Scalar, Scalar], y: tuple[Scalar, Scalar]) -> tuple[Scalar, Scalar]:
+    """The product of two (re, im) pairs, grouped as Python multiplies complex numbers."""
+    (xr, xi), (yr, yi) = x, y
+    return xr * yr - xi * yi, xr * yi + xi * yr
 
 
-def _real_value(value: Scalar, t: BinaryTensor, degree: int, what: str) -> Scalar:
-    """The real part of a conjugate product of degree ``degree`` in t, checked to be real.
+def _norm(z: tuple[Scalar, Scalar]) -> Scalar:
+    """|z|^2 of an (re, im) pair."""
+    re, im = z
+    return re * re + im * im
 
-    Exact input must give an imaginary part of exactly zero; float input one
-    within 1e-12 * max(1, |t|^degree).
+
+def _gauss_det2(re: Sequence[Scalar], im: Sequence[Scalar]) -> tuple[Scalar, Scalar]:
+    """(re, im) of the determinant of the row-major 2x2 matrix re + i im, grouped as ``_det2`` on complex entries."""
+    r0, r1, r2, r3 = re
+    i0, i1, i2, i3 = im
+    return (r0 * r3 - i0 * i3) - (r1 * r2 - i1 * i2), (r0 * i3 + i0 * r3) - (r1 * i2 + i1 * r2)
+
+
+@cache
+def _slice_index(d: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """The flat indices of slice(j, 0) and slice(j, 1) of an order-d tensor: the slices of the tensor of indices."""
+    positions = BinaryTensor(d, tuple(range(1 << d)))
+    return tuple(slice_tensor(positions, j, bit).entries for bit in (0, 1))
+
+
+def _slice_factor(e: Sequence[Scalar], d: int, j: int, exact: bool) -> Scalar:
+    """f_{d,{j}} of the dense order-3 or order-4 entries e, in their scalars.
+
+    The conjugate product of the determinants of a +- i b (a, b the slot-j
+    slices) is the norm of the first: det(a - i b) is the exact conjugate of
+    det(a + i b), in floats too.
     """
-    if t.exact:
-        assert isinstance(value, QQi)
-        _require(value.im == 0, f"{what} not real")
-        return value.re
-    value = complex(value)
-    _require(abs(value.imag) <= 1e-12 * max(1.0, t.norm() ** degree), f"{what} imaginary part too large")
-    return value.real
-
-
-def _slice_factor(dense: BinaryTensor, j: int) -> Scalar:
-    """f_{d,{j}} of a dense order-3 or order-4 tensor, in the scalars of its entries."""
-    a, b = (slice_tensor(dense, j, bit).entries for bit in (0, 1))
-    exact = dense.exact
-    plus, minus = (_complexify(a, b, sign, exact) for sign in (1, -1))
-    if dense.d == 3:
-        value = _det2(*plus) * _det2(*minus)
-    else:
-        value = hyperdet_222(plus) * hyperdet_222(minus)
-    return _real_value(value, dense, 4 if dense.d == 3 else 8, f"slice factor {j}")
+    a, b = ([e[i] for i in index] for index in _slice_index(d, j))
+    if d == 3:
+        return _norm(_gauss_det2(a, b))
+    h = hyperdet_222([QQi(x, y) if exact else complex(x, y) for x, y in zip(a, b)])
+    return _norm((h.re, h.im) if exact else (h.real, h.imag))
 
 
 def slice_factor(t: BinaryTensor | MuTensor, j: int) -> Scalar:
@@ -171,9 +175,9 @@ def slice_factor(t: BinaryTensor | MuTensor, j: int) -> Scalar:
     if dense.d not in (3, 4):
         raise ValueError("slice factors implemented for orders 3 and 4")
     if not dense.exact:
-        return _slice_factor(dense, j)
-    scaled, den = _cleared(dense)
-    return Fraction(_slice_factor(scaled, j), den ** (4 if dense.d == 3 else 8))
+        return _slice_factor(dense.entries, dense.d, j, False)
+    e, den = _cleared(dense)
+    return Fraction(_slice_factor(e, dense.d, j, True), den ** (4 if dense.d == 3 else 8))
 
 
 def _agree(value: Scalar, num: Scalar, den: int, exact: bool) -> bool:
@@ -181,6 +185,25 @@ def _agree(value: Scalar, num: Scalar, den: int, exact: bool) -> bool:
     if exact:
         return den * value == num
     return _close(value, num / den, False)
+
+
+# the pairs (a, b) of an order-3 index, one slot at a time from the first: b is a with the slot's bit set
+_SLOT_PAIRS = tuple((i, i | bit) for bit in (4, 2, 1) for i in range(8) if not i & bit)
+
+
+def _u_coordinates(e: Sequence[Scalar]) -> list[tuple[Scalar, Scalar]]:
+    """The u-coordinates of real order-3 entries e, as (re, im) pairs in the entries' scalars.
+
+    u holds the coefficients in the isotropic basis z_0 = x_0 + i x_1,
+    z_1 = x_0 - i x_1: every slot maps its pair (a, b) to (a - i b, a + i b),
+    and the entry at the bitwise complement of I is the conjugate of the
+    entry at I.
+    """
+    re, im = list(e), [0] * 8
+    for i, k in _SLOT_PAIRS:
+        ar, ai, br, bi = re[i], im[i], re[k], im[k]
+        re[i], im[i], re[k], im[k] = ar + bi, ai - br, ar - bi, ai + br
+    return list(zip(re, im))
 
 
 def _cleared_invariants_222(t: BinaryTensor | MuTensor) -> tuple[InvariantSet222, int]:
@@ -194,37 +217,24 @@ def _cleared_invariants_222(t: BinaryTensor | MuTensor) -> tuple[InvariantSet222
     if dense.d != 3:
         raise ValueError(f"need order 3, got {dense.d}")
     exact = dense.exact
-    den = 1
-    if exact:
-        dense, den = _cleared(dense)
-    e = dense.entries
+    e, den = _cleared(dense) if exact else (dense.entries, 1)
 
     theta_a = theta_t_forms(e)
     phi_a = phi_t_form(e)
 
-    u = to_u_coordinates(dense).entries
+    u = _u_coordinates(e)
     # u indexed by bits (i1 i2 i3): products with the complementary index are real
-    theta_b = (u[0b000] * u[0b111], u[0b001] * u[0b110], u[0b010] * u[0b101], u[0b011] * u[0b100])
-    phi1 = u[0b001] * u[0b010] * u[0b100] * u[0b111]
-    phi2 = u[0b000] * u[0b011] * u[0b101] * u[0b110]
-
+    theta_b = [_gauss_mul(u[k], u[0b111 - k]) for k in range(4)]
+    phi1 = _gauss_mul(_gauss_mul(_gauss_mul(u[0b001], u[0b010]), u[0b100]), u[0b111])
+    phi2 = _gauss_mul(_gauss_mul(_gauss_mul(u[0b000], u[0b011]), u[0b101]), u[0b110])
     if exact:
-        theta_b_real = []
-        for k, v in enumerate(theta_b):
-            assert isinstance(v, QQi)
-            _require(v.im == 0, f"theta_{k + 1} from u-products not real")
-            theta_b_real.append(v.re)
-        s = phi1 + phi2
-        assert isinstance(s, QQi)
-        _require(s.im == 0, "phi1 + phi2 not real")
-        phi_b_twice: Scalar = s.re
-    else:
-        theta_b_real = [complex(v).real for v in theta_b]
-        phi_b_twice = (complex(phi1) + complex(phi2)).real
+        for k, (_, im) in enumerate(theta_b):
+            _require(im == 0, f"theta_{k + 1} from u-products not real")
+        _require(phi1[1] + phi2[1] == 0, "phi1 + phi2 not real")
 
     for k in range(4):
-        _require(_close(theta_a[k], theta_b_real[k], exact), f"theta_{k + 1} paths disagree")
-    _require(_agree(phi_a, phi_b_twice, 2, exact), "phi paths disagree")
+        _require(_close(theta_a[k], theta_b[k][0], exact), f"theta_{k + 1} paths disagree")
+    _require(_agree(phi_a, phi1[0] + phi2[0], 2, exact), "phi paths disagree")
 
     th1, th2, th3, th4 = theta_a
     pairs = th1 * th2 + th1 * th3 + th1 * th4 + th2 * th3 + th2 * th4 + th3 * th4
@@ -242,15 +252,15 @@ def _cleared_invariants_222(t: BinaryTensor | MuTensor) -> tuple[InvariantSet222
     )
     f3 = []
     for j in range(1, 4):
-        fa = _slice_factor(dense, j)
+        fa = _slice_factor(e, 3, j, exact)
         _require(_agree(fa, combos[j - 1], 16, exact), f"f_(3,{{{j}}}) paths disagree")
         f3.append(fa)
 
     prod_theta = th1 * th2 * th3 * th4
-    norm_phi1 = phi1.norm_sq() if isinstance(phi1, QQi) else abs(complex(phi1)) ** 2
-    _require(_close(prod_theta, norm_phi1, exact, tol=1e-9), "theta product vs |phi1|^2")
+    _require(_close(prod_theta, _norm(phi1), exact, tol=1e-9), "theta product vs |phi1|^2")
 
-    record = InvariantSet222(theta=tuple(theta_a), phi=phi_a, phi1=phi1, det=det_a, f3=tuple(f3), exact=exact)
+    record = InvariantSet222(theta=tuple(theta_a), phi=phi_a, phi1=QQi(*phi1) if exact else complex(*phi1),
+                             det=det_a, f3=tuple(f3), exact=exact)
     return record, den
 
 
@@ -354,19 +364,17 @@ def pair_factor_4(t: BinaryTensor, pair: tuple[int, int] = (1, 2)) -> Scalar:
         raise ValueError(f"bad pair {pair}")
     order = [j - 1, k - 1] + [l for l in range(4) if l not in (j - 1, k - 1)]
     u = permute_slots(t, order)
-    exact = u.exact
-    den = 1
-    if exact:
-        u, den = _cleared(u)
+    e, den = _cleared(u) if u.exact else (u.entries, 1)
     # the matrix slices t^(rs), row-major, in the order t^00, t^01, t^10, t^11
-    m = [u.entries[4 * rs : 4 * rs + 4] for rs in range(4)]
-    dets = []
-    for outer in (1, -1):
-        a = _complexify(m[0], m[2], outer, exact)  # t00 +- i t10
-        b = _complexify(m[1], m[3], outer, exact)  # t01 +- i t11
-        dets.extend(_det2(*_complexify(a, b, inner, exact)) for inner in (1, -1))
-    value = _real_value(dets[0] * dets[1] * dets[2] * dets[3], t, 8, "pair factor")
-    return Fraction(value, den**8) if exact else value
+    m00, m01, m10, m11 = (e[4 * rs : 4 * rs + 4] for rs in range(4))
+    # the determinants of (t00 +- i t10) +- i (t01 +- i t11) are d0, d1 and their conjugates,
+    # multiplied in that order so that floats keep the bits of the complex product
+    d0 = _gauss_det2([p - s for p, s in zip(m00, m11)], [q + r for q, r in zip(m01, m10)])
+    d1 = _gauss_det2([p + s for p, s in zip(m00, m11)], [r - q for q, r in zip(m01, m10)])
+    value = d0
+    for d in (d1, (d1[0], -d1[1]), (d0[0], -d0[1])):
+        value = _gauss_mul(value, d)
+    return Fraction(value[0], den**8) if u.exact else value[0]
 
 
 def isotropic_factor_symmetric(c: MuTensor) -> Scalar:

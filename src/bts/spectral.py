@@ -43,8 +43,9 @@ residuals max_j |y_j - sigma x_j| (inf when not finite).  ``tuple_residual``
 is its certification view (pairings and residuals of a stack), Newton's
 system (``_newton_residuals``) takes its group rows from the same per-slot
 einsums, for a stack or for the one tuple being polished, and the
-Jacobian's all-but-two blocks are one einsum each.  Every contraction,
-batched or not, is one call of ``_contract_except``.
+Jacobian (``_jacobian``) takes one einsum per distinct pair of slots it
+leaves out, placed by a per-shape plan (``_jacobian_plan``).  Every
+contraction, batched or not, is one call of ``_contract_except``.
 
 Supported: full 2x2x2 tensors (six tuples), (2,1)-symmetric tensors (four),
 2x2 matrices (two), and fully symmetric tensors of any order (d tuples, via
@@ -231,6 +232,60 @@ def _newton_residuals(vecs: np.ndarray, sigma: np.ndarray, ys: np.ndarray) -> np
     return np.concatenate([defects, vecs[..., 0] ** 2 + vecs[..., 1] ** 2 - 1.0], axis=1)
 
 
+class _JacobianPlan(NamedTuple):
+    """The all-but-two blocks of Newton's Jacobian for one shape (``_jacobian_plan``)."""
+
+    pairs: tuple[tuple[int, int], ...]  # the distinct slot pairs, ascending, each contracted once per step
+    blocks: tuple[tuple[int, int, int, bool, int], ...]  # (row, column, pair, transpose, count)
+    eye: tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, columns and values of the 2x2 identities -sigma scales
+
+
+@cache
+def _jacobian_plan(mu: Partition) -> _JacobianPlan:
+    """Where each all-but-two contraction goes in the Jacobian of ``_newton_residuals``.
+
+    Row block k (group k's first slot) and column block m (group m's vector)
+    hold count times the contraction of every slot but k's first and one
+    other slot of group m, m's first or, for m = k, its second; count is the
+    number of group m's slots that are not k's first.
+    """
+    firsts, pairs, blocks = mu.firsts, [], []
+    for k in range(mu.s):
+        for m in range(mu.s):
+            count = mu.parts[m] - (1 if m == k else 0)
+            if count > 0:
+                other = firsts[m] + (1 if m == k else 0)
+                pair = tuple(sorted((firsts[k], other)))
+                if pair not in pairs:
+                    pairs.append(pair)
+                blocks.append((2 * k, 2 * m, pairs.index(pair), firsts[k] > other, count))
+    group, i, j = np.indices((mu.s, 2, 2)).reshape(3, -1)
+    eye = (2 * group + i, 2 * group + j, (i == j).astype(float))
+    for arr in eye:
+        arr.flags.writeable = False
+    return _JacobianPlan(tuple(pairs), tuple(blocks), eye)
+
+
+def _jacobian(arr: np.ndarray, mu: Partition, x: np.ndarray, sigma: complex) -> np.ndarray:
+    """The (3s, 2s + 1) Jacobian of Newton's system at the (s, 2) group vectors ``x`` and ``sigma``.
+
+    Columns: the group vectors, then sigma; rows: the defects of each group's
+    first slot, then the normalizations q(x_k) = 1.
+    """
+    s, plan = mu.s, _jacobian_plan(mu)
+    slot_vecs = x[None, list(mu.group_of)]
+    mats = [_contract_except(arr, slot_vecs, keep=pair)[0] for pair in plan.pairs]
+    jac = np.zeros((3 * s, 2 * s + 1), dtype=complex)
+    for row, col, pair, transpose, count in plan.blocks:
+        jac[row : row + 2, col : col + 2] += count * (mats[pair].T if transpose else mats[pair])
+    rows, cols, ones = plan.eye
+    jac[rows, cols] -= sigma * ones
+    flat = np.arange(2 * s)
+    jac[flat, 2 * s] = -x.ravel()
+    jac[2 * s + flat // 2, flat] = 2.0 * x.ravel()
+    return jac
+
+
 def _newton_polish_tuple(
     arr: np.ndarray, mu: Partition, x: np.ndarray, sigma: complex, f: np.ndarray, stop: float
 ) -> np.ndarray:
@@ -246,32 +301,11 @@ def _newton_polish_tuple(
     def system(xv: np.ndarray, sg: complex) -> np.ndarray:
         return _newton_residuals(xv[None], np.array([sg]), _all_but_one(arr, xv[None, group_of], firsts))[0]
 
-    def jacobian(xv: np.ndarray, sg: complex) -> np.ndarray:
-        slot_vecs = xv[None, group_of]
-        jac = np.zeros((3 * s, 2 * s + 1), dtype=complex)
-        row = 0
-        for k in range(s):
-            for m in range(s):
-                count = mu.parts[m] - (1 if m == k else 0)
-                if count > 0:
-                    other = firsts[m] + (1 if m == k else 0)
-                    mat = _contract_except(arr, slot_vecs, keep=(firsts[k], other))[0]
-                    if firsts[k] > other:
-                        mat = mat.T
-                    jac[row : row + 2, 2 * m : 2 * m + 2] += count * mat
-            jac[row : row + 2, 2 * k : 2 * k + 2] -= sg * np.eye(2)
-            jac[row : row + 2, 2 * s] = -xv[k]
-            row += 2
-        for k in range(s):
-            jac[row, 2 * k : 2 * k + 2] = 2.0 * xv[k]
-            row += 1
-        return jac
-
     best = float(np.linalg.norm(f))
     for _ in range(50):
         if best < stop:
             break
-        jac = jacobian(x, sig)
+        jac = _jacobian(arr, mu, x, sig)
         step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
         lam = 1.0
         improved = False

@@ -282,26 +282,6 @@ def rotate(t: BinaryTensor | MuTensor, angles: Sequence[float]) -> BinaryTensor 
     return rotate_cs(t, [(math.cos(a), math.sin(a)) for a in angles])
 
 
-def to_u_coordinates(t: BinaryTensor) -> BinaryTensor:
-    """Coefficients of t in the isotropic basis z_0 = x_0 + i x_1, z_1 = x_0 - i x_1.
-
-    u_I = sum_J i^{|J|} (-1)^{sum_l (1-i_l) j_l} t_J.  The sum factors per
-    slot: every slot maps its pair (a, b) to (a - i b, a + i b).  For real t
-    the entry at the bitwise complement of I is the complex conjugate of the
-    entry at I.  Exact input yields exact entries: Gaussian integers on int
-    input, Gaussian rationals otherwise.
-    """
-    if t.exact:
-        one, i = QQi(1, 0), QQi(0, 1)
-        entries: list[Scalar] = list(t.entries)
-    else:
-        one, i = 1.0 + 0j, 1j
-        entries = [complex(v) for v in t.entries]
-    for slot in range(t.d):
-        _apply_slot_map(entries, t.d, slot, ((one, -i), (one, i)))
-    return BinaryTensor(t.d, tuple(entries))
-
-
 def random_tensor(
     seed: int,
     shape: int | Partition | Iterable[int],
@@ -314,15 +294,16 @@ def random_tensor(
     tensor; a partition gives a compressed tensor with random box coordinates.
     """
     rng = np.random.default_rng(seed)
-    scale = Fraction(scale)
 
-    def draw() -> Fraction:
-        return snap_to_dyadic(float(rng.uniform(-1.0, 1.0))) * scale
+    def draw(n: int) -> list[Fraction]:
+        values = [snap_to_dyadic(x) for x in rng.uniform(-1.0, 1.0, size=n).tolist()]
+        return values if scale == 1 else [v * Fraction(scale) for v in values]
 
     if isinstance(shape, int):
-        return BinaryTensor(shape, tuple(draw() for _ in range(1 << shape)))
+        return BinaryTensor(shape, tuple(draw(1 << shape)))
     mu = _as_partition(shape)
-    return MuTensor(mu, {om: draw() for om in mu_box(mu)})
+    box = mu_box(mu)
+    return MuTensor(mu, dict(zip(box, draw(len(box)))))
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from bts.tensor import BinaryTensor, bombieri, rank_one_tensor
+from bts.scalars import QQi
+from bts.tensor import BinaryTensor, _apply_slot_map, bombieri, rank_one_tensor
 
 
 def pairing(t, xs):
@@ -17,6 +18,27 @@ def pairing(t, xs):
 def contraction(t, xs, j):
     """(y_0, y_1): t contracted with every x_l but the j-th (1-based), y_b the pairing with e_b at slot j."""
     return tuple(pairing(t, [*xs[: j - 1], e, *xs[j:]]) for e in ((1, 0), (0, 1)))
+
+
+def to_u_coordinates(t: BinaryTensor) -> BinaryTensor:
+    """Coefficients of t in the isotropic basis z_0 = x_0 + i x_1, z_1 = x_0 - i x_1, in QQi or complex.
+
+    u_I = sum_J i^{|J|} (-1)^{sum_l (1-i_l) j_l} t_J.  The sum factors per
+    slot: every slot maps its pair (a, b) to (a - i b, a + i b).  For real t
+    the entry at the bitwise complement of I is the complex conjugate of the
+    entry at I.  Exact input yields exact entries: Gaussian integers on int
+    input, Gaussian rationals otherwise.  The oracle of the invariants'
+    (re, im) u-coordinates.
+    """
+    if t.exact:
+        one, i = QQi(1, 0), QQi(0, 1)
+        entries: list = list(t.entries)
+    else:
+        one, i = 1.0 + 0j, 1j
+        entries = [complex(v) for v in t.entries]
+    for slot in range(t.d):
+        _apply_slot_map(entries, t.d, slot, ((one, -i), (one, i)))
+    return BinaryTensor(t.d, tuple(entries))
 
 
 def partitions_of(d: int) -> list[tuple[int, ...]]:

@@ -350,6 +350,30 @@ def test_random_check(capsys):
     assert json.loads(out)["failures"] == []
 
 
+def test_random_check_table_counts_only_trials_without_failures(capsys, monkeypatch):
+    # trial 1 fails twice (its zeroed factor also differs from the rotated one):
+    # the table reports 2 of 3 trials clean, and the JSON still counts it as checked
+    original = bts.cli.invariants_222
+
+    def rigged(t):
+        inv = original(t)
+        if inv.exact and t == bts.cli.random_tensor(12, 3):
+            return bts.invariants.InvariantSet222(inv.theta, inv.phi, inv.phi1, inv.det, (0,) + inv.f3[1:], True)
+        return inv
+
+    monkeypatch.setattr(bts.cli, "invariants_222", rigged)
+    code, out, _ = run(capsys, "random-check", "--trials", "3", "--seed", "11")
+    assert code == 1
+    assert out.splitlines()[0] == "random-check: 2/3 trials clean"
+    assert out.splitlines()[1].startswith("  FAIL trial 1: nonpositive quartic factor")
+    code, out, _ = run(capsys, "random-check", "--trials", "3", "--seed", "11", "--format", "json")
+    doc = json.loads(out)
+    assert code == 1 and doc["checked"] == 3 and len(doc["failures"]) == 2
+    assert all(f.startswith("trial 1: ") for f in doc["failures"])
+    code, out, _ = run(capsys, "random-check", "--trials", "1", "--tol=-1")
+    assert code == 1 and out.startswith("random-check: 0/1 trials clean\n")
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -537,6 +561,15 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(main(["verify-product", "--mu", "1,1,1", "--trials", "1", "--jobs", "1"]))
 print(json.dumps({"codes": codes, "loaded": sorted(m for m in ("scipy", "sympy", "mpmath") if m in sys.modules)}))
 """
+
+
+def test_cli_import_leaves_the_process_pool_out(tmp_path):
+    # only verify-product --jobs > 1 imports the process pool, at the call
+    src = str(Path(bts.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, bts.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_cli_runs_on_numpy_alone(tmp_path):

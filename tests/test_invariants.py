@@ -6,6 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import to_u_coordinates
 
 from bts import invariants
 from bts.combinatorics import Partition
@@ -389,6 +393,90 @@ def test_order4_integer_path_matches_fraction_oracle(case):
         dense = expand(t)
         for pair in ((1, 2), (1, 4), (2, 3), (3, 4)):
             assert_fraction(pair_factor_4(dense, pair), oracle_pair_factor_4(dense, pair))
+
+
+# integers up to 2^64 and dyadic rationals, zero among them
+exact_entry = st.one_of(
+    st.just(0),
+    st.integers(-(2**64), 2**64),
+    st.builds(Fraction, st.integers(-(2**64), 2**64), st.sampled_from([2**k for k in (1, 16, 40, 64)])),
+)
+
+
+@given(st.lists(exact_entry, min_size=8, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_integer_path_matches_fraction_oracle_on_drawn_tensors(entries):
+    t = BinaryTensor(3, tuple(entries))
+    theta, phi, phi1, det, f3 = oracle_record(t)
+    inv = invariants_222(t)
+    for got, want in [*zip(inv.theta, theta), (inv.phi, phi), (inv.det, det), *zip(inv.f3, f3)]:
+        assert_fraction(got, want)
+    assert_qqi(inv.phi1, phi1)
+    for got, want in zip(extreme_coeffs_222(t), oracle_extremes(t)):
+        assert_fraction(got, want)
+
+
+def oracle_float_record(t):
+    """(theta, phi, phi1, det, f3) of a float order-3 tensor in Python complex arithmetic.
+
+    phi1 is the product of complex u-coordinates, each f_(3,{j}) the real part
+    of the product of the determinants of the complexified slices a +- i b.
+    """
+    e = list(t.entries)
+    u = to_u_coordinates(t).entries
+    phi1 = u[0b001] * u[0b010] * u[0b100] * u[0b111]
+    f3 = []
+    for j in (1, 2, 3):
+        a, b = (slice_tensor(t, j, bit).entries for bit in (0, 1))
+        p, m = ([sign * 1j * y + complex(x) for x, y in zip(a, b)] for sign in (1, -1))
+        f3.append(((p[0] * p[3] - p[1] * p[2]) * (m[0] * m[3] - m[1] * m[2])).real)
+    return theta_t_forms(e), phi_t_form(e), phi1, hyperdet_222(e), tuple(f3)
+
+
+def bits(v):
+    """The bit pattern of a float or complex value, signed zeros included."""
+    return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else float(v).hex()
+
+
+def test_float_path_matches_complex_oracle_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        t = BinaryTensor(3, tuple((rng.normal(size=8) * 10.0 ** rng.integers(-3, 4)).tolist()))
+        theta, phi, phi1, det, f3 = oracle_float_record(t)
+        inv = invariants_222(t)
+        assert not inv.exact and isinstance(inv.phi1, complex)
+        got = [*inv.theta, inv.phi, inv.phi1, inv.det, *inv.f3]
+        assert list(map(bits, got)) == list(map(bits, [*theta, phi, phi1, det, *f3]))
+        th1, th2, th3, th4 = theta
+        a6 = th1 * th2 * th3 * th4
+        triples = th1 * th2 * th3 + th1 * th2 * th4 + th1 * th3 * th4 + th2 * th3 * th4
+        want = (det**2 * f3[0] * f3[1] * f3[2], (triples * phi - 3 * a6 * (th1 + th2 + th3 + th4)) / 8, a6)
+        assert list(map(bits, extreme_coeffs_222(t))) == list(map(bits, want))
+
+
+def float_complexify(a, b, sign):
+    return [sign * 1j * y + complex(x) for x, y in zip(a, b)]
+
+
+def test_order4_float_factors_match_complex_oracle_bit_for_bit():
+    # each factor is the real part of the product of the complex determinants, in their order
+    rng = np.random.default_rng(32)
+    for _ in range(50):
+        t = BinaryTensor(4, tuple(rng.normal(size=16).tolist()))
+        for j in (1, 2, 3, 4):
+            a, b = (slice_tensor(t, j, bit).entries for bit in (0, 1))
+            want = (hyperdet_222(float_complexify(a, b, 1)) * hyperdet_222(float_complexify(a, b, -1))).real
+            assert bits(slice_factor(t, j)) == bits(want)
+        for pair in ((1, 2), (1, 3), (2, 4), (3, 4)):
+            order = [pair[0] - 1, pair[1] - 1] + [l for l in range(4) if l + 1 not in pair]
+            m = [permute_slots(t, order).entries[4 * rs : 4 * rs + 4] for rs in range(4)]
+            dets = []
+            for outer in (1, -1):
+                a, b = float_complexify(m[0], m[2], outer), float_complexify(m[1], m[3], outer)
+                for inner in (1, -1):
+                    p, q, r, w = float_complexify(a, b, inner)
+                    dets.append(p * w - q * r)
+            assert bits(pair_factor_4(t, pair)) == bits((dets[0] * dets[1] * dets[2] * dets[3]).real)
 
 
 def test_extremes_of_float_record_match_extreme_coeffs():

@@ -929,3 +929,40 @@ def test_best_rank_one_rejects_a_wrong_sigma_at_any_scale(factor):
     spec.data = [wrong if d is best else d for d in spec.data]
     with pytest.raises(SolverFailureError, match="Pythagorean"):
         best_rank_one(t, spec=spec)
+
+
+def jacobian_by_blocks(arr, mu, xv, sg):
+    """Newton's Jacobian block by block, one contraction per (row, column) block: ``_jacobian``'s oracle."""
+    s, firsts = mu.s, mu.firsts
+    slot_vecs = xv[None, list(mu.group_of)]
+    jac = np.zeros((3 * s, 2 * s + 1), dtype=complex)
+    row = 0
+    for k in range(s):
+        for m in range(s):
+            count = mu.parts[m] - (1 if m == k else 0)
+            if count > 0:
+                other = firsts[m] + (1 if m == k else 0)
+                mat = bts.spectral._contract_except(arr, slot_vecs, keep=(firsts[k], other))[0]
+                if firsts[k] > other:
+                    mat = mat.T
+                jac[row : row + 2, 2 * m : 2 * m + 2] += count * mat
+        jac[row : row + 2, 2 * k : 2 * k + 2] -= sg * np.eye(2)
+        jac[row : row + 2, 2 * s] = -xv[k]
+        row += 2
+    for k in range(s):
+        jac[row, 2 * k : 2 * k + 2] = 2.0 * xv[k]
+        row += 1
+    return jac
+
+
+@pytest.mark.parametrize("parts, pairs", [((1, 1), 1), ((2, 1), 2), ((1, 1, 1), 3), ((3,), 1), ((5,), 1)], ids=str)
+def test_planned_jacobian_matches_blockwise_oracle_bit_for_bit(parts, pairs):
+    mu = Partition(parts)
+    assert len(bts.spectral._jacobian_plan(mu).pairs) == pairs  # each slot pair contracted once per step
+    rng = np.random.default_rng(len(parts) * 10 + mu.d)
+    for _ in range(20):
+        arr = rng.normal(size=(2,) * mu.d) + 1j * rng.normal(size=(2,) * mu.d)
+        xv = rng.normal(size=(mu.s, 2)) + 1j * rng.normal(size=(mu.s, 2))
+        sg = complex(rng.normal(), rng.normal())
+        got, want = bts.spectral._jacobian(arr, mu, xv, sg), jacobian_by_blocks(arr, mu, xv, sg)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import to_u_coordinates
+
 from bts.combinatorics import Partition
 from bts.scalars import QQi
 from bts.spectral import _contract_batch, _contract_except
@@ -33,7 +35,6 @@ from bts.tensor import (
     slice_tensor,
     tensor_from_json_dict,
     tensor_to_json_dict,
-    to_u_coordinates,
 )
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -275,6 +276,21 @@ def test_random_tensor_deterministic_and_dyadic():
     assert t1.entries == t2.entries
     assert all(isinstance(v, Fraction) and v.denominator <= 2**16 for v in t1.entries)
     assert random_tensor(8, 3).entries != t1.entries
+
+
+def test_random_tensor_golden_entries():
+    # one vectorized draw per tensor gives the entries of one scalar draw per entry
+    dense = random_tensor(2024, 3)
+    assert [str(v) for v in dense.entries] == [
+        "23047/65536", "-9361/16384", "-1561/4096", "9813/16384",
+        "32493/32768", "-46893/65536", "-55217/65536", "-41835/65536",
+    ]
+    sym = random_tensor(31, (2, 1))
+    assert {"".join(map(str, om)): str(v) for om, v in sym.c.items()} == {
+        "00": "52845/65536", "01": "-56665/65536", "10": "1415/4096",
+        "11": "-3599/65536", "20": "2907/8192", "21": "-30169/32768",
+    }
+    assert random_tensor(2024, 3, scale=3).entries == tuple(3 * v for v in dense.entries)
 
 
 def test_random_mu_round_trip():

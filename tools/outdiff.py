@@ -1,12 +1,13 @@
-"""Compare `bts svals`, `invariants`, `verify-product`, `random-check` and the parser between two source trees.
+"""Compare `bts svals`, `invariants`, `edpoly`, `verify-product`, `random-check` and the parser between two source trees.
 
     python3 tools/outdiff.py OLD_TREE NEW_TREE INPUT_DIR
 
 Each tree's ``src/`` runs in its own interpreter over every ``*.json`` file of
 INPUT_DIR, calling ``bts.cli.main`` in-process once per command; an uncaught
 exception counts as the exit code ``uncaught <type>``.  Per file it runs
-``svals`` and ``invariants`` with ``--format json`` and ``svals --format
-table``.  Each tree also runs ``verify-product --mu M --trials 20 --seed 611
+``svals``, ``invariants`` and ``edpoly`` with ``--format json`` and ``svals
+--format table``; ``invariants`` and ``edpoly`` are compared byte for byte.
+Each tree also runs ``verify-product --mu M --trials 20 --seed 611
 --jobs 1 --format json`` for every shape M of NEW_TREE's
 ``SUPPORTED_PRODUCT_MU``, one kind per shape, and ``random-check --trials
 100 --seed 611 --format json``, compared byte for byte.  Last, in the same
@@ -59,7 +60,7 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 REL_TOL = 1e-12
-COMMANDS = (("svals", "json"), ("invariants", "json"), ("svals", "table"))
+COMMANDS = (("svals", "json"), ("invariants", "json"), ("edpoly", "json"), ("svals", "table"))
 SUBCOMMANDS = ("svals", "edpoly", "invariants", "degrees", "verify-product", "random-check")
 PARSE_ARGVS = ([], ["--version"], ["--help"], *([name, "--help"] for name in SUBCOMMANDS),
                ["svals"], ["nope"], ["verify-product", "--mu", "9"])
