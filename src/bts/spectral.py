@@ -7,10 +7,15 @@ The solvers find every solution of the critical equations
 where y_j contracts the tensor against all vectors but the j-th.  Every
 solver runs one attempt loop, ``_first_certified``: each attempt works in
 a chart (a seeded random rotation of the tensor; the squared singular
-values are rotation invariants) that yields candidate tuples with
-multiplicities.  ``_finalize_spectrum`` alone polishes (at most once, on
-the original tensor), deduplicates, counts and certifies them, and when
-every attempt fails the error names the reason of each.
+values are rotation invariants) that yields its candidate tuples as one
+complex (n, s, 2) array of group vectors, not normalized, with their
+multiplicities.  ``_first_certified`` unrotates the stack in one einsum, and
+``_finalize_spectrum`` alone q-normalizes (``_q_normalized``; an isotropic
+candidate fails the attempt by name), polishes (at most once, on the
+original tensor), deduplicates, counts and certifies them; when every
+attempt fails the error names the reason of each.  The tensor is converted
+to floats once per solve (``_float_copy``), and its dense array and norm are
+taken once.
 
 Full 2x2x2 tensors, (2,1)-symmetric tensors and 2x2 matrices share the
 elimination chart, ``_solve_by_elimination``.  A rank-one tensor (its
@@ -30,9 +35,9 @@ of hidden-variable elimination), and a shift in z1 separates them
 for all the clusters of one width).  Fully symmetric tensors use the
 critical binary form chart of ``eigen_symmetric``, whose attempt 0 does not
 rotate; its values come from ``_pencil_values`` too, one companion matrix
-per factor of an exact square-free decomposition.  Every chart hands over vectors only, and
-``_finalize_spectrum`` scores them in two batched kernel calls: one pairs
-the raw candidates and gives their Newton residuals, so that only the
+per factor of an exact square-free decomposition.  ``_finalize_spectrum``
+scores the candidates in two batched kernel calls: one pairs the
+normalized candidates and gives their Newton residuals, so that only the
 unconverged ones are polished, and one certifies the polished stack.
 
 The critical equations are scored by one batched kernel,
@@ -93,10 +98,6 @@ class SolverFailureError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-class IsotropicVectorError(ValueError):
-    """A critical direction is isotropic (q(x) ~ 0); excluded by the rank-one theory."""
-
-
 @dataclass(frozen=True)
 class SingularDatum:
     """One critical point: group vectors, singular value, certification residual."""
@@ -129,39 +130,41 @@ class Spectrum:
         return [d for d in self.data if d.is_real]
 
 
-# --- small complex-bilinear vector helpers ------------------------------------
+# --- small vector helpers ------------------------------------------------------
 
 
-def q_form(x: Sequence[complex]) -> complex:
-    return x[0] * x[0] + x[1] * x[1]
+def _q_normalized(vecs: np.ndarray) -> np.ndarray:
+    """The (n, s, 2) group vectors ``vecs``, each divided by sqrt(q(x)), q(x) = x0^2 + x1^2.
+
+    A vector with |q(x)| < 1e-8 |x|^2 is numerically isotropic (excluded by
+    the rank-one theory) and raises SolverFailureError.
+    """
+    q = vecs[..., 0] * vecs[..., 0] + vecs[..., 1] * vecs[..., 1]
+    mag = np.abs(vecs) ** 2
+    isotropic = np.abs(q) < 1e-8 * np.maximum(mag[..., 0] + mag[..., 1], 1e-300)
+    if isotropic.any():
+        row, group = np.argwhere(isotropic)[0]
+        raise SolverFailureError(f"vector {tuple(vecs[row, group].tolist())} is numerically isotropic")
+    return vecs / np.sqrt(q)[..., None]
 
 
-def q_normalize(x: Sequence[complex]) -> tuple[complex, complex]:
-    qx = q_form(x)
-    mag = abs(x[0]) ** 2 + abs(x[1]) ** 2
-    if abs(qx) < 1e-8 * max(mag, 1e-300):
-        raise IsotropicVectorError(f"vector {x} is numerically isotropic")
-    s = cmath.sqrt(qx)
-    return (x[0] / s, x[1] / s)
-
-
-def _perp(x: Sequence[complex]) -> tuple[complex, complex]:
-    """The q-orthogonal direction (-x1, x0); q-normalized whenever x is."""
+def _perp(x: Sequence[float]) -> tuple[float, float]:
+    """The q-orthogonal direction (-x1, x0), of the same q as x."""
     return (-x[1], x[0])
 
 
-def _rotation_pairs(rng: np.random.Generator, n: int) -> list[tuple[float, float]]:
+def _rotation_pairs(rng: np.random.Generator, n: int) -> tuple[list[tuple[float, float]], np.ndarray]:
+    """n seeded (cos, sin) pairs for ``rotate_cs`` and their (n, 2, 2) matrices [[c, -s], [s, c]]."""
     angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return [(math.cos(a), math.sin(a)) for a in angles]
+    cs = [(math.cos(a), math.sin(a)) for a in angles]
+    return cs, np.array([((c, -s), (s, c)) for c, s in cs])
 
 
-def _unrotate(x: tuple[complex, complex], cs: tuple[float, float]) -> tuple[complex, complex]:
-    c, s = cs
-    return (c * x[0] + s * x[1], -s * x[0] + c * x[1])
-
-
-def _slot_vectors(mu: Partition, group_vecs: Sequence[Sequence[complex]]) -> list:
-    return [group_vecs[k] for k in mu.group_of]
+def _float_copy(t: BinaryTensor | MuTensor) -> BinaryTensor | MuTensor:
+    """``t`` with each entry converted to float once; rotating it gives the bits rotating ``t`` gives."""
+    if isinstance(t, MuTensor):
+        return MuTensor(t.mu, {om: float(v) for om, v in t.c.items()})
+    return BinaryTensor(t.d, tuple(float(v) for v in t.entries))
 
 
 def _contract_except(arr: np.ndarray, slot_vecs: np.ndarray, keep: Sequence[int]) -> np.ndarray:
@@ -183,11 +186,6 @@ def _contract_except(arr: np.ndarray, slot_vecs: np.ndarray, keep: Sequence[int]
 def _all_but_one(arr: np.ndarray, slot_vecs: np.ndarray, slots: Sequence[int]) -> np.ndarray:
     """(n, len(slots), 2): the all-but-one contraction at each of ``slots``."""
     return np.stack([_contract_except(arr, slot_vecs, (slot,)) for slot in slots], axis=1)
-
-
-def _stack(mu: Partition, tuples: Sequence[Sequence[Sequence[complex]]]) -> np.ndarray:
-    """The (n, s, 2) complex array of n group-vector tuples."""
-    return np.array(tuples, dtype=complex).reshape(-1, mu.s, 2)
 
 
 def _contract_batch(
@@ -347,45 +345,39 @@ def _distinct(sigma_sq: np.ndarray, vecs: np.ndarray) -> list[int]:
 
 
 def _finalize_spectrum(
-    t_orig: BinaryTensor | MuTensor,
-    raw: list[tuple[list[tuple[complex, complex]], int]],
+    mu: Partition,
+    arr: np.ndarray,
+    norm: float,
+    vecs: np.ndarray,
+    mults: Sequence[int],
     chart_note: str,
     notes: tuple[str, ...] = (),
     degenerate: bool = False,
 ) -> Spectrum:
-    """Polish, deduplicate, count and certify candidates (vectors, multiplicity) on ``t_orig``.
+    """Normalize, polish, deduplicate, count and certify the (n, s, 2) candidates ``vecs`` with ``mults``.
 
-    Two kernel calls in all.  The first, over the raw candidates, seeds each
-    sigma and gives every candidate's Newton residual vector; only those
-    whose residual is not below Newton's stop bound 1e-14 (1 + max |t|) are
-    polished (``_newton_polish_tuple``), once each.  The second,
-    ``tuple_residual`` over the polished, q-normalized stack, gives the
-    pairings and residuals.  Isotropic candidates and repeats
-    (``_distinct``) are dropped; the rest, counted with multiplicity, must
-    number ed_degree(mu), each with residual at most RESIDUAL_REL_TOL * |t|,
-    or SolverFailureError.  Real sigma < 0 flips the first odd group's vector.
+    ``arr`` is the dense complex array of the tensor and ``norm`` its norm.
+    The candidates are q-normalized (``_q_normalized``; an isotropic one
+    raises SolverFailureError).  Two kernel calls in all.  The first, over
+    the normalized candidates, seeds each sigma and gives every candidate's
+    Newton residual vector; only those whose residual is not below Newton's
+    stop bound 1e-14 (1 + max |t|) are polished (``_newton_polish_tuple``),
+    once each, and normalized again.  The second, ``tuple_residual`` over
+    the stack, gives the pairings and residuals.  Repeats (``_distinct``)
+    are dropped; the rest, counted with multiplicity, must number
+    ed_degree(mu), each with residual at most RESIDUAL_REL_TOL * |t|, or
+    SolverFailureError.  Real sigma < 0 flips the first odd group's vector.
     """
-    mu = t_orig.mu
-    dense = expand(t_orig)
-    arr = dense.as_array().astype(complex)
-    norm = dense.norm() or 1.0
     odd_groups = [k for k, p in enumerate(mu.parts) if p % 2 == 1]
 
-    start = _stack(mu, [vecs for vecs, _ in raw])
-    ys, seeds, _ = _contract_batch(arr, mu, start)
-    newton = _newton_residuals(start, seeds, ys[:, list(mu.firsts)])
+    vecs = _q_normalized(vecs)
+    ys, seeds, _ = _contract_batch(arr, mu, vecs)
+    newton = _newton_residuals(vecs, seeds, ys[:, list(mu.firsts)])
     stop = 1e-14 * (1.0 + float(np.max(np.abs(arr))))
-    polished: list[list[tuple[complex, complex]]] = []
-    mults: list[int] = []
-    for (_, mult), x, sigma, f, size in zip(raw, start, seeds, newton, np.linalg.norm(newton, axis=1)):
-        if not size < stop:  # a NaN residual goes to Newton as well
-            x = _newton_polish_tuple(arr, mu, x, sigma, f, stop)
-        try:
-            polished.append([q_normalize(v) for v in x.tolist()])
-        except IsotropicVectorError:
-            continue
-        mults.append(mult)
-    vecs = _stack(mu, polished)
+    due = np.flatnonzero(~(np.linalg.norm(newton, axis=1) < stop))  # a NaN residual goes to Newton as well
+    if len(due):
+        polished = [_newton_polish_tuple(arr, mu, vecs[i], seeds[i], newton[i], stop) for i in due]
+        vecs[due] = _q_normalized(np.array(polished))
     sigmas, residuals = tuple_residual(arr, mu, vecs)
     kept = _distinct(sigmas * sigmas, vecs)
     is_real = (np.abs(vecs.imag).max(axis=(1, 2), initial=0.0) <= 1e-8) & (
@@ -431,63 +423,55 @@ def _finalize_spectrum(
 # --- rank-one fast paths ---------------------------------------------------------
 
 
-def _try_rank_one_factors(dense: BinaryTensor) -> list[tuple[float, float]] | None:
-    """Factor a real rank-one tensor into its d fiber vectors, or None."""
-    arr = dense.as_array().astype(float)
+def _try_rank_one_factors(arr: np.ndarray) -> list[tuple[float, float]] | None:
+    """Factor a real rank-one tensor, given as its dense float array, into its d fiber vectors, or None."""
     norm = float(np.sqrt(np.sum(arr**2)))
     if norm == 0.0:
         return None
     star = np.unravel_index(int(np.argmax(np.abs(arr))), arr.shape)
     pivot = float(arr[star])
     fibers = []
-    for slot in range(dense.d):
+    for slot in range(arr.ndim):
         idx0 = list(star)
         idx1 = list(star)
         idx0[slot], idx1[slot] = 0, 1
         fibers.append((float(arr[tuple(idx0)]), float(arr[tuple(idx1)])))
-    model = rank_one_tensor(fibers).as_array().real / pivot ** (dense.d - 1)
+    model = rank_one_tensor(fibers).as_array().real / pivot ** (arr.ndim - 1)
     if float(np.max(np.abs(arr - model))) > 1e-9 * norm:
         return None
     return fibers
 
 
 def _rank_one_spectrum(
-    t: BinaryTensor | MuTensor, fibers: list[tuple[float, float]], table: Callable
+    mu: Partition, arr: np.ndarray, norm: float, fibers: list[tuple[float, float]], table: Callable
 ) -> Spectrum:
-    """Closed-form spectrum of a rank-one tensor with fiber vectors ``fibers``, flagged degenerate.
+    """Closed-form spectrum of a rank-one tensor (dense array ``arr``, norm ``norm``), flagged degenerate.
 
-    ``table`` maps the q-normalized fiber of each group to the critical
-    tuples: the rank-one tuple itself and the zero-value ones.
+    ``table`` maps the real fiber of each group to the critical tuples: the
+    rank-one tuple itself and the zero-value ones.
     """
-    mu = t.mu
-    try:
-        hats = [q_normalize((complex(f[0]), complex(f[1]))) for f in fibers]
-    except IsotropicVectorError as exc:
-        raise SolverFailureError(f"isotropic rank-one tensor: {exc}") from exc
-    raw = [(vecs, 1) for vecs in table(*(hats[first] for first in mu.firsts))]
+    vecs = np.array(table(*(fibers[first] for first in mu.firsts)), dtype=complex)
     return _finalize_spectrum(
-        t, raw, chart_note="rank-one fast path",
+        mu, arr, norm, vecs, [1] * len(vecs), chart_note="rank-one fast path",
         notes=("rank-one input; zero-value critical set is positive-dimensional", "det zero"),
         degenerate=True,
     )
 
 
-def _rank_one_spectrum_222(t: BinaryTensor, fibers: list[tuple[float, float]]) -> Spectrum:
+def _rank_one_spectrum_222(mu: Partition, arr: np.ndarray, norm: float, fibers: list[tuple[float, float]]) -> Spectrum:
     def table(a, b, c):
         ap, bp, cp = _perp(a), _perp(b), _perp(c)
-        mix = q_normalize((c[0] + cp[0], c[1] + cp[1]))
-        return [[a, b, c], [ap, bp, c], [ap, b, cp], [a, bp, cp], [ap, bp, cp], [ap, bp, mix]]
+        return [[a, b, c], [ap, bp, c], [ap, b, cp], [a, bp, cp], [ap, bp, cp], [ap, bp, (c[0] + cp[0], c[1] + cp[1])]]
 
-    return _rank_one_spectrum(t, fibers, table)
+    return _rank_one_spectrum(mu, arr, norm, fibers, table)
 
 
-def _rank_one_spectrum_21(c: MuTensor, fibers: list[tuple[float, float]]) -> Spectrum:
+def _rank_one_spectrum_21(mu: Partition, arr: np.ndarray, norm: float, fibers: list[tuple[float, float]]) -> Spectrum:
     def table(x, w):
         xp, wp = _perp(x), _perp(w)
-        mix = q_normalize((w[0] + wp[0], w[1] + wp[1]))
-        return [[x, w], [xp, w], [xp, wp], [xp, mix]]
+        return [[x, w], [xp, w], [xp, wp], [xp, (w[0] + wp[0], w[1] + wp[1])]]
 
-    return _rank_one_spectrum(c, fibers, table)
+    return _rank_one_spectrum(mu, arr, norm, fibers, table)
 
 
 # --- the attempt loop and its charts ----------------------------------------------
@@ -498,32 +482,33 @@ class _AttemptFailed(Exception):
 
 
 def _first_certified(
-    t: BinaryTensor | MuTensor, seed: int, salt: int, attempts: int, chart: Callable
+    mu: Partition, arr: np.ndarray, norm: float, seed: int, salt: int, attempts: int, chart: Callable
 ) -> Spectrum:
-    """The spectrum from the first of ``attempts`` chart attempts that certifies on ``t``.
+    """The spectrum from the first of ``attempts`` chart attempts that certifies on the tensor.
 
-    ``chart(rng, attempt)`` draws its rotation from the seeded ``rng`` and
-    returns the (cos, sin) pair it applied to each group, its candidate
-    tuples on the rotated tensor as (vectors, multiplicity), and its
-    name; it raises _AttemptFailed when it finds none.  The candidates are
-    unrotated, then polished, deduplicated, counted and certified on ``t`` by
-    ``_finalize_spectrum``.  When no attempt certifies, SolverFailureError
-    names each attempt's reason.
+    ``arr`` is the tensor's dense complex array and ``norm`` its norm, taken
+    once per solve.  ``chart(rng, attempt)`` draws its rotation from the
+    seeded ``rng`` and returns the (s, 2, 2) rotation matrices R it applied
+    to the groups, its candidates on the rotated tensor as one complex
+    (n, s, 2) array (not normalized), their n multiplicities, and its name;
+    it raises _AttemptFailed when it finds none.  One einsum unrotates every
+    candidate (R^T x), and ``_finalize_spectrum`` normalizes, polishes,
+    deduplicates, counts and certifies them on the tensor.  When no attempt
+    certifies, SolverFailureError names each attempt's reason.
     """
-    norm = expand(t).norm()
     if norm == 0.0:
         raise ValueError("zero tensor")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, salt)))
     failures: list[str] = []
     for attempt in range(attempts):
         try:
-            cs, found, name = chart(rng, attempt)
+            rot, found, mults, name = chart(rng, attempt)
         except _AttemptFailed as exc:
             failures.append(f"attempt {attempt}: {exc}")
             continue
-        unrot = [([_unrotate(x, cs[k]) for k, x in enumerate(vecs)], mult) for vecs, mult in found]
+        unrotated = np.einsum("slk,nsl->nsk", rot, found)
         try:
-            spec = _finalize_spectrum(t, unrot, chart_note=f"{name}, seed={seed}, attempt={attempt}")
+            spec = _finalize_spectrum(mu, arr, norm, unrotated, mults, f"{name}, seed={seed}, attempt={attempt}")
         except SolverFailureError as exc:
             failures.append(f"attempt {attempt}: {exc}")
             continue
@@ -531,7 +516,7 @@ def _first_certified(
             spec.notes = spec.notes + ("zero singular value",)
         return spec
     raise SolverFailureError(
-        f"no rotation certified {ed_degree(t.mu)} singular tuples: " + "; ".join(failures),
+        f"no rotation certified {ed_degree(mu)} singular tuples: " + "; ".join(failures),
         {"failures": failures},
     )
 
@@ -620,8 +605,8 @@ def _pencil_values(m0: np.ndarray, m1: np.ndarray) -> list[tuple[complex, np.nda
     return [(sum(zs[i] for i in cl) / len(cl), vectors[:, cl]) for cl in _cluster(zs)]
 
 
-def _pencil_points(table: _PencilMap, clusters: list[tuple[complex, np.ndarray]]) -> list[tuple[complex, ...]]:
-    """The values of (z1, ..., z_s) at the tuples of all ``_pencil_values`` clusters (z_s, (n, k) eigenvectors).
+def _pencil_points(table: _PencilMap, clusters: list[tuple[complex, np.ndarray]]) -> np.ndarray:
+    """The (n, s) values of (z1, ..., z_s) at the tuples of all ``_pencil_values`` clusters (z_s, (n, k) eigenvectors).
 
     Shifting monomial m to z1 m is multiplication by z1 on the k tuples'
     monomial vectors, which span a cluster's columns V, so the k x k
@@ -632,21 +617,22 @@ def _pencil_points(table: _PencilMap, clusters: list[tuple[complex, np.ndarray]]
     ``pinv``, one product and one ``eig`` per width.  The points come in the
     order of the clusters.
     """
-    widths: dict[int, list[int]] = {}
-    for i, (_, vectors) in enumerate(clusters):
-        widths.setdefault(vectors.shape[1], []).append(i)
-    points: list[list[tuple[complex, ...]]] = [[] for _ in clusters]
-    for members in widths.values():
+    widths = [vectors.shape[1] for _, vectors in clusters]
+    starts = np.cumsum([0, *widths])
+    points = np.empty((starts[-1], len(table.units) + 2), dtype=complex)
+    for k in set(widths):
+        members = [i for i, width in enumerate(widths) if width == k]
         stacked = np.stack([clusters[i][1] for i in members])  # (m, n, k)
         step = np.linalg.pinv(stacked[:, table.rows]) @ stacked[:, table.shifted]
         z1s, coords = np.linalg.eig(step)
         heads = stacked @ coords
+        rows = (starts[members, None] + np.arange(k)).ravel()
+        points[rows, 0] = z1s.ravel()
         # table.monomials[0] is the monomial 1
-        others = (heads[:, list(table.units)] / heads[:, :1]).transpose(0, 2, 1)  # (m, k, s - 2)
-        for i, z1_row, other_rows in zip(members, z1s.tolist(), others.tolist()):
-            z = clusters[i][0]
-            points[i] = [(z1, *other, z) for z1, other in zip(z1_row, other_rows)]
-    return [point for cluster in points for point in cluster]
+        others = heads[:, list(table.units)] / heads[:, :1]  # (m, s - 2, k)
+        points[rows, 1:-1] = others.transpose(0, 2, 1).reshape(len(rows), len(table.units))
+        points[rows, -1] = np.repeat([clusters[i][0] for i in members], k)
+    return points
 
 
 def _solve_by_elimination(
@@ -657,8 +643,9 @@ def _solve_by_elimination(
 ) -> Spectrum:
     """All ed_degree(mu) singular tuples of ``t``, from a rotated hidden-variable pencil.
 
-    A rank-one ``t`` goes straight to ``rank_one``, which takes the tensor
-    and its fiber vectors; only the matrix shape has none.  Otherwise each
+    A rank-one ``t`` goes straight to ``rank_one``, which takes mu, the
+    dense array, the norm and the fiber vectors; only the matrix shape has
+    none.  Otherwise each
     of MAX_ROTATION_ATTEMPTS attempts of ``_first_certified`` rotates ``t``
     by mu.s seeded angles, mu = t.mu, and applies to its dense entries the
     shape's cached linear map (``_pencil_map``) to the pencil M0 + z_s M1 of
@@ -669,29 +656,27 @@ def _solve_by_elimination(
     reads the other variables of all of them off the clusters' eigenvectors
     with the shape's cached shift tables, in one stacked solve per cluster
     width (one for generic input).  The chart returns its ed_degree(mu)
-    candidates with multiplicity 1 and no sigma; ``_first_certified``
-    unrotates them and ``_finalize_spectrum`` pairs them, polishes the
-    unconverged ones, deduplicates, counts and certifies them.
+    candidates x_k = (1, z_k) as one (n, s, 2) stack, each of multiplicity
+    1; ``_first_certified`` unrotates them and ``_finalize_spectrum``
+    normalizes and pairs them, polishes the unconverged ones, deduplicates,
+    counts and certifies them.  The entries are converted to floats once
+    (``_float_copy``), for the rotations and the dense array alike.
     """
-    dense = expand(t)
+    mu, floats = t.mu, _float_copy(t)
+    dense = expand(floats)
+    arr, norm = dense.as_array().astype(complex), dense.norm()
     if rank_one is not None:
-        fibers = _try_rank_one_factors(dense)
+        fibers = _try_rank_one_factors(arr.real)
         if fibers is not None:
-            return rank_one(t, fibers)
-    mu = t.mu
+            return rank_one(mu, arr, norm, fibers)
 
     def chart(rng: np.random.Generator, attempt: int):
-        cs = _rotation_pairs(rng, mu.s)
-        m0, m1, table = _pencil(expand(rotate_cs(t, cs)).entries, mu)
-        found: list[tuple[list[tuple[complex, complex]], int]] = []
-        for point in _pencil_points(table, _pencil_values(m0, m1)):
-            try:
-                found.append(([q_normalize((1.0 + 0j, w)) for w in point], 1))
-            except IsotropicVectorError:
-                continue
-        return cs, found, "elimination chart"
+        cs, rot = _rotation_pairs(rng, mu.s)
+        m0, m1, table = _pencil(expand(rotate_cs(floats, cs)).entries, mu)
+        z = _pencil_points(table, _pencil_values(m0, m1))
+        return rot, np.stack([np.ones_like(z), z], axis=-1), [1] * len(z), "elimination chart"
 
-    return _first_certified(t, seed, salt, MAX_ROTATION_ATTEMPTS, chart)
+    return _first_certified(mu, arr, norm, seed, salt, MAX_ROTATION_ATTEMPTS, chart)
 
 
 def solve_222(t: BinaryTensor, seed: int = 0) -> Spectrum:
@@ -749,23 +734,28 @@ def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
     The form x1 * df/dx0 - x0 * df/dx1 has degree d; its projective roots are
     the critical directions (degree drop at the top means roots at infinity),
     a root of multiplicity m giving m equal tuples (``_polynomial_roots``,
-    on the exact form of the entries).  Each root is q-normalized and handed
-    over with its multiplicity; ``_finalize_spectrum`` pairs it for the
-    eigenvalue.  Attempt 0 of ``_first_certified`` takes the tensor's own
-    entries, the next MAX_ROTATION_ATTEMPTS rotate its floats by a seeded
-    angle; an isotropic root or a failed certification moves on to the next
-    attempt.  A form whose critical form vanishes identically (a radial
-    form) fails at once.
+    on the exact form of the entries).  The roots are handed over as one
+    (n, 1, 2) stack of directions with their multiplicities;
+    ``_finalize_spectrum`` normalizes and pairs them for the eigenvalues.
+    Attempt 0 of ``_first_certified`` takes the tensor's own entries (the
+    identity rotation), the next MAX_ROTATION_ATTEMPTS rotate its floats by
+    a seeded angle; an isotropic root or a failed certification moves on to
+    the next attempt.  A form whose critical form vanishes identically (a
+    radial form) fails at once.
     """
     if c.mu.s != 1:
         raise ValueError("eigen_symmetric needs mu = (d)")
     mu = c.mu
     d = mu.d
-    c_float = MuTensor(mu, {k: float(v) for k, v in c.c.items()})
+    c_float = _float_copy(c)
+    dense = expand(c_float)
 
     def chart(rng: np.random.Generator, attempt: int):
-        cs = [(1.0, 0.0)] if attempt == 0 else _rotation_pairs(rng, 1)
-        c_rot = c if attempt == 0 else rotate_cs(c_float, cs)
+        if attempt == 0:
+            rot, c_rot = np.eye(2)[None], c
+        else:
+            cs, rot = _rotation_pairs(rng, 1)
+            c_rot = rotate_cs(c_float, cs)
         a = [Fraction(c_rot[(j,)]) * math.comb(d, j) for j in range(d + 1)]
         padded = [0, *a, 0]
         g = [(d - k + 1) * padded[k] - (k + 1) * padded[k + 2] for k in range(d + 1)]
@@ -779,15 +769,15 @@ def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
         while gg and abs(gg[-1]) <= 1e-13 * scale:
             gg.pop()
             top_drop += 1
-        directions = [((0j, 1.0 + 0j), top_drop)] if top_drop else []
+        directions = [((0.0, 1.0), top_drop)] if top_drop else []
         if len(gg) > 1:
-            directions += [((1.0 + 0j, z), mult) for z, mult in _polynomial_roots(gg)]
-        try:
-            return cs, [([q_normalize(x)], mult) for x, mult in directions], "critical form chart"
-        except IsotropicVectorError as exc:
-            raise _AttemptFailed(str(exc)) from exc
+            directions += [((1.0, z), mult) for z, mult in _polynomial_roots(gg)]
+        vecs = np.array([x for x, _ in directions], dtype=complex).reshape(-1, 1, 2)
+        return rot, vecs, [mult for _, mult in directions], "critical form chart"
 
-    return _first_certified(c, seed, 0xD, MAX_ROTATION_ATTEMPTS + 1, chart)
+    return _first_certified(
+        mu, dense.as_array().astype(complex), dense.norm(), seed, 0xD, MAX_ROTATION_ATTEMPTS + 1, chart
+    )
 
 
 def singular_values(t: BinaryTensor | MuTensor, seed: int = 0) -> Spectrum:
@@ -977,7 +967,7 @@ def best_rank_one(
         )
     best = max(reals, key=lambda d: d.sigma_sq.real)
     real_vecs = [(x[0].real, x[1].real) for x in best.vectors]
-    approx = rank_one_tensor(_slot_vectors(spec.mu, real_vecs)).scale(best.sigma.real)
+    approx = rank_one_tensor([real_vecs[k] for k in spec.mu.group_of]).scale(best.sigma.real)
     qt = float(bombieri_norm_sq(t))
     dist_sq = qt - best.sigma_sq.real
     diff = expand(t).as_array().astype(float) - approx.as_array().real

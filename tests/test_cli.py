@@ -450,6 +450,24 @@ def test_svals_symmetric_exit_3_names_every_attempt(capsys, cubic_file, monkeypa
         assert f"attempt {k}: no convergence" in err
 
 
+@pytest.mark.parametrize("doc, attempts", [
+    # theta_4 = 0: two of the six elimination candidates are isotropic
+    ({"d": 3, "mu": None, "entries": dict(zip(("000", "001", "010", "011", "100", "101", "110", "111"),
+                                              ("4", "2", "1", "0", "4", "-3", "-1", "1")))}, 3),
+    # x0 (x0^2 + x1^2): its critical form x1 (x0^2 + x1^2) has the isotropic roots +-i
+    ({"d": 3, "mu": [3], "entries": {"0": "1", "2": "1/3"}}, 4),
+], ids=["theta4-zero", "isotropic-cubic"])
+def test_svals_exit_3_names_an_isotropic_candidate_on_every_attempt(capsys, tmp_path, doc, attempts):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "svals", "--input", str(path))
+    assert code == 3 and out == ""
+    reasons = err.strip().splitlines()[-1].split("; ")
+    assert len(reasons) == attempts
+    for k, reason in enumerate(reasons):
+        assert f"attempt {k}: vector (" in reason and reason.endswith("is numerically isotropic")
+
+
 def test_svals_symmetric_quartic_with_a_triple_critical_root(capsys, tmp_path):
     # (x0 + x1)^4: its critical form 4 (x0 + x1) (x0 - x1)^3 has a triple root
     path = tmp_path / "q.json"

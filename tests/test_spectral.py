@@ -536,9 +536,9 @@ def test_solve_222_polishes_each_candidate_once(monkeypatch):
         calls.append(x.copy())
         return polish(arr, mu, x, *rest)
 
-    def spy_finalize(t, raw, *rest, **kw):
-        raws.append(raw)
-        return finalize(t, raw, *rest, **kw)
+    def spy_finalize(mu, arr, norm, vecs, *rest, **kw):
+        raws.append(vecs)
+        return finalize(mu, arr, norm, vecs, *rest, **kw)
 
     monkeypatch.setattr(bts.spectral, "_newton_polish_tuple", spy_polish)
     monkeypatch.setattr(bts.spectral, "_finalize_spectrum", spy_finalize)
@@ -552,8 +552,8 @@ def test_solve_222_polishes_each_candidate_once(monkeypatch):
         (raw,) = raws
         arr = expand(t).as_array().astype(complex)
         stop = 1e-14 * (1.0 + float(np.max(np.abs(arr))))
-        # Newton's stop bound, recomputed here, picks the candidates to polish
-        due = [x for x in (np.array(vecs, dtype=complex) for vecs, _ in raw) if _newton_norm(arr, x) >= stop]
+        # Newton's stop bound, recomputed here on the q-normalized stack, picks the candidates to polish
+        due = [x for x in bts.spectral._q_normalized(raw) if _newton_norm(arr, x) >= stop]
         assert len(calls) == len(due) and all(np.array_equal(a, b) for a, b in zip(calls, due))
         polished, skipped = polished + len(due), skipped + len(raw) - len(due)
     # both branches ran
@@ -651,7 +651,7 @@ def test_contraction_kernel_matches_exact_oracles(shape, seed):
     slot_vecs = [v for v, p in zip(group_vecs, mu.parts) for _ in range(p)]
     arr = t.as_array().astype(complex)
     batch = np.array([[[complex(v) for v in x] for x in slot_vecs]], dtype=complex)
-    assert bts.spectral._contract_batch(arr, mu, bts.spectral._stack(mu, [group_vecs]))[1][0] == pairing(t, slot_vecs)
+    assert bts.spectral._contract_batch(arr, mu, np.array([group_vecs], dtype=complex))[1][0] == pairing(t, slot_vecs)
     sigma = Fraction(int(rng.integers(-8, 9)), 4)
     worst = Fraction(0)
     for slot in range(mu.d):
@@ -660,7 +660,7 @@ def test_contraction_kernel_matches_exact_oracles(shape, seed):
         assert list(y) == [complex(v) for v in oracle]
         worst = max(worst, *(abs(oracle[b] - sigma * slot_vecs[slot][b]) for b in (0, 1)))
     pairings, residuals = bts.spectral.tuple_residual(
-        arr, mu, bts.spectral._stack(mu, [group_vecs]), np.array([complex(sigma)])
+        arr, mu, np.array([group_vecs], dtype=complex), np.array([complex(sigma)])
     )
     assert pairings[0] == pairing(t, slot_vecs) and residuals[0] == worst
 
@@ -696,16 +696,38 @@ def test_batched_contractions_match_exact_oracles(shape, n):
     assert list(own) == alone
 
 
+@pytest.mark.parametrize("t", [
+    *(random_tensor(7, shape) for shape in (2, (2, 1), 3, (3,))),
+    rank_one_tensor([(Fraction(1), Fraction(2)), (Fraction(3), Fraction(-1)), (Fraction(2), Fraction(5))]),
+    MuTensor(Partition((2, 1)), {(0, 0): Fraction(2), (1, 0): Fraction(6), (2, 0): Fraction(18),
+                                 (0, 1): Fraction(-1), (1, 1): Fraction(-3), (2, 1): Fraction(-9)}),
+], ids=["elimination-2", "elimination-(2,1)", "elimination-3", "symmetric-(3,)", "rank-one-3", "rank-one-(2,1)"])
+def test_every_chart_hands_over_one_complex_stack(monkeypatch, t):
+    finalize, seen = bts.spectral._finalize_spectrum, []
+
+    def spy(mu, arr, norm, vecs, mults, *rest, **kw):
+        seen.append((mu, vecs, list(mults)))
+        return finalize(mu, arr, norm, vecs, mults, *rest, **kw)
+
+    monkeypatch.setattr(bts.spectral, "_finalize_spectrum", spy)
+    spec = singular_values(t, seed=1)
+    assert seen and len(spec.data) == spec.ed_degree
+    assert spec.degenerate == spec.data[0].chart_note.startswith("rank-one")
+    for mu, vecs, mults in seen:
+        assert vecs.dtype == complex and vecs.shape == (len(mults), mu.s, 2)
+        assert sum(mults) == ed_degree(mu)
+
+
 def test_finalize_pairs_every_candidate_in_one_kernel_call(monkeypatch):
     t = random_tensor(3, 3)
     tf = BinaryTensor(3, tuple(float(v) for v in t.entries))
     spec = solve_222(tf, seed=1)
-    raw = [([tuple(v) for v in d.vectors], 1) for d in spec.data]
+    vecs = np.array([d.vectors for d in spec.data], dtype=complex)
     sizes = []
     original = bts.spectral._contract_batch
     monkeypatch.setattr(bts.spectral, "_contract_batch",
                         lambda arr, mu, vecs, sigma=None: sizes.append(len(vecs)) or original(arr, mu, vecs, sigma))
-    again = bts.spectral._finalize_spectrum(tf, raw, "test")
+    again = bts.spectral._finalize_spectrum(tf.mu, tf.as_array().astype(complex), tf.norm(), vecs, [1] * 6, "test")
     # one call over the raw candidates to seed Newton and test convergence,
     # one over the polished ones for the pairings and the residuals
     assert sizes == [6, 6]
@@ -750,7 +772,7 @@ def test_non_finite_tuple_has_infinite_residual(defect):
         vecs[1][0] = complex(math.nan, 0.0)
     else:
         sigma = complex(math.inf, 0.0)
-    _, (res,) = bts.spectral.tuple_residual(arr, t.mu, bts.spectral._stack(t.mu, [vecs]), np.array([sigma]))
+    _, (res,) = bts.spectral.tuple_residual(arr, t.mu, np.array([vecs], dtype=complex), np.array([sigma]))
     assert res == math.inf
     assert res > bts.spectral.RESIDUAL_REL_TOL * t.norm()
 

@@ -6,7 +6,7 @@ Each tree's ``src/`` runs in its own interpreter over every ``*.json`` file of
 INPUT_DIR, calling ``bts.cli.main`` in-process once per command; an uncaught
 exception counts as the exit code ``uncaught <type>``.  Per file it runs
 ``svals``, ``invariants`` and ``edpoly`` with ``--format json`` and ``svals
---format table``; ``invariants`` and ``edpoly`` are compared byte for byte.
+--format table``; ``invariants`` is compared byte for byte.
 Each tree also runs ``verify-product --mu M --trials 20 --seed 611
 --jobs 1 --format json`` for every shape M of NEW_TREE's
 ``SUPPORTED_PRODUCT_MU``, one kind per shape, and ``random-check --trials
@@ -23,7 +23,11 @@ different, and every exit-code change.  A ``svals`` output is numerically
 equal when both exit 0 with the same ``mu``, ``ed_degree``, ``degenerate``,
 ``notes``, data count and ``is_real`` multiset, sigma^2 matched and the best
 rank-one squared distance within REL_TOL * q~(t), and ``edpoly_dual``
-within REL_TOL of its largest coefficient.  A ``svals`` table is
+within REL_TOL of its largest coefficient.  An ``edpoly`` output is
+numerically equal when both exit 0 with the same ``mu``, ``qt`` and
+``degenerate``, the sigma^2 matched within REL_TOL * q~(t), and each
+coefficient of ``edpoly_dual`` and of ``edpoly_primal`` within REL_TOL of
+the largest one.  A ``svals`` table is
 numerically equal when both exit 0 with the same header lines, row count
 and ``real`` flags, each printed sigma^2 within REL_TOL * q~(t) plus its
 printed rounding and each sigma within the square root of that, each dual
@@ -126,11 +130,27 @@ def sigma_sq_gaps(a: dict, b: dict) -> tuple[float, float] | None:
     return over_qt, over_abs
 
 
+def _coefficients_close(ca: list[float], cb: list[float]) -> bool:
+    """Same length and each coefficient within REL_TOL of the largest one of ``ca``."""
+    top = max(map(abs, ca), default=0.0) or 1.0
+    return len(ca) == len(cb) and all(abs(x - y) <= REL_TOL * top for x, y in zip(ca, cb))
+
+
+def edpoly_gap(a: dict, b: dict) -> float | None:
+    """Worst sigma^2 gap over q~(t) of two ``edpoly`` documents, or None unless numerically equal."""
+    if any(a[k] != b[k] for k in ("mu", "qt", "degenerate")) or len(a["sigma_sq"]) != len(b["sigma_sq"]):
+        return None
+    if not all(_coefficients_close(a[k], b[k]) for k in ("edpoly_dual", "edpoly_primal")):
+        return None
+    qt, rest, worst = a["qt"] or 1.0, [_sq(z) for z in b["sigma_sq"]], 0.0
+    for v in map(_sq, a["sigma_sq"]):
+        worst = max(worst, abs(rest.pop(min(range(len(rest)), key=lambda i: abs(rest[i] - v))) - v) / qt)
+    return worst if worst <= REL_TOL else None
+
+
 def numerically_equal(a: dict, b: dict, gap: float) -> bool:
     """Sigma^2 gap, ``edpoly_dual`` and best rank-one distance all within REL_TOL."""
-    ca, cb = a["edpoly_dual"], b["edpoly_dual"]
-    top = max(map(abs, ca), default=0.0) or 1.0
-    if len(ca) != len(cb) or any(abs(x - y) > REL_TOL * top for x, y in zip(ca, cb)):
+    if not _coefficients_close(a["edpoly_dual"], b["edpoly_dual"]):
         return False
     da, db = _dist_sq(a), _dist_sq(b)
     if (da is None) != (db is None) or (da is not None and abs(da - db) > REL_TOL * (a["qt"] or 1.0)):
@@ -289,8 +309,9 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 tally["numerically equal"] += 1
                 worst[kind] = max(worst[kind], gap)
-        elif command == "verify-product" and a["code"] in (0, 1):
-            gap = product_lhs_gap(json.loads(a["out"]), json.loads(b["out"]))
+        elif command in ("verify-product", "edpoly") and a["code"] in ((0, 1) if command == "verify-product" else (0,)):
+            compare = product_lhs_gap if command == "verify-product" else edpoly_gap
+            gap = compare(json.loads(a["out"]), json.loads(b["out"]))
             if gap is None:
                 tally["different"] += 1
                 print(f"different: {label}")
