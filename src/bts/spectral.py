@@ -4,18 +4,15 @@ The solvers find every solution of the critical equations
 
     y_j = sigma * x_j,   q(x_j) = 1,
 
-where y_j contracts the tensor against all vectors but the j-th.  Every
-solver runs one attempt loop, ``_first_certified``: each attempt works in
-a chart (a seeded random rotation of the tensor; the squared singular
-values are rotation invariants) that yields its candidate tuples as one
-complex (n, s, 2) array of group vectors, not normalized, with their
-multiplicities.  ``_first_certified`` unrotates the stack in one einsum, and
-``_finalize_spectrum`` alone q-normalizes (``_q_normalized``; an isotropic
-candidate fails the attempt by name), polishes (at most once, on the
-original tensor), deduplicates, counts and certifies them; when every
-attempt fails the error names the reason of each.  The tensor is converted
-to floats once per solve (``_float_copy``), and its dense array and norm are
-taken once.
+where y_j contracts the tensor against all vectors but the j-th.  Each
+solver works in a chart that yields its candidate tuples as one complex
+(n, s, 2) array of group vectors, not normalized, with their
+multiplicities, and ``_finalize_spectrum`` alone q-normalizes them
+(``_q_normalized``; an isotropic or overflowing candidate raises
+SolverFailureError by name), polishes (at most once, on the original
+tensor), deduplicates, counts and certifies them.  The tensor is converted
+to floats once per solve, and its dense array and norm are taken once
+(``_float_arrays``).
 
 Full 2x2x2 tensors, (2,1)-symmetric tensors and 2x2 matrices share the
 elimination chart, ``_solve_by_elimination``.  A rank-one tensor (its
@@ -32,13 +29,17 @@ eigenvectors (``_pencil_values``): null vectors of M0 + z_s M1, which are
 the monomial vectors of the tuples sharing that z_s (the eigenvector method
 of hidden-variable elimination), and a shift in z1 separates them
 (``_pencil_points``: one stacked least-squares shift and eigendecomposition
-for all the clusters of one width).  Fully symmetric tensors use the
-critical binary form chart of ``eigen_symmetric``, whose attempt 0 does not
-rotate; its values come from ``_pencil_values`` too, one companion matrix
-per factor of an exact square-free decomposition.  ``_finalize_spectrum``
-scores the candidates in two batched kernel calls: one pairs the
-normalized candidates and gives their Newton residuals, so that only the
-unconverged ones are polished, and one certifies the polished stack.
+for all the clusters of one width).  The elimination chart is the only one
+that rotates: it runs up to MAX_ROTATION_ATTEMPTS seeded rotations (the
+squared singular values are rotation invariants), unrotates each attempt's
+stack in one einsum, and when every attempt fails its error names the
+reason of each.  Fully symmetric tensors use the critical binary form chart
+of ``eigen_symmetric``, one exact pass on the unrotated form; its values
+come from ``_pencil_values`` too, one companion matrix per factor of an
+exact square-free decomposition.  ``_finalize_spectrum`` scores the
+candidates in two batched kernel calls: one pairs the normalized
+candidates and gives their Newton residuals, so that only the unconverged
+ones are polished, and one certifies the polished stack.
 
 The critical equations are scored by one batched kernel,
 ``_contract_batch``: it takes the group vectors of n tuples as an (n, s, 2)
@@ -136,15 +137,20 @@ class Spectrum:
 def _q_normalized(vecs: np.ndarray) -> np.ndarray:
     """The (n, s, 2) group vectors ``vecs``, each divided by sqrt(q(x)), q(x) = x0^2 + x1^2.
 
-    A vector with |q(x)| < 1e-8 |x|^2 is numerically isotropic (excluded by
-    the rank-one theory) and raises SolverFailureError.
+    A vector whose |x|^2 overflows raises SolverFailureError naming the
+    overflow; one with |q(x)| < 1e-8 |x|^2 is numerically isotropic (excluded
+    by the rank-one theory) and raises SolverFailureError.  A NaN vector is
+    left to certification.
     """
-    q = vecs[..., 0] * vecs[..., 0] + vecs[..., 1] * vecs[..., 1]
-    mag = np.abs(vecs) ** 2
-    isotropic = np.abs(q) < 1e-8 * np.maximum(mag[..., 0] + mag[..., 1], 1e-300)
-    if isotropic.any():
-        row, group = np.argwhere(isotropic)[0]
-        raise SolverFailureError(f"vector {tuple(vecs[row, group].tolist())} is numerically isotropic")
+    # an inf - inf in q happens only in a vector whose |x|^2 overflows, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = vecs[..., 0] * vecs[..., 0] + vecs[..., 1] * vecs[..., 1]
+        mag = (np.abs(vecs) ** 2).sum(axis=-1)
+    for failed, what in ((np.isinf(mag), "overflows the float range"),
+                         (np.abs(q) < 1e-8 * np.maximum(mag, 1e-300), "is numerically isotropic")):
+        if failed.any():
+            row, group = np.argwhere(failed)[0]
+            raise SolverFailureError(f"vector {tuple(vecs[row, group].tolist())} {what}")
     return vecs / np.sqrt(q)[..., None]
 
 
@@ -160,11 +166,21 @@ def _rotation_pairs(rng: np.random.Generator, n: int) -> tuple[list[tuple[float,
     return cs, np.array([((c, -s), (s, c)) for c, s in cs])
 
 
-def _float_copy(t: BinaryTensor | MuTensor) -> BinaryTensor | MuTensor:
-    """``t`` with each entry converted to float once; rotating it gives the bits rotating ``t`` gives."""
+def _float_arrays(t: BinaryTensor | MuTensor) -> tuple[BinaryTensor | MuTensor, np.ndarray, float]:
+    """``t`` with each entry converted to float once, its dense complex array and its norm, taken once per solve.
+
+    Rotating the float copy gives the bits rotating ``t`` gives.  A zero
+    tensor raises ValueError.
+    """
     if isinstance(t, MuTensor):
-        return MuTensor(t.mu, {om: float(v) for om, v in t.c.items()})
-    return BinaryTensor(t.d, tuple(float(v) for v in t.entries))
+        floats = MuTensor(t.mu, {om: float(v) for om, v in t.c.items()})
+    else:
+        floats = BinaryTensor(t.d, tuple(float(v) for v in t.entries))
+    dense = expand(floats)
+    norm = dense.norm()
+    if norm == 0.0:
+        raise ValueError("zero tensor")
+    return floats, dense.as_array().astype(complex), norm
 
 
 def _contract_except(arr: np.ndarray, slot_vecs: np.ndarray, keep: Sequence[int]) -> np.ndarray:
@@ -357,16 +373,20 @@ def _finalize_spectrum(
     """Normalize, polish, deduplicate, count and certify the (n, s, 2) candidates ``vecs`` with ``mults``.
 
     ``arr`` is the dense complex array of the tensor and ``norm`` its norm.
-    The candidates are q-normalized (``_q_normalized``; an isotropic one
-    raises SolverFailureError).  Two kernel calls in all.  The first, over
-    the normalized candidates, seeds each sigma and gives every candidate's
-    Newton residual vector; only those whose residual is not below Newton's
-    stop bound 1e-14 (1 + max |t|) are polished (``_newton_polish_tuple``),
-    once each, and normalized again.  The second, ``tuple_residual`` over
-    the stack, gives the pairings and residuals.  Repeats (``_distinct``)
-    are dropped; the rest, counted with multiplicity, must number
-    ed_degree(mu), each with residual at most RESIDUAL_REL_TOL * |t|, or
-    SolverFailureError.  Real sigma < 0 flips the first odd group's vector.
+    The candidates are q-normalized (``_q_normalized``; an isotropic or
+    overflowing one raises SolverFailureError).  Two kernel calls in all.
+    The first, over the normalized candidates, seeds each sigma and gives
+    every candidate's Newton residual vector; only those whose residual is
+    not below Newton's stop bound 1e-14 (1 + max |t|) are polished
+    (``_newton_polish_tuple``), once each, and normalized again.  The
+    second, ``tuple_residual`` over the stack, gives the pairings and
+    residuals.  Repeats (``_distinct``) are dropped; the rest, counted with
+    multiplicity, must number ed_degree(mu), each with residual at most
+    RESIDUAL_REL_TOL * |t|, or SolverFailureError.  Real sigma < 0 flips the
+    first odd group's vector.  The notes get "collisions" when two sorted
+    sigma^2 are within 1e-7 (|t|^2 + |sigma^2|), then, unless
+    ``degenerate``, "zero singular value" when a sigma^2 is within
+    1e-8 |t|^2 of 0.
     """
     odd_groups = [k for k, p in enumerate(mu.parts) if p % 2 == 1]
 
@@ -417,6 +437,8 @@ def _finalize_spectrum(
     )
     if collide:
         notes = notes + ("collisions",)
+    if not degenerate and any(abs(v) <= 1e-8 * norm * norm for v in sq):
+        notes = notes + ("zero singular value",)
     return Spectrum(mu=mu, data=data, degenerate=degenerate, notes=notes)
 
 
@@ -474,51 +496,7 @@ def _rank_one_spectrum_21(mu: Partition, arr: np.ndarray, norm: float, fibers: l
     return _rank_one_spectrum(mu, arr, norm, fibers, table)
 
 
-# --- the attempt loop and its charts ----------------------------------------------
-
-
-class _AttemptFailed(Exception):
-    """One chart attempt found no certifiable tuples; the message says why."""
-
-
-def _first_certified(
-    mu: Partition, arr: np.ndarray, norm: float, seed: int, salt: int, attempts: int, chart: Callable
-) -> Spectrum:
-    """The spectrum from the first of ``attempts`` chart attempts that certifies on the tensor.
-
-    ``arr`` is the tensor's dense complex array and ``norm`` its norm, taken
-    once per solve.  ``chart(rng, attempt)`` draws its rotation from the
-    seeded ``rng`` and returns the (s, 2, 2) rotation matrices R it applied
-    to the groups, its candidates on the rotated tensor as one complex
-    (n, s, 2) array (not normalized), their n multiplicities, and its name;
-    it raises _AttemptFailed when it finds none.  One einsum unrotates every
-    candidate (R^T x), and ``_finalize_spectrum`` normalizes, polishes,
-    deduplicates, counts and certifies them on the tensor.  When no attempt
-    certifies, SolverFailureError names each attempt's reason.
-    """
-    if norm == 0.0:
-        raise ValueError("zero tensor")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, salt)))
-    failures: list[str] = []
-    for attempt in range(attempts):
-        try:
-            rot, found, mults, name = chart(rng, attempt)
-        except _AttemptFailed as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
-        unrotated = np.einsum("slk,nsl->nsk", rot, found)
-        try:
-            spec = _finalize_spectrum(mu, arr, norm, unrotated, mults, f"{name}, seed={seed}, attempt={attempt}")
-        except SolverFailureError as exc:
-            failures.append(f"attempt {attempt}: {exc}")
-            continue
-        if any(abs(d.sigma_sq) <= 1e-8 * norm * norm for d in spec.data):
-            spec.notes = spec.notes + ("zero singular value",)
-        return spec
-    raise SolverFailureError(
-        f"no rotation certified {ed_degree(mu)} singular tuples: " + "; ".join(failures),
-        {"failures": failures},
-    )
+# --- the elimination chart --------------------------------------------------------
 
 
 class _PencilMap(NamedTuple):
@@ -592,15 +570,15 @@ def _pencil_values(m0: np.ndarray, m1: np.ndarray) -> list[tuple[complex, np.nda
     One ``np.linalg.eig`` call; each cluster gives its mean z and the (n, k)
     block of its k eigenvector columns, null vectors of M0 + z M1, so its
     multiplicity is the block's width.  A singular M1 means a root at
-    infinity, and the attempt fails.
+    infinity and raises SolverFailureError.
     """
     try:
         companion = np.linalg.solve(m1, m0)
     except np.linalg.LinAlgError as exc:
-        raise _AttemptFailed("root at infinity (singular pencil)") from exc
+        raise SolverFailureError("root at infinity (singular pencil)") from exc
     values, vectors = np.linalg.eig(-companion)
     if not np.all(np.isfinite(values)):
-        raise _AttemptFailed("root at infinity (singular pencil)")
+        raise SolverFailureError("root at infinity (singular pencil)")
     zs = values.tolist()
     return [(sum(zs[i] for i in cl) / len(cl), vectors[:, cl]) for cl in _cluster(zs)]
 
@@ -645,38 +623,48 @@ def _solve_by_elimination(
 
     A rank-one ``t`` goes straight to ``rank_one``, which takes mu, the
     dense array, the norm and the fiber vectors; only the matrix shape has
-    none.  Otherwise each
-    of MAX_ROTATION_ATTEMPTS attempts of ``_first_certified`` rotates ``t``
-    by mu.s seeded angles, mu = t.mu, and applies to its dense entries the
-    shape's cached linear map (``_pencil_map``) to the pencil M0 + z_s M1 of
-    its dehomogenized critical equations, in one variable z_k per group
-    (x_k = (1, z_k)); no equation is built, and no table is rebuilt, per
-    attempt.  Each eigenvalue cluster (``_pencil_values``) gives the last
-    variable of as many tuples as its multiplicity, and ``_pencil_points``
-    reads the other variables of all of them off the clusters' eigenvectors
-    with the shape's cached shift tables, in one stacked solve per cluster
-    width (one for generic input).  The chart returns its ed_degree(mu)
-    candidates x_k = (1, z_k) as one (n, s, 2) stack, each of multiplicity
-    1; ``_first_certified`` unrotates them and ``_finalize_spectrum``
-    normalizes and pairs them, polishes the unconverged ones, deduplicates,
-    counts and certifies them.  The entries are converted to floats once
-    (``_float_copy``), for the rotations and the dense array alike.
+    none.  Otherwise each of MAX_ROTATION_ATTEMPTS attempts rotates ``t`` by
+    mu.s angles drawn from one generator seeded by (seed, salt), mu = t.mu,
+    and applies to its dense entries the shape's cached linear map
+    (``_pencil_map``) to the pencil M0 + z_s M1 of its dehomogenized
+    critical equations, in one variable z_k per group (x_k = (1, z_k)); no
+    equation is built, and no table is rebuilt, per attempt.  Each
+    eigenvalue cluster (``_pencil_values``) gives the last variable of as
+    many tuples as its multiplicity, and ``_pencil_points`` reads the other
+    variables of all of them off the clusters' eigenvectors with the shape's
+    cached shift tables, in one stacked solve per cluster width (one for
+    generic input).  One einsum unrotates the ed_degree(mu) candidates
+    x_k = (1, z_k), each of multiplicity 1 (R^T x, R the rotation of the
+    group), and ``_finalize_spectrum`` normalizes and pairs them, polishes
+    the unconverged ones, deduplicates, counts and certifies them on ``t``.
+    The first attempt that certifies gives the spectrum; an attempt fails on
+    a SolverFailureError of its pencil or of certification, and when every
+    attempt fails the SolverFailureError names the reason of each.  The
+    entries are converted to floats once (``_float_arrays``), for the
+    rotations and the dense array alike.
     """
-    mu, floats = t.mu, _float_copy(t)
-    dense = expand(floats)
-    arr, norm = dense.as_array().astype(complex), dense.norm()
+    mu = t.mu
+    floats, arr, norm = _float_arrays(t)
     if rank_one is not None:
         fibers = _try_rank_one_factors(arr.real)
         if fibers is not None:
             return rank_one(mu, arr, norm, fibers)
-
-    def chart(rng: np.random.Generator, attempt: int):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, salt)))
+    failures: list[str] = []
+    for attempt in range(MAX_ROTATION_ATTEMPTS):
         cs, rot = _rotation_pairs(rng, mu.s)
-        m0, m1, table = _pencil(expand(rotate_cs(floats, cs)).entries, mu)
-        z = _pencil_points(table, _pencil_values(m0, m1))
-        return rot, np.stack([np.ones_like(z), z], axis=-1), [1] * len(z), "elimination chart"
-
-    return _first_certified(mu, arr, norm, seed, salt, MAX_ROTATION_ATTEMPTS, chart)
+        try:
+            m0, m1, table = _pencil(expand(rotate_cs(floats, cs)).entries, mu)
+            z = _pencil_points(table, _pencil_values(m0, m1))
+            vecs = np.einsum("slk,nsl->nsk", rot, np.stack([np.ones_like(z), z], axis=-1))
+            return _finalize_spectrum(mu, arr, norm, vecs, [1] * len(z),
+                                      f"elimination chart, seed={seed}, attempt={attempt}")
+        except SolverFailureError as exc:
+            failures.append(f"attempt {attempt}: {exc}")
+    raise SolverFailureError(
+        f"no rotation certified {ed_degree(mu)} singular tuples: " + "; ".join(failures),
+        {"failures": failures},
+    )
 
 
 def solve_222(t: BinaryTensor, seed: int = 0) -> Spectrum:
@@ -731,52 +719,42 @@ def _polynomial_roots(coeffs: Sequence[Fraction]) -> list[tuple[complex, int]]:
 def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
     """The d eigen-pairs of a symmetric binary tensor, via its critical binary form.
 
-    The form x1 * df/dx0 - x0 * df/dx1 has degree d; its projective roots are
-    the critical directions (degree drop at the top means roots at infinity),
-    a root of multiplicity m giving m equal tuples (``_polynomial_roots``,
-    on the exact form of the entries).  The roots are handed over as one
-    (n, 1, 2) stack of directions with their multiplicities;
+    The form x1 * df/dx0 - x0 * df/dx1 has degree d, built once from the
+    exact entries; its projective roots are the critical directions (degree
+    drop at the top means roots at infinity), a root of multiplicity m
+    giving m equal tuples (``_polynomial_roots``).  The roots are handed
+    over as one (n, 1, 2) stack of directions with their multiplicities;
     ``_finalize_spectrum`` normalizes and pairs them for the eigenvalues.
-    Attempt 0 of ``_first_certified`` takes the tensor's own entries (the
-    identity rotation), the next MAX_ROTATION_ATTEMPTS rotate its floats by
-    a seeded angle; an isotropic root or a failed certification moves on to
-    the next attempt.  A form whose critical form vanishes identically (a
-    radial form) fails at once.
+    There is one pass and no rotation: a rotation preserves q, so an
+    isotropic root stays isotropic in every chart.  An isotropic root, a
+    failed certification and a form whose critical form vanishes
+    identically (a radial form) raise SolverFailureError naming the cause.
+    ``seed`` only enters the chart note.
     """
     if c.mu.s != 1:
         raise ValueError("eigen_symmetric needs mu = (d)")
     mu = c.mu
     d = mu.d
-    c_float = _float_copy(c)
-    dense = expand(c_float)
-
-    def chart(rng: np.random.Generator, attempt: int):
-        if attempt == 0:
-            rot, c_rot = np.eye(2)[None], c
-        else:
-            cs, rot = _rotation_pairs(rng, 1)
-            c_rot = rotate_cs(c_float, cs)
-        a = [Fraction(c_rot[(j,)]) * math.comb(d, j) for j in range(d + 1)]
-        padded = [0, *a, 0]
-        g = [(d - k + 1) * padded[k] - (k + 1) * padded[k + 2] for k in range(d + 1)]
-        if all(abs(v) <= 1e-14 * max(map(abs, a), default=1.0) for v in g):
-            raise SolverFailureError(
-                "critical form vanishes identically (radial binary form)", {"coeffs": a}
-            )
-        top_drop = 0
-        gg = list(g)
-        scale = max(map(abs, gg))
-        while gg and abs(gg[-1]) <= 1e-13 * scale:
-            gg.pop()
-            top_drop += 1
-        directions = [((0.0, 1.0), top_drop)] if top_drop else []
-        if len(gg) > 1:
-            directions += [((1.0, z), mult) for z, mult in _polynomial_roots(gg)]
-        vecs = np.array([x for x, _ in directions], dtype=complex).reshape(-1, 1, 2)
-        return rot, vecs, [mult for _, mult in directions], "critical form chart"
-
-    return _first_certified(
-        mu, dense.as_array().astype(complex), dense.norm(), seed, 0xD, MAX_ROTATION_ATTEMPTS + 1, chart
+    _, arr, norm = _float_arrays(c)
+    a = [Fraction(c[(j,)]) * math.comb(d, j) for j in range(d + 1)]
+    padded = [0, *a, 0]
+    g = [(d - k + 1) * padded[k] - (k + 1) * padded[k + 2] for k in range(d + 1)]
+    if all(abs(v) <= 1e-14 * max(map(abs, a), default=1.0) for v in g):
+        raise SolverFailureError(
+            "critical form vanishes identically (radial binary form)", {"coeffs": a}
+        )
+    top_drop = 0
+    gg = list(g)
+    scale = max(map(abs, gg))
+    while gg and abs(gg[-1]) <= 1e-13 * scale:
+        gg.pop()
+        top_drop += 1
+    directions = [((0.0, 1.0), top_drop)] if top_drop else []
+    if len(gg) > 1:
+        directions += [((1.0, z), mult) for z, mult in _polynomial_roots(gg)]
+    vecs = np.array([x for x, _ in directions], dtype=complex).reshape(-1, 1, 2)
+    return _finalize_spectrum(
+        mu, arr, norm, vecs, [mult for _, mult in directions], f"critical form chart, seed={seed}, attempt=0"
     )
 
 

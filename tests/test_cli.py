@@ -409,7 +409,7 @@ def test_verify_product_unsupported_mu(capsys):
 
 def test_svals_exit_3_names_every_attempt(capsys, tmp_path, monkeypatch):
     def failing_values(_m0, _m1):
-        raise bts.spectral._AttemptFailed("no convergence")
+        raise bts.spectral.SolverFailureError("no convergence")
 
     monkeypatch.setattr(bts.spectral, "_pencil_values", failing_values)
     path = tmp_path / "t.json"
@@ -438,25 +438,23 @@ def test_svals_exit_3_counts_survivors_on_every_attempt(capsys, tmp_path, monkey
         assert f"attempt {k}: 5 survivors (expected 6)" in err
 
 
-def test_svals_symmetric_exit_3_names_every_attempt(capsys, cubic_file, monkeypatch):
+def test_svals_symmetric_exit_3_names_its_cause(capsys, cubic_file, monkeypatch):
+    # the symmetric chart makes one attempt; a failure of its eigenvalue routine still exits 3
     def failing_values(m0, m1):
-        raise bts.spectral._AttemptFailed("no convergence")
+        raise bts.spectral.SolverFailureError("no convergence")
 
     monkeypatch.setattr(bts.spectral, "_pencil_values", failing_values)
     code, out, err = run(capsys, "svals", "--input", cubic_file)
     assert code == 3 and out == ""
-    assert "no rotation certified 3 singular tuples" in err
-    for k in range(4):
-        assert f"attempt {k}: no convergence" in err
+    assert err.rstrip().endswith("solver failure: no convergence")
+    assert "attempt 1" not in err
 
 
 @pytest.mark.parametrize("doc, attempts", [
     # theta_4 = 0: two of the six elimination candidates are isotropic
     ({"d": 3, "mu": None, "entries": dict(zip(("000", "001", "010", "011", "100", "101", "110", "111"),
                                               ("4", "2", "1", "0", "4", "-3", "-1", "1")))}, 3),
-    # x0 (x0^2 + x1^2): its critical form x1 (x0^2 + x1^2) has the isotropic roots +-i
-    ({"d": 3, "mu": [3], "entries": {"0": "1", "2": "1/3"}}, 4),
-], ids=["theta4-zero", "isotropic-cubic"])
+], ids=["theta4-zero"])
 def test_svals_exit_3_names_an_isotropic_candidate_on_every_attempt(capsys, tmp_path, doc, attempts):
     path = tmp_path / "t.json"
     path.write_text(json.dumps(doc))
@@ -466,6 +464,23 @@ def test_svals_exit_3_names_an_isotropic_candidate_on_every_attempt(capsys, tmp_
     assert len(reasons) == attempts
     for k, reason in enumerate(reasons):
         assert f"attempt {k}: vector (" in reason and reason.endswith("is numerically isotropic")
+
+
+def test_svals_symmetric_names_an_isotropic_root_without_rotating(capsys, tmp_path, monkeypatch):
+    # x0 (x0^2 + x1^2): its critical form x1 (x0^2 + x1^2) has the isotropic roots +-i,
+    # which no rotation can change, so the chart makes one pass and rotates nothing
+    def no_rotation(*_args):
+        raise AssertionError("the symmetric chart should not rotate")
+
+    monkeypatch.setattr(bts.spectral, "_rotation_pairs", no_rotation)
+    monkeypatch.setattr(bts.spectral, "rotate_cs", no_rotation)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"d": 3, "mu": [3], "entries": {"0": "1", "2": "1/3"}}))
+    code, out, err = run(capsys, "svals", "--input", str(path))
+    assert code == 3 and out == ""
+    last = err.strip().splitlines()[-1]
+    assert "attempt" not in last and "; " not in last
+    assert last.startswith("error: solver failure: vector (") and last.endswith("is numerically isotropic")
 
 
 def test_svals_symmetric_quartic_with_a_triple_critical_root(capsys, tmp_path):

@@ -462,6 +462,18 @@ def test_zero_iff_discriminant_zero_sample():
         assert min(abs(v) for v in real_sq(spec)) > 1e-6
 
 
+@pytest.mark.parametrize("solve, notes", [
+    # x0^3: the double critical root (0, 1) carries sigma = 0
+    (lambda: eigen_symmetric(sym_tensor([1, 0, 0, 0]), seed=1), ("collisions", "zero singular value")),
+    (lambda: solve_matrix(BinaryTensor(2, (1, 2, 2, 4)), seed=1), ("zero singular value",)),
+    # a rank-one spectrum is flagged degenerate; its five zero sigma^2 collide
+    (lambda: solve_222(rank_one_tensor([(1, 2), (3, -1), (2, 5)]), seed=1),
+     ("rank-one input; zero-value critical set is positive-dimensional", "det zero", "collisions")),
+], ids=["pure-power", "singular-matrix", "rank-one-222"])
+def test_zero_singular_value_note(solve, notes):
+    assert solve().notes == notes
+
+
 def test_singular_values_dispatch():
     assert singular_values(random_tensor(0, 3), seed=1).mu.parts == (1, 1, 1)
     assert singular_values(random_tensor(0, (2, 1)), seed=1).mu.parts == (2, 1)
@@ -775,6 +787,12 @@ def test_non_finite_tuple_has_infinite_residual(defect):
     _, (res,) = bts.spectral.tuple_residual(arr, t.mu, np.array([vecs], dtype=complex), np.array([sigma]))
     assert res == math.inf
     assert res > bts.spectral.RESIDUAL_REL_TOL * t.norm()
+
+
+def test_q_normalized_names_overflow():
+    # |x|^2 of (1, 1e200) overflows: the cause is named, not turned into a zero vector
+    with pytest.raises(SolverFailureError, match="overflow"):
+        bts.spectral._q_normalized(np.array([[[1, 1e200]]], dtype=complex))
 
 
 def _pencil_of(t):
