@@ -1,3 +1,3 @@
 """Singular values, distance polynomials and invariants of real binary tensors."""
 
-__version__ = "0.12.1"
+__version__ = "0.13.0"

@@ -32,12 +32,10 @@ class UniPoly:
     """Dense univariate polynomial, coefficients ascending: a_0 + a_1 v + ...
 
     Trailing zero coefficients are stripped, so the leading coefficient is
-    nonzero unless the polynomial is zero.  The variable name is cosmetic
-    ("eps2" for distance polynomials in the squared distance).
+    nonzero unless the polynomial is zero.
     """
 
     coeffs: tuple[Scalar, ...]
-    var: str = "eps2"
 
     def __post_init__(self) -> None:
         cs = list(self.coeffs)
@@ -57,18 +55,18 @@ class UniPoly:
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not self.coeffs or not other.coeffs:
-            return UniPoly((), self.var)
+            return UniPoly(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return UniPoly(tuple(out), self.var)
+        return UniPoly(tuple(out))
 
     @staticmethod
-    def from_roots(roots: Sequence[complex], lead: Scalar = 1.0, var: str = "eps2") -> "UniPoly":
-        p = UniPoly((lead,), var)
+    def from_roots(roots: Sequence[complex], lead: Scalar = 1.0) -> "UniPoly":
+        p = UniPoly((lead,))
         for r in roots:
-            p = p * UniPoly((-r, 1), var)
+            p = p * UniPoly((-r, 1))
         return p
 
 
@@ -255,7 +253,7 @@ def reflect_edpoly(p: UniPoly, qt: Scalar) -> UniPoly:
         for j in range(k, n + 1):
             acc = acc + comb(j, k) * qt ** (j - k) * a[j]
         out.append(acc if k % 2 == 0 else -acc)
-    return UniPoly(tuple(out), p.var)
+    return UniPoly(tuple(out))
 
 
 class Discriminant(NamedTuple):

@@ -14,10 +14,13 @@ tensor), deduplicates, counts and certifies them.  The tensor is converted
 to floats once per solve, and its dense array and norm are taken once
 (``_float_arrays``).
 
-Full 2x2x2 tensors, (2,1)-symmetric tensors and 2x2 matrices share the
-elimination chart, ``_solve_by_elimination``.  A rank-one tensor (its
-zero-value critical set is a curve, not isolated points) is answered at
-once by a closed form.  Otherwise the dehomogenized critical equations,
+``singular_values`` is the one solver entry; it picks the chart from the
+shape.  Full 2x2x2 tensors, (2,1)-symmetric tensors and 2x2 matrices share
+the elimination chart, ``_solve_by_elimination``, which reads each shape's
+rotation salt and rank-one closed form from one table
+(``_ELIMINATION_SHAPES``).  A rank-one tensor (its zero-value critical set
+is a curve, not isolated points) is answered at once by a closed form.
+Otherwise the dehomogenized critical equations,
 one variable z_k per group, are linear in the last variable z_s; multiplied
 by powers of z1 they give a square hidden-variable pencil M0 + z_s M1 of
 size ed_degree(mu) over the monomials in z1..z_{s-1}, whose determinant is
@@ -35,9 +38,10 @@ squared singular values are rotation invariants), unrotates each attempt's
 stack in one einsum, and when every attempt fails its error names the
 reason of each.  Fully symmetric tensors use the critical binary form chart
 of ``eigen_symmetric``, one exact pass on the unrotated form; its values
-come from ``_pencil_values`` too, one companion matrix per factor of an
-exact square-free decomposition.  ``_finalize_spectrum`` scores the
-candidates in two batched kernel calls: one pairs the normalized
+are the eigenvalues of one companion matrix per factor of an exact
+square-free decomposition, each its own root, since a square-free factor
+has simple roots only (``_polynomial_roots``).  ``_finalize_spectrum``
+scores the candidates in two batched kernel calls: one pairs the normalized
 candidates and gives their Newton residuals, so that only the unconverged
 ones are polished, and one certifies the polished stack.
 
@@ -49,9 +53,9 @@ residuals max_j |y_j - sigma x_j| (inf when not finite).  ``tuple_residual``
 is its certification view (pairings and residuals of a stack), Newton's
 system (``_newton_residuals``) takes its group rows from the same per-slot
 einsums, for a stack or for the one tuple being polished, and the
-Jacobian (``_jacobian``) takes one einsum per distinct pair of slots it
-leaves out, placed by a per-shape plan (``_jacobian_plan``).  Every
-contraction, batched or not, is one call of ``_contract_except``.
+Jacobian (``_jacobian``) builds its blocks directly, from one einsum per
+distinct pair of slots it leaves out.  Every contraction, batched or not,
+is one call of ``_contract_except``.
 
 Supported: full 2x2x2 tensors (six tuples), (2,1)-symmetric tensors (four),
 2x2 matrices (two), and fully symmetric tensors of any order (d tuples, via
@@ -142,16 +146,17 @@ def _q_normalized(vecs: np.ndarray) -> np.ndarray:
     by the rank-one theory) and raises SolverFailureError.  A NaN vector is
     left to certification.
     """
-    # an inf - inf in q happens only in a vector whose |x|^2 overflows, which raises below
+    # an inf - inf in q happens only in a vector whose |x|^2 overflows, which raises below;
+    # a NaN vector divides to NaN
     with np.errstate(over="ignore", invalid="ignore"):
         q = vecs[..., 0] * vecs[..., 0] + vecs[..., 1] * vecs[..., 1]
         mag = (np.abs(vecs) ** 2).sum(axis=-1)
-    for failed, what in ((np.isinf(mag), "overflows the float range"),
-                         (np.abs(q) < 1e-8 * np.maximum(mag, 1e-300), "is numerically isotropic")):
-        if failed.any():
-            row, group = np.argwhere(failed)[0]
-            raise SolverFailureError(f"vector {tuple(vecs[row, group].tolist())} {what}")
-    return vecs / np.sqrt(q)[..., None]
+        for failed, what in ((np.isinf(mag), "overflows the float range"),
+                             (np.abs(q) < 1e-8 * np.maximum(mag, 1e-300), "is numerically isotropic")):
+            if failed.any():
+                row, group = np.argwhere(failed)[0]
+                raise SolverFailureError(f"vector {tuple(vecs[row, group].tolist())} {what}")
+        return vecs / np.sqrt(q)[..., None]
 
 
 def _perp(x: Sequence[float]) -> tuple[float, float]:
@@ -246,54 +251,32 @@ def _newton_residuals(vecs: np.ndarray, sigma: np.ndarray, ys: np.ndarray) -> np
     return np.concatenate([defects, vecs[..., 0] ** 2 + vecs[..., 1] ** 2 - 1.0], axis=1)
 
 
-class _JacobianPlan(NamedTuple):
-    """The all-but-two blocks of Newton's Jacobian for one shape (``_jacobian_plan``)."""
-
-    pairs: tuple[tuple[int, int], ...]  # the distinct slot pairs, ascending, each contracted once per step
-    blocks: tuple[tuple[int, int, int, bool, int], ...]  # (row, column, pair, transpose, count)
-    eye: tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, columns and values of the 2x2 identities -sigma scales
-
-
-@cache
-def _jacobian_plan(mu: Partition) -> _JacobianPlan:
-    """Where each all-but-two contraction goes in the Jacobian of ``_newton_residuals``.
-
-    Row block k (group k's first slot) and column block m (group m's vector)
-    hold count times the contraction of every slot but k's first and one
-    other slot of group m, m's first or, for m = k, its second; count is the
-    number of group m's slots that are not k's first.
-    """
-    firsts, pairs, blocks = mu.firsts, [], []
-    for k in range(mu.s):
-        for m in range(mu.s):
-            count = mu.parts[m] - (1 if m == k else 0)
-            if count > 0:
-                other = firsts[m] + (1 if m == k else 0)
-                pair = tuple(sorted((firsts[k], other)))
-                if pair not in pairs:
-                    pairs.append(pair)
-                blocks.append((2 * k, 2 * m, pairs.index(pair), firsts[k] > other, count))
-    group, i, j = np.indices((mu.s, 2, 2)).reshape(3, -1)
-    eye = (2 * group + i, 2 * group + j, (i == j).astype(float))
-    for arr in eye:
-        arr.flags.writeable = False
-    return _JacobianPlan(tuple(pairs), tuple(blocks), eye)
-
-
 def _jacobian(arr: np.ndarray, mu: Partition, x: np.ndarray, sigma: complex) -> np.ndarray:
     """The (3s, 2s + 1) Jacobian of Newton's system at the (s, 2) group vectors ``x`` and ``sigma``.
 
     Columns: the group vectors, then sigma; rows: the defects of each group's
-    first slot, then the normalizations q(x_k) = 1.
+    first slot, then the normalizations q(x_k) = 1.  Row block k (group k's
+    first slot) and column block m (group m's vector) hold count times the
+    contraction of every slot but k's first and one other slot of group m,
+    m's first or, for m = k, its second; count is the number of group m's
+    slots that are not k's first.  Each distinct slot pair is contracted once.
     """
-    s, plan = mu.s, _jacobian_plan(mu)
+    s, firsts = mu.s, mu.firsts
     slot_vecs = x[None, list(mu.group_of)]
-    mats = [_contract_except(arr, slot_vecs, keep=pair)[0] for pair in plan.pairs]
+    mats: dict[tuple[int, int], np.ndarray] = {}
     jac = np.zeros((3 * s, 2 * s + 1), dtype=complex)
-    for row, col, pair, transpose, count in plan.blocks:
-        jac[row : row + 2, col : col + 2] += count * (mats[pair].T if transpose else mats[pair])
-    rows, cols, ones = plan.eye
-    jac[rows, cols] -= sigma * ones
+    diagonal = sigma * np.eye(2)
+    for k in range(s):
+        for m in range(s):
+            count = mu.parts[m] - (1 if m == k else 0)
+            if count > 0:
+                other = firsts[m] + (1 if m == k else 0)
+                pair = (min(firsts[k], other), max(firsts[k], other))
+                if pair not in mats:
+                    mats[pair] = _contract_except(arr, slot_vecs, keep=pair)[0]
+                mat = mats[pair].T if firsts[k] > other else mats[pair]
+                jac[2 * k : 2 * k + 2, 2 * m : 2 * m + 2] += count * mat
+        jac[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] -= diagonal
     flat = np.arange(2 * s)
     jac[flat, 2 * s] = -x.ravel()
     jac[2 * s + flat // 2, flat] = 2.0 * x.ravel()
@@ -613,19 +596,26 @@ def _pencil_points(table: _PencilMap, clusters: list[tuple[complex, np.ndarray]]
     return points
 
 
-def _solve_by_elimination(
-    t: BinaryTensor | MuTensor,
-    seed: int,
-    salt: int,
-    rank_one: Callable | None,
-) -> Spectrum:
+# The elimination chart's shapes (mu.parts): the salt of the seeded rotations and the name of the
+# rank-one closed form, if any; the name is looked up in the module when called, so a wrapped
+# function is the one called.
+_ELIMINATION_SHAPES = {
+    (1, 1): (0x11, None),
+    (2, 1): (0x21, "_rank_one_spectrum_21"),
+    (1, 1, 1): (0x222, "_rank_one_spectrum_222"),
+}
+
+
+def _solve_by_elimination(t: BinaryTensor | MuTensor, seed: int) -> Spectrum:
     """All ed_degree(mu) singular tuples of ``t``, from a rotated hidden-variable pencil.
 
-    A rank-one ``t`` goes straight to ``rank_one``, which takes mu, the
-    dense array, the norm and the fiber vectors; only the matrix shape has
-    none.  Otherwise each of MAX_ROTATION_ATTEMPTS attempts rotates ``t`` by
-    mu.s angles drawn from one generator seeded by (seed, salt), mu = t.mu,
-    and applies to its dense entries the shape's cached linear map
+    mu = t.mu is a 2x2 matrix, a (2,1)-symmetric tensor or a full 2x2x2
+    tensor; ``_ELIMINATION_SHAPES`` gives its salt and its rank-one closed
+    form.  A rank-one ``t`` goes straight to that closed form, which takes
+    mu, the dense array, the norm and the fiber vectors; only the matrix
+    shape has none.  Otherwise each of MAX_ROTATION_ATTEMPTS attempts rotates
+    ``t`` by mu.s angles drawn from one generator seeded by (seed, salt), and
+    applies to its dense entries the shape's cached linear map
     (``_pencil_map``) to the pencil M0 + z_s M1 of its dehomogenized
     critical equations, in one variable z_k per group (x_k = (1, z_k)); no
     equation is built, and no table is rebuilt, per attempt.  Each
@@ -644,11 +634,12 @@ def _solve_by_elimination(
     rotations and the dense array alike.
     """
     mu = t.mu
+    salt, rank_one = _ELIMINATION_SHAPES[mu.parts]
     floats, arr, norm = _float_arrays(t)
     if rank_one is not None:
         fibers = _try_rank_one_factors(arr.real)
         if fibers is not None:
-            return rank_one(mu, arr, norm, fibers)
+            return globals()[rank_one](mu, arr, norm, fibers)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, salt)))
     failures: list[str] = []
     for attempt in range(MAX_ROTATION_ATTEMPTS):
@@ -667,52 +658,25 @@ def _solve_by_elimination(
     )
 
 
-def solve_222(t: BinaryTensor, seed: int = 0) -> Spectrum:
-    """All six singular tuples of a real 2x2x2 tensor.
-
-    Rotation for general position, the 6 x 6 hidden-variable pencil of the
-    three bilinear critical equations in (z1, z2) with z3 hidden, Newton
-    polish on the unrotated tensor.  Rank-one inputs take a closed-form path
-    before any rotation (their zero-value critical set is a curve, not six
-    points).
-    """
-    if t.d != 3:
-        raise ValueError("solve_222 needs an order-3 tensor")
-    return _solve_by_elimination(t, seed, 0x222, _rank_one_spectrum_222)
-
-
-def solve_21(c: MuTensor, seed: int = 0) -> Spectrum:
-    """The four singular tuples (x, x, w) of a (2,1)-symmetric tensor.
-
-    Same scheme as the full solver: the two group equations have multidegree
-    (2,1) in (z1, z2), and with z2 hidden their pencil is the 4 x 4 Sylvester
-    matrix of two quadratics in z1.
-    """
-    if c.mu.parts != (2, 1):
-        raise ValueError(f"need mu = (2,1), got {c.mu}")
-    return _solve_by_elimination(c, seed, 0x21, _rank_one_spectrum_21)
-
-
-def solve_matrix(t: BinaryTensor, seed: int = 0) -> Spectrum:
-    """The two singular pairs of a 2x2 matrix, by the same pencil scheme (2 x 2)."""
-    if t.d != 2:
-        raise ValueError("solve_matrix needs an order-2 tensor")
-    return _solve_by_elimination(t, seed, 0x11, None)
-
-
 def _polynomial_roots(coeffs: Sequence[Fraction]) -> list[tuple[complex, int]]:
     """The roots of a nonzero polynomial (ascending exact coefficients) with exact multiplicities.
 
-    A factor of multiplicity i of ``square_free_decomposition`` gives the
-    values (``_pencil_values``) of -C + z I, C its companion matrix; a
-    cluster of k of them (k eigenvector columns) counts i * k times.
+    A factor of multiplicity i of ``square_free_decomposition`` has simple
+    roots only: the eigenvalues of its companion matrix (``np.linalg.eigvals``),
+    each its own root of multiplicity i, none merged with another, in
+    (real, imag) order.  A failed eigenvalue routine raises
+    SolverFailureError naming its LinAlgError.
     """
     roots: list[tuple[complex, int]] = []
     for factor, i in square_free_decomposition(coeffs):
         n = len(factor) - 1
         companion = np.eye(n, k=-1)
         companion[:, -1] = [-c / factor[-1] for c in factor[:-1]]
-        roots += [(z, i * basis.shape[1]) for z, basis in _pencil_values(-companion, np.eye(n))]
+        try:
+            values = np.linalg.eigvals(companion).tolist()
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailureError(f"companion eigenvalues failed: {exc}") from exc
+        roots += [(z, i) for z in sorted(values, key=lambda z: (z.real, z.imag))]
     return roots
 
 
@@ -759,21 +723,23 @@ def eigen_symmetric(c: MuTensor, seed: int = 0) -> Spectrum:
 
 
 def singular_values(t: BinaryTensor | MuTensor, seed: int = 0) -> Spectrum:
-    """Dispatch to the right solver from the tensor's shape."""
+    """All singular data of ``t``, certified: the one solver entry.
+
+    A symmetric tensor, mu = (d), goes to the critical binary form chart
+    (``eigen_symmetric``); a 2x2 matrix, a (2,1)-symmetric tensor and a full
+    2x2x2 tensor, given dense or as a MuTensor with mu = 1^d, go to the
+    elimination chart (``_solve_by_elimination``).  Any other shape raises
+    ValueError.
+    """
     if isinstance(t, MuTensor):
         if t.mu.s == 1:
             return eigen_symmetric(t, seed=seed)
-        if t.mu.parts == (2, 1):
-            return solve_21(t, seed=seed)
         if all(p == 1 for p in t.mu.parts):
-            dense = expand(t)
-            return singular_values(dense, seed=seed)
-        raise ValueError(f"no solver for mu = {t.mu}")
-    if t.d == 2:
-        return solve_matrix(t, seed=seed)
-    if t.d == 3:
-        return solve_222(t, seed=seed)
-    raise ValueError(f"no general solver for order {t.d}")
+            t = expand(t)
+    if t.mu.parts not in _ELIMINATION_SHAPES:
+        what = f"no solver for mu = {t.mu}" if isinstance(t, MuTensor) else f"no general solver for order {t.d}"
+        raise ValueError(what)
+    return _solve_by_elimination(t, seed)
 
 
 # --- product-formula verification and derived outputs ---------------------------
@@ -917,7 +883,7 @@ def assemble_edpoly(spec: Spectrum, t: BinaryTensor | MuTensor) -> UniPoly:
         if abs(c.imag) > 1e-8 * (1.0 + scale):
             raise SolverFailureError(f"distance polynomial has non-real coefficient {c}")
         coeffs.append(c.real)
-    return UniPoly(tuple(coeffs), "eps2")
+    return UniPoly(tuple(coeffs))
 
 
 def primal_edpoly(dual: UniPoly, t: BinaryTensor | MuTensor) -> UniPoly:

@@ -32,8 +32,7 @@ from bts.spectral import (
     assemble_edpoly,
     eigen_symmetric,
     primal_edpoly,
-    solve_21,
-    solve_222,
+    singular_values,
     verify_trial,
 )
 from bts.tensor import (
@@ -71,7 +70,7 @@ def test_criterion_1_product_formula_d3_exact_normalization():
 def test_criterion_2_diagonal_oracle(diag_12):
     desc = "diagonal oracle: sigma multiset and a0/a6, -a5/a6 against root product/sum at 1e-10"
     with criterion(2, desc):
-        spec = solve_222(diag_12, seed=1)
+        spec = singular_values(diag_12, seed=1)
         multiset_close(
             sorted(v.real for v in spec.sigma_sq()), diagonal_sigma_sq(1, 2), tol=1e-10
         )
@@ -95,8 +94,8 @@ def test_criterion_3_partial_symmetry_structure():
     with criterion(3, desc):
         for trial in range(50):
             c = random_tensor(10_000 + trial, (2, 1))
-            s21 = sorted(v.real for v in solve_21(c, seed=trial).sigma_sq())
-            s222 = sorted(v.real for v in solve_222(expand(c), seed=trial).sigma_sq())
+            s21 = sorted(v.real for v in singular_values(c, seed=trial).sigma_sq())
+            s222 = sorted(v.real for v in singular_values(expand(c), seed=trial).sigma_sq())
             extra = multiset_subtract(s222, s21, tol=1e-7)
             assert len(extra) == 2
             h = float(extra_root(c, invariants_222(expand(c))))
@@ -105,7 +104,7 @@ def test_criterion_3_partial_symmetry_structure():
         for trial in range(50):
             c = random_tensor(20_000 + trial, (3,))
             se = sorted(v.real for v in eigen_symmetric(c, seed=trial).sigma_sq())
-            s222 = sorted(v.real for v in solve_222(expand(c), seed=trial).sigma_sq())
+            s222 = sorted(v.real for v in singular_values(expand(c), seed=trial).sigma_sq())
             extra = multiset_subtract(s222, se, tol=1e-7)
             assert len(extra) == 3
             h = float(extra_root(c, invariants_222(expand(c))))
@@ -202,7 +201,7 @@ def test_criterion_7_duality_reflection():
             assert reflect_edpoly(reflect_edpoly(p, qt), qt).coeffs == p.coeffs
         for trial in range(10):
             t = random_tensor(60_000 + trial, 3)
-            spec = solve_222(t, seed=trial)
+            spec = singular_values(t, seed=trial)
             primal = primal_edpoly(assemble_edpoly(spec, t), t)
             qt = float(bombieri_norm_sq(t))
             for d in spec.data:
@@ -238,7 +237,7 @@ def test_criterion_8_zero_singular_value():
             t = rank_one_tensor(vecs)
             inv = invariants_222(t)
             assert inv.det == 0
-            spec = solve_222(t, seed=count_rank_one)
+            spec = singular_values(t, seed=count_rank_one)
             assert min(abs(v) for v in spec.sigma_sq()) <= 1e-8
             count_rank_one += 1
         for k in range(10):
@@ -248,5 +247,5 @@ def test_criterion_8_zero_singular_value():
             assert min(abs(v) for v in spec.sigma_sq()) <= 1e-8
         for trial in range(100):
             t = random_tensor(70_000 + trial, 3)
-            spec = solve_222(t, seed=trial)
+            spec = singular_values(t, seed=trial)
             assert min(abs(v) for v in spec.sigma_sq()) > 1e-8, trial

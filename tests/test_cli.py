@@ -11,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bts.cli
@@ -22,6 +23,7 @@ from bts.cli import main
 DIAG = {"d": 3, "mu": None, "entries": {"000": "1", "111": "2"}}
 CUBIC = {"d": 3, "mu": [3], "entries": {"0": "1", "3": "1"}}
 SYM21 = {"d": 3, "mu": [2, 1], "entries": {"00": "1", "21": "2"}}
+WITNESSES = Path(__file__).parent / "witnesses"
 
 
 @pytest.fixture
@@ -440,25 +442,22 @@ def test_svals_exit_3_counts_survivors_on_every_attempt(capsys, tmp_path, monkey
 
 def test_svals_symmetric_exit_3_names_its_cause(capsys, cubic_file, monkeypatch):
     # the symmetric chart makes one attempt; a failure of its eigenvalue routine still exits 3
-    def failing_values(m0, m1):
-        raise bts.spectral.SolverFailureError("no convergence")
+    def failing_eigvals(_companion):
+        raise np.linalg.LinAlgError("no convergence")
 
-    monkeypatch.setattr(bts.spectral, "_pencil_values", failing_values)
+    monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
     code, out, err = run(capsys, "svals", "--input", cubic_file)
     assert code == 3 and out == ""
-    assert err.rstrip().endswith("solver failure: no convergence")
+    assert err.rstrip().endswith("solver failure: companion eigenvalues failed: no convergence")
     assert "attempt 1" not in err
 
 
-@pytest.mark.parametrize("doc, attempts", [
+@pytest.mark.parametrize("name, attempts", [
     # theta_4 = 0: two of the six elimination candidates are isotropic
-    ({"d": 3, "mu": None, "entries": dict(zip(("000", "001", "010", "011", "100", "101", "110", "111"),
-                                              ("4", "2", "1", "0", "4", "-3", "-1", "1")))}, 3),
+    ("01-theta4-zero", 3),
 ], ids=["theta4-zero"])
-def test_svals_exit_3_names_an_isotropic_candidate_on_every_attempt(capsys, tmp_path, doc, attempts):
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "svals", "--input", str(path))
+def test_svals_exit_3_names_an_isotropic_candidate_on_every_attempt(capsys, name, attempts):
+    code, out, err = run(capsys, "svals", "--input", str(WITNESSES / f"{name}.json"))
     assert code == 3 and out == ""
     reasons = err.strip().splitlines()[-1].split("; ")
     assert len(reasons) == attempts
@@ -466,7 +465,7 @@ def test_svals_exit_3_names_an_isotropic_candidate_on_every_attempt(capsys, tmp_
         assert f"attempt {k}: vector (" in reason and reason.endswith("is numerically isotropic")
 
 
-def test_svals_symmetric_names_an_isotropic_root_without_rotating(capsys, tmp_path, monkeypatch):
+def test_svals_symmetric_names_an_isotropic_root_without_rotating(capsys, monkeypatch):
     # x0 (x0^2 + x1^2): its critical form x1 (x0^2 + x1^2) has the isotropic roots +-i,
     # which no rotation can change, so the chart makes one pass and rotates nothing
     def no_rotation(*_args):
@@ -474,13 +473,58 @@ def test_svals_symmetric_names_an_isotropic_root_without_rotating(capsys, tmp_pa
 
     monkeypatch.setattr(bts.spectral, "_rotation_pairs", no_rotation)
     monkeypatch.setattr(bts.spectral, "rotate_cs", no_rotation)
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps({"d": 3, "mu": [3], "entries": {"0": "1", "2": "1/3"}}))
-    code, out, err = run(capsys, "svals", "--input", str(path))
+    code, out, err = run(capsys, "svals", "--input", str(WITNESSES / "05-isotropic-cubic.json"))
     assert code == 3 and out == ""
     last = err.strip().splitlines()[-1]
     assert "attempt" not in last and "; " not in last
     assert last.startswith("error: solver failure: vector (") and last.endswith("is numerically isotropic")
+
+
+# The svals outcome of each witness in tests/witnesses: its exit code and, on exit 3, the cause its
+# last stderr line names, or, on exit 0, its notes.
+WITNESS_OUTCOMES = {
+    # the defective locus of 2x2x2 tensors (theta_4 = 0, theta_1 = 0, f_{3,{3}} = 0):
+    # isotropic elimination candidates on every attempt
+    "01-theta4-zero": (3, "no rotation certified 6 singular tuples"),
+    "02-theta4-zero": (3, "no rotation certified 6 singular tuples"),
+    "03-theta1-zero": (3, "no rotation certified 6 singular tuples"),
+    "04-f33-zero": (3, "no rotation certified 6 singular tuples"),
+    # x0 (x0^2 + x1^2): the critical form has the isotropic roots +-i
+    "05-isotropic-cubic": (3, "is numerically isotropic"),
+    # x0^2 + x1^2
+    "06-radial-quadratic": (3, "critical form vanishes identically"),
+    "07-zero-cubic": (3, "zero tensor"),
+    "08-zero-222": (3, "zero tensor"),
+    # x0^3: the double critical root (0, 1) carries sigma = 0
+    "09-pure-power": (0, ["collisions", "zero singular value"]),
+    # critical form (z - 1)((z - 2)^2 + eps^2), eps = 1e-6 and 1e-8: the conjugate pair is merged
+    "10-eps-1e-6": (3, "2 survivors (expected 3)"),
+    "11-eps-1e-8": (3, "2 survivors (expected 3)"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(WITNESSES.glob("*.json")), ids=lambda path: path.stem)
+def test_svals_witness_outcome(capsys, path):
+    want_code, want = WITNESS_OUTCOMES[path.stem]
+    code, out, err = run(capsys, "svals", "--input", str(path), "--format", "json")
+    assert code == want_code
+    if code == 0:
+        assert json.loads(out)["notes"] == want
+    else:
+        assert out == "" and want in err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("name", ["10-eps-1e-6", "11-eps-1e-8"])
+def test_svals_eps_cubic_reports_no_double_real_root(capsys, name):
+    # the critical form (z - 1)((z - 2)^2 + eps^2) is square-free with one real root: an answer
+    # has one real sigma^2 and three distinct ones, or the solve exits 3
+    code, out, _ = run(capsys, "svals", "--input", str(WITNESSES / f"{name}.json"), "--format", "json")
+    if code == 0:
+        data = json.loads(out)["data"]
+        assert sum(d["is_real"] for d in data) == 1
+        assert len({(d["sigma_sq"]["re"], d["sigma_sq"]["im"]) for d in data}) == 3
+    else:
+        assert code == 3
 
 
 def test_svals_symmetric_quartic_with_a_triple_critical_root(capsys, tmp_path):

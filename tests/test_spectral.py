@@ -23,9 +23,6 @@ from bts.spectral import (
     eigen_symmetric,
     primal_edpoly,
     singular_values,
-    solve_21,
-    solve_222,
-    solve_matrix,
     verify_product,
     verify_trial,
 )
@@ -53,11 +50,11 @@ def sym_tensor(vals):
     return MuTensor(Partition((d,)), {(j,): Fraction(v) for j, v in enumerate(vals)})
 
 
-# --- solve_222 -------------------------------------------------------------------
+# --- full 2x2x2 tensors -----------------------------------------------------------
 
 
 def test_diagonal_oracle(diag_12):
-    spec = solve_222(diag_12, seed=1)
+    spec = singular_values(diag_12, seed=1)
     multiset_close(real_sq(spec), diagonal_sigma_sq(1, 2), tol=1e-10)
     assert max(d.residual for d in spec.data) <= 1e-9 * diag_12.norm()
     # every real sigma is reported non-negative
@@ -67,7 +64,7 @@ def test_diagonal_oracle(diag_12):
 def test_residual_certificate_random():
     for seed in range(5):
         t = random_tensor(seed + 200, 3)
-        spec = solve_222(t, seed=seed)
+        spec = singular_values(t, seed=seed)
         assert len(spec.data) == 6
         assert max(d.residual for d in spec.data) <= 1e-9 * t.norm()
         for d in spec.data:
@@ -78,7 +75,7 @@ def test_residual_certificate_random():
 def test_coefficient_identities_random():
     for seed in range(5):
         t = random_tensor(seed + 300, 3)
-        spec = solve_222(t, seed=seed)
+        spec = singular_values(t, seed=seed)
         a0, a5, a6 = (float(v) for v in extreme_coeffs_222(t))
         prod = 1.0 + 0j
         total = 0.0 + 0j
@@ -93,10 +90,10 @@ def test_coefficient_identities_random():
 
 def test_permutation_equivariance():
     t = random_tensor(17, 3)
-    spec = solve_222(t, seed=2)
+    spec = singular_values(t, seed=2)
     perm = (2, 0, 1)
     inv_perm = tuple(perm.index(l) for l in range(3))
-    spec_p = solve_222(permute_slots(t, perm), seed=5)
+    spec_p = singular_values(permute_slots(t, perm), seed=5)
     multiset_close(real_sq(spec), real_sq(spec_p), tol=1e-9)
     # slot l of the permuted tensor pairs with the original slot inv_perm(l);
     # match data by sigma^2 and compare vectors up to sign
@@ -113,16 +110,16 @@ def test_permutation_equivariance():
 
 def test_rotation_invariance_of_spectrum():
     t = BinaryTensor(3, tuple(float(v) for v in random_tensor(23, 3).entries))
-    spec = solve_222(t, seed=3)
+    spec = singular_values(t, seed=3)
     rot = rotate(t, [0.9, -0.4, 1.7])
     assert isinstance(rot, BinaryTensor)
-    spec_r = solve_222(rot, seed=8)
+    spec_r = singular_values(rot, seed=8)
     multiset_close(real_sq(spec), real_sq(spec_r), tol=1e-9)
 
 
 def test_conjugation_closure():
     for seed in (41, 43, 47):
-        spec = solve_222(random_tensor(seed, 3), seed=seed)
+        spec = singular_values(random_tensor(seed, 3), seed=seed)
         vals = spec.sigma_sq()
         for v in vals:
             assert any(abs(v.conjugate() - w) < 1e-7 * (1 + abs(v)) for w in vals)
@@ -132,7 +129,7 @@ def test_rank_one_input_degenerate_with_zero():
     t = rank_one_tensor(
         [(Fraction(1), Fraction(2)), (Fraction(3), Fraction(-1)), (Fraction(2), Fraction(5))]
     )
-    spec = solve_222(t, seed=4)
+    spec = singular_values(t, seed=4)
     assert spec.degenerate
     vals = real_sq(spec)
     assert len(vals) == 6
@@ -150,7 +147,7 @@ def test_rank_one_answered_before_any_rotation(monkeypatch):
         raise AssertionError("a rank-one tensor should not be rotated")
 
     monkeypatch.setattr(bts.spectral, "rotate_cs", no_rotation)
-    spec = solve_222(t, seed=4)
+    spec = singular_values(t, seed=4)
     assert len(spec.data) == 6 and spec.degenerate
     assert all(d.chart_note == "rank-one fast path" for d in spec.data)
 
@@ -164,9 +161,9 @@ def test_within_rank_one_tolerance_gets_the_closed_form():
     )
     bump = np.random.default_rng(5).normal(size=8) * 1e-11 * t0.norm()
     t = BinaryTensor(3, tuple(e + Fraction(float(x)) for e, x in zip(t0.entries, bump)))
-    spec = solve_222(t, seed=0)
+    spec = singular_values(t, seed=0)
     assert spec.degenerate and all(d.chart_note == "rank-one fast path" for d in spec.data)
-    assert multiset_subtract(spec.sigma_sq(), solve_222(t0, seed=0).sigma_sq(), tol=1e-9) == []
+    assert multiset_subtract(spec.sigma_sq(), singular_values(t0, seed=0).sigma_sq(), tol=1e-9) == []
 
 
 # --- eigen_symmetric ---------------------------------------------------------------
@@ -250,12 +247,12 @@ def test_eigen_repeated_critical_roots_sweep():
                 assert all(x.chart_note.endswith("attempt=0") for x in spec.data)
 
 
-# --- solve_21 and nesting ------------------------------------------------------------
+# --- (2,1)-symmetric tensors and nesting ------------------------------------------------
 
 
 def test_solve_21_diagonal_consistency():
     c = MuTensor(Partition((2, 1)), {(0, 0): Fraction(1), (2, 1): Fraction(2)})
-    spec = solve_21(c, seed=1)
+    spec = singular_values(c, seed=1)
     vals = real_sq(spec)
     full = diagonal_sigma_sq(1, 2)
     # four of the six, containing both pure values and the mixed value twice
@@ -265,8 +262,8 @@ def test_solve_21_diagonal_consistency():
 def test_nesting_21_in_222():
     for seed in (11, 12, 13):
         c = random_tensor(seed, (2, 1))
-        s21 = real_sq(solve_21(c, seed=seed))
-        s222 = real_sq(solve_222(expand(c), seed=seed))
+        s21 = real_sq(singular_values(c, seed=seed))
+        s222 = real_sq(singular_values(expand(c), seed=seed))
         extra = multiset_subtract(s222, s21, tol=1e-7)
         assert len(extra) == 2
         assert abs(extra[0] - extra[1]) < 1e-7 * (1 + abs(extra[0]))
@@ -281,8 +278,8 @@ def test_nesting_symmetric_chain():
         c21 = MuTensor(
             Partition((2, 1)), {(i, j): c.c[(i + j,)] for i in range(3) for j in range(2)}
         )
-        s21 = real_sq(solve_21(c21, seed=seed))
-        s222 = real_sq(solve_222(expand(c), seed=seed))
+        s21 = real_sq(singular_values(c21, seed=seed))
+        s222 = real_sq(singular_values(expand(c), seed=seed))
         extra21 = multiset_subtract(list(s21), se, tol=1e-7)
         assert len(extra21) == 1
         extra222 = multiset_subtract(list(s222), s21, tol=1e-7)
@@ -294,7 +291,7 @@ def test_nesting_symmetric_chain():
 
 def test_solve_21_rank_one_fast_path():
     t = rank_one_tensor([(Fraction(1), Fraction(2)), (Fraction(1), Fraction(2)), (Fraction(3), Fraction(-1))])
-    spec = solve_21(compress(t, Partition((2, 1))), seed=0)
+    spec = singular_values(compress(t, Partition((2, 1))), seed=0)
     assert len(spec.data) == 4 and spec.degenerate
     assert all(d.chart_note == "rank-one fast path" for d in spec.data)
     vals = real_sq(spec)
@@ -308,14 +305,14 @@ def test_solve_21_rank_one_fast_path():
 
 def test_matrix_diag():
     t = BinaryTensor(2, (Fraction(3), Fraction(0), Fraction(0), Fraction(4)))
-    spec = solve_matrix(t, seed=1)
+    spec = singular_values(t, seed=1)
     multiset_close(real_sq(spec), [9, 16], tol=1e-10)
 
 
 def test_matrix_bilinear_singular_values():
     # sigma^2 are the eigenvalues of t^T t under the complex-bilinear pairing
     t = BinaryTensor(2, (Fraction(0), Fraction(1), Fraction(0), Fraction(0)))
-    spec = solve_matrix(t, seed=1)
+    spec = singular_values(t, seed=1)
     multiset_close(real_sq(spec), [0, 1], tol=1e-9)
 
 
@@ -364,7 +361,7 @@ def expected_diag_edpoly():
 
 
 def test_assemble_edpoly_diagonal(diag_12):
-    spec = solve_222(diag_12, seed=1)
+    spec = singular_values(diag_12, seed=1)
     dual = assemble_edpoly(spec, diag_12)
     expected = expected_diag_edpoly()
     for got, want in zip(dual.coeffs, expected):
@@ -378,7 +375,7 @@ def test_assemble_edpoly_diagonal(diag_12):
 def test_primal_reflection_vanishes_at_critical_distances():
     for seed in (71, 73):
         t = random_tensor(seed, 3)
-        spec = solve_222(t, seed=seed)
+        spec = singular_values(t, seed=seed)
         primal = primal_edpoly(assemble_edpoly(spec, t), t)
         qt = float(bombieri_norm_sq(t))
         for d in spec.data:
@@ -391,7 +388,7 @@ def test_primal_reflection_vanishes_at_critical_distances():
 def test_dual_edpoly_matrix_cases():
     # general matrix: char poly of t^T t in eps^2
     t = BinaryTensor(2, (Fraction(1), Fraction(2), Fraction(-1), Fraction(3)))
-    spec = solve_matrix(t, seed=1)
+    spec = singular_values(t, seed=1)
     dual = assemble_edpoly(spec, t)
     e = [float(v) for v in t.entries]
     tr = e[0] ** 2 + e[1] ** 2 + e[2] ** 2 + e[3] ** 2
@@ -402,7 +399,7 @@ def test_dual_edpoly_matrix_cases():
     assert abs(dual.coeffs[0] - det * det) < 1e-9 * (1 + det * det)
     # for symmetric t this equals det(eps I - t) det(eps I + t)
     ts = BinaryTensor(2, (Fraction(2), Fraction(1), Fraction(1), Fraction(-1)))
-    spec_s = solve_matrix(ts, seed=1)
+    spec_s = singular_values(ts, seed=1)
     dual_s = assemble_edpoly(spec_s, ts)
     es = [float(v) for v in ts.entries]
     trs, dets = es[0] + es[3], es[0] * es[3] - es[1] * es[2]
@@ -458,16 +455,16 @@ def test_zero_iff_discriminant_zero_sample():
         assert min(abs(v) for v in real_sq(spec)) < 1e-8
     # random full tensors have no zero singular value
     for seed in range(3):
-        spec = solve_222(random_tensor(seed + 600, 3), seed=seed)
+        spec = singular_values(random_tensor(seed + 600, 3), seed=seed)
         assert min(abs(v) for v in real_sq(spec)) > 1e-6
 
 
 @pytest.mark.parametrize("solve, notes", [
     # x0^3: the double critical root (0, 1) carries sigma = 0
     (lambda: eigen_symmetric(sym_tensor([1, 0, 0, 0]), seed=1), ("collisions", "zero singular value")),
-    (lambda: solve_matrix(BinaryTensor(2, (1, 2, 2, 4)), seed=1), ("zero singular value",)),
+    (lambda: singular_values(BinaryTensor(2, (1, 2, 2, 4)), seed=1), ("zero singular value",)),
     # a rank-one spectrum is flagged degenerate; its five zero sigma^2 collide
-    (lambda: solve_222(rank_one_tensor([(1, 2), (3, -1), (2, 5)]), seed=1),
+    (lambda: singular_values(rank_one_tensor([(1, 2), (3, -1), (2, 5)]), seed=1),
      ("rank-one input; zero-value critical set is positive-dimensional", "det zero", "collisions")),
 ], ids=["pure-power", "singular-matrix", "rank-one-222"])
 def test_zero_singular_value_note(solve, notes):
@@ -497,7 +494,7 @@ def test_eigen_linear_form():
 
 def test_rank_one_basis_tensor():
     t = rank_one_tensor([(Fraction(1), Fraction(0))] * 3)
-    spec = solve_222(t, seed=1)
+    spec = singular_values(t, seed=1)
     vals = sorted(v.real for v in spec.sigma_sq())
     assert spec.degenerate
     assert min(abs(v) for v in vals) < 1e-12
@@ -506,7 +503,7 @@ def test_rank_one_basis_tensor():
 
 def test_scale_robustness():
     t = random_tensor(42, 3, scale=Fraction(10**6))
-    spec = solve_222(t, seed=1)
+    spec = singular_values(t, seed=1)
     assert max(d.residual for d in spec.data) <= 1e-9 * t.norm()
     rep = verify_product(t, seed=2)
     assert rep.rel_error < 1e-8
@@ -559,7 +556,7 @@ def test_solve_222_polishes_each_candidate_once(monkeypatch):
         t = random_tensor(seed + 3, 3)
         calls.clear()
         raws.clear()
-        spec = solve_222(t, seed=1)
+        spec = singular_values(t, seed=1)
         assert all(d.chart_note.endswith("attempt=0") for d in spec.data)
         (raw,) = raws
         arr = expand(t).as_array().astype(complex)
@@ -587,14 +584,14 @@ def test_near_rank_one_not_degenerate():
     )
     pert = list(base.entries)
     pert[0] += Fraction(1, 100)
-    spec = solve_222(BinaryTensor(3, tuple(pert)), seed=5)
+    spec = singular_values(BinaryTensor(3, tuple(pert)), seed=5)
     assert not spec.degenerate and len(spec.data) == 6
     assert min(abs(v) for v in spec.sigma_sq()) > 1e-8
 
 
 def test_zero_tensor_rejected():
     with pytest.raises(ValueError):
-        solve_222(BinaryTensor(3, (Fraction(0),) * 8), seed=0)
+        singular_values(BinaryTensor(3, (Fraction(0),) * 8), seed=0)
 
 
 # --- the critical equations and the contraction kernel ----------------------------
@@ -733,7 +730,7 @@ def test_every_chart_hands_over_one_complex_stack(monkeypatch, t):
 def test_finalize_pairs_every_candidate_in_one_kernel_call(monkeypatch):
     t = random_tensor(3, 3)
     tf = BinaryTensor(3, tuple(float(v) for v in t.entries))
-    spec = solve_222(tf, seed=1)
+    spec = singular_values(tf, seed=1)
     vecs = np.array([d.vectors for d in spec.data], dtype=complex)
     sizes = []
     original = bts.spectral._contract_batch
@@ -776,7 +773,7 @@ def test_certification_residuals_match_a_per_tuple_contraction(shape, seed):
 def test_non_finite_tuple_has_infinite_residual(defect):
     t = random_tensor(3, 3)
     arr = t.as_array().astype(complex)
-    spec = solve_222(t, seed=1)
+    spec = singular_values(t, seed=1)
     vecs, sigma = [list(v) for v in spec.data[0].vectors], spec.data[0].sigma
     if defect == "nan-sigma":
         sigma = complex(math.nan, 0.0)
@@ -793,6 +790,13 @@ def test_q_normalized_names_overflow():
     # |x|^2 of (1, 1e200) overflows: the cause is named, not turned into a zero vector
     with pytest.raises(SolverFailureError, match="overflow"):
         bts.spectral._q_normalized(np.array([[[1, 1e200]]], dtype=complex))
+
+
+def test_q_normalized_leaves_a_nan_row_to_certification():
+    # no RuntimeWarning from the division: the NaN row reaches certification, which rejects it
+    got = bts.spectral._q_normalized(np.array([[[np.nan, 1]], [[3, 4]]], dtype=complex))
+    assert np.isnan(got[0]).all()
+    assert np.allclose(got[1], [[0.6, 0.8]], rtol=1e-15, atol=0)
 
 
 def _pencil_of(t):
@@ -846,9 +850,9 @@ def test_pencil_map_matches_the_rational_critical_equations(shape, scale):
 
     bts.spectral._pencil_map.cache_clear()
     t = random_tensor(5, 3)
-    first = solve_222(t, seed=1)
+    first = singular_values(t, seed=1)
     assert bts.spectral._pencil_map.cache_info().misses == 1
-    second = solve_222(t, seed=2)
+    second = singular_values(t, seed=2)
     assert bts.spectral._pencil_map.cache_info().misses == 1
     assert len(first.data) == len(second.data) == 6
 
@@ -902,7 +906,7 @@ def test_pencil_recovers_tuples_that_share_the_last_variable(monkeypatch, shape,
         return points(table, clusters)
 
     monkeypatch.setattr(bts.spectral, "_pencil_points", spy)
-    spec = solve_222(expand(random_tensor(seed + 40, shape)), seed=seed)
+    spec = singular_values(expand(random_tensor(seed + 40, shape)), seed=seed)
     assert len(spec.data) == 6
     assert all(d.chart_note.endswith("attempt=0") for d in spec.data)
     assert max(sizes) >= 2 and sum(sizes) == 6
@@ -996,13 +1000,25 @@ def jacobian_by_blocks(arr, mu, xv, sg):
 
 
 @pytest.mark.parametrize("parts, pairs", [((1, 1), 1), ((2, 1), 2), ((1, 1, 1), 3), ((3,), 1), ((5,), 1)], ids=str)
-def test_planned_jacobian_matches_blockwise_oracle_bit_for_bit(parts, pairs):
+def test_planned_jacobian_matches_blockwise_oracle_bit_for_bit(parts, pairs, monkeypatch):
     mu = Partition(parts)
-    assert len(bts.spectral._jacobian_plan(mu).pairs) == pairs  # each slot pair contracted once per step
+    contract, kept = bts.spectral._contract_except, []
+
+    def spy_contract(arr, slot_vecs, keep):
+        kept.append(tuple(keep))
+        return contract(arr, slot_vecs, keep)
+
     rng = np.random.default_rng(len(parts) * 10 + mu.d)
     for _ in range(20):
         arr = rng.normal(size=(2,) * mu.d) + 1j * rng.normal(size=(2,) * mu.d)
         xv = rng.normal(size=(mu.s, 2)) + 1j * rng.normal(size=(mu.s, 2))
         sg = complex(rng.normal(), rng.normal())
-        got, want = bts.spectral._jacobian(arr, mu, xv, sg), jacobian_by_blocks(arr, mu, xv, sg)
+        kept.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(bts.spectral, "_contract_except", spy_contract)
+            got = bts.spectral._jacobian(arr, mu, xv, sg)
+        # each slot pair contracted once per step
+        assert len(kept) == len(set(kept)) == pairs
+        want = jacobian_by_blocks(arr, mu, xv, sg)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
